@@ -102,10 +102,6 @@ def _lp_field(p, column):
     return stem if column is None else f"{stem}_c{column}"
 
 
-def _samples(grid, c):
-    return (np.fft.ifft2(c) * (grid.n * grid.n)).real
-
-
 def _l2_from_spectra(coeff_list):
     return float(TAU * np.sqrt(sum(np.sum(np.abs(c) ** 2) for c in coeff_list)))
 
@@ -144,12 +140,16 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
     h2_F = _weighted_l2(grid, flatF, ksq ** 2)
     h2s_gradu = _weighted_l2(grid, cu, (1.0 + ksq) ** 2 * ksq)
 
-    # physical-space quantities
-    ik1, ik2 = grid.ik1, grid.ik2
-    G = [[_samples(grid, ik1 * cu[i]), _samples(grid, ik2 * cu[i])] for i in range(2)]
-    Fp = [[_samples(grid, cF[k][i]) for i in range(2)] for k in range(2)]
-    dF = [[( _samples(grid, ik1 * cF[k][i]), _samples(grid, ik2 * cF[k][i]))
-           for i in range(2)] for k in range(2)]
+    # physical-space quantities, one inverse real transform per plane:
+    # G[i][j] = ∂ⱼuᵢ, Fp[k][i] = F_ik, dF[k][i] = (∂₁F_ik, ∂₂F_ik)
+    half = grid.half
+    hu = [c[:, :half.m] for c in cu]
+    hF = [c[:, :half.m] for c in flatF]
+    grad = lambda cs: [d * c for c in cs for d in (half.ik1, half.ik2)]
+    S = [half.to_samples(c) for c in grad(hu) + hF + grad(hF)]
+    G = [S[0:2], S[2:4]]
+    Fp = [S[4:6], S[6:8]]
+    dF = [[S[8:10], S[10:12]], [S[12:14], S[14:16]]]
 
     col_sq = [Fp[k][0] ** 2 + Fp[k][1] ** 2 for k in range(2)]
     fro = np.sqrt(col_sq[0] + col_sq[1])
@@ -161,11 +161,12 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
     gradF_sq = sum(d[0] ** 2 + d[1] ** 2 for k in range(2) for d in (dF[k][0], dF[k][1]))
     l6_gradF = _lp_norm(grid, np.sqrt(gradF_sq), 6)
 
-    # sup of the Jacobian operator norm: σ_max² = (T + √(T² − 4 det²))/2
-    T = G[0][0] ** 2 + G[0][1] ** 2 + G[1][0] ** 2 + G[1][1] ** 2
-    detG = G[0][0] * G[1][1] - G[0][1] * G[1][0]
-    disc = np.sqrt(np.maximum(T ** 2 - 4.0 * detG ** 2, 0.0))
-    linf_gradu = float(np.sqrt(np.max(0.5 * (T + disc))))
+    # sup of the Jacobian operator norm.  For [[a, b], [c, d]],
+    # σ_max = (|(a+d, c−b)| + |(a−d, b+c)|)/2; unlike the root of
+    # (T + √(T² − 4 det²))/2 it stays accurate where both singular values meet
+    # (there the inner root turns roundoff of order ε into an error of √ε)
+    (a, b), (c, d) = G
+    linf_gradu = float(np.max(0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))))
 
     linf_curl_u = float(np.max(np.abs(G[1][0] - G[0][1])))
     linf_curl_F = max(

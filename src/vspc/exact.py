@@ -31,7 +31,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import GridSpec, TensorField, VectorField, TAU
-from .operators import _project_pair
 from . import solver as _solver
 from .diagnostics import DiagnosticsRecord
 
@@ -285,9 +284,7 @@ class Manufactured:
 
 def _taylor_green_shapes(grid):
     x1, x2 = grid.mesh()
-    n2 = grid.n * grid.n
-    u = np.stack([np.fft.fft2(np.sin(x1) * np.cos(x2)) / n2,
-                  np.fft.fft2(-np.cos(x1) * np.sin(x2)) / n2])
+    u = grid.to_coeffs(np.stack([np.sin(x1) * np.cos(x2), -np.cos(x1) * np.sin(x2)]))
     G = np.zeros((4, grid.n, grid.n), dtype=np.complex128)
     return u, G
 
@@ -331,7 +328,7 @@ def _broadband_shapes(grid, band=24, decay=0.28, amp_u=0.05, amp_F=0.03):
 def _project_block(grid, block):
     out = block.copy()
     for i in range(0, block.shape[0], 2):
-        out[i], out[i + 1] = _project_pair(grid, block[i], block[i + 1])
+        out[i], out[i + 1] = grid.project(block[i], block[i + 1])
     return out
 
 
@@ -374,28 +371,26 @@ def manufactured(grid: GridSpec, nu: float, case: str = "broadband") -> Manufact
     ident = np.zeros((4, grid.n, grid.n), dtype=np.complex128)
     ident[0, 0, 0] = 1.0
     ident[3, 0, 0] = 1.0
-    ksq = grid.k_sq
-
-    def packed(t):
-        return np.concatenate([lam_u(t) * u_d, ident + lam_F(t) * G_d])
+    half = grid.half
+    u_h, G_h, ident_h = (block[..., :half.m] for block in (u_d, G_d, ident))
 
     @lru_cache(maxsize=8)
     def terms(t):
-        Z = packed(t)
-        Nu, NF = _solver._nonlinear(grid, Z)
-        Nu[0], Nu[1] = _project_pair(grid, Nu[0], Nu[1])
-        gu = dlam_u(t) * u_d - Nu + nu * ksq * (lam_u(t) * u_d)
-        gF = dlam_F(t) * G_d - NF
-        return gu, gF
+        """Full spectra of (g_u, g_F) at t, stacked in the solver's channel order."""
+        Z = np.concatenate([lam_u(t) * u_h, ident_h + lam_F(t) * G_h])
+        N = _solver._nonlinearity(grid, half.to_samples(Z))
+        gu = dlam_u(t) * u_h - N[:2] + nu * half.k_sq * (lam_u(t) * u_h)
+        gF = dlam_F(t) * G_h - N[2:]
+        return half.full(np.concatenate([gu, gF]))
 
     def g_u(t):
-        gu, _ = terms(float(t))
-        return VectorField.from_spectra(grid, gu[0], gu[1])
+        g = terms(float(t))
+        return VectorField.from_spectra(grid, g[0], g[1])
 
     def g_F(t):
-        _, gF = terms(float(t))
-        col1 = VectorField.from_spectra(grid, gF[0], gF[1])
-        col2 = VectorField.from_spectra(grid, gF[2], gF[3])
+        g = terms(float(t))
+        col1 = VectorField.from_spectra(grid, g[2], g[3])
+        col2 = VectorField.from_spectra(grid, g[4], g[5])
         return TensorField.from_columns(col1, col2)
 
     def analytic(t):

@@ -115,6 +115,80 @@ class GridSpec:
     def spacing(self):
         return TAU / self.n
 
+    @cached_property
+    def half(self):
+        """Transform layer on the rfft2 half spectrum (see HalfSpectrum)."""
+        return HalfSpectrum(self)
+
+    def to_coeffs(self, samples):
+        """Forward transform over the last two axes; mean-normalized, unchecked."""
+        return np.fft.fft2(samples) / (self.n * self.n)
+
+    def to_samples(self, coeffs):
+        """Unchecked inverse transform of full spectra over the last two axes.
+
+        Reads the k₂ ≥ 0 half only, as conjugate symmetry allows for the
+        spectrum of real data; `to_physical` is the checked route.
+        """
+        return self.half.to_samples(coeffs[..., :self.half.m])
+
+    @cached_property
+    def _leray(self):
+        k1, k2 = self.ik1.imag, self.ik2.imag
+        ksq = k1 * k1 + k2 * k2
+        return k1, k2, np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
+
+    def project(self, c1, c2):
+        """Leray projection v̂ − k(k·v̂)/|k|² of a full or half spectrum pair.
+
+        Uses Nyquist-zeroed wavenumbers (the Nyquist mode maps to itself under
+        k → −k, so projecting it would break conjugate symmetry); those modes
+        pass through like the mean mode.  Dealiased fields are unaffected.
+        """
+        k1, k2, inv = self._leray
+        k2, inv = k2[:, :c1.shape[-1]], inv[:, :c1.shape[-1]]
+        corr = (k1 * c1 + k2 * c2) * inv
+        return c1 - k1 * corr, c2 - k2 * corr
+
+
+class HalfSpectrum:
+    """The k₂ = 0 … n/2 columns of the FFT layout, as np.fft.rfft2 returns them.
+
+    A real field is fixed by them (f̂(−k) = conj f̂(k)), so the solver keeps
+    its state here and rebuilds full spectra only for the public field types.
+    The multipliers are GridSpec's restricted to these columns; `weight`
+    counts each column's mirror image, so Σ weight·|ĉ|² over the half is
+    Σ |ĉ|² over the full lattice.  GridSpec.project takes half spectra too.
+    """
+
+    def __init__(self, grid: GridSpec):
+        n = grid.n
+        m = n // 2 + 1
+        self.n, self.m = n, m
+        self.ik1 = grid.ik1
+        self.ik2 = grid.ik2[:, :m]
+        self.k_sq = grid.k_sq[:, :m]
+        self.mask = grid.dealias_mask[:, :m]
+        self.weight = np.full((1, m), 2.0)
+        self.weight[0, 0] = self.weight[0, -1] = 1.0
+        self._mirror_rows = -np.arange(n) % n
+
+    def to_samples(self, coeffs):
+        """Real samples of half spectra, batched over leading axes."""
+        return np.fft.irfft2(coeffs, s=(self.n, self.n)) * (self.n * self.n)
+
+    def to_coeffs(self, samples):
+        """Half spectra of real samples, batched over leading axes."""
+        return np.fft.rfft2(samples) / (self.n * self.n)
+
+    def full(self, coeffs):
+        """Full spectra rebuilt from half spectra: ĉ(k₁, −k₂) = conj ĉ(−k₁, k₂)."""
+        n, m = self.n, self.m
+        out = np.empty(coeffs.shape[:-1] + (n,), dtype=np.complex128)
+        out[..., :m] = coeffs
+        np.conjugate(coeffs[..., self._mirror_rows, n - m:0:-1], out=out[..., m:])
+        return out
+
 
 def _frozen_array(values, dtype):
     arr = np.array(values, dtype=dtype, copy=True, order="C")
@@ -256,15 +330,11 @@ def _to_samples(grid, coeffs):
     return np.ascontiguousarray(w.real)
 
 
-def _to_coeffs(grid, samples):
-    return np.fft.fft2(samples) / (grid.n * grid.n)
-
-
 def to_spectral(f: ScalarField) -> ScalarField:
     """Forward transform; mean-normalized so f̂(0) is the field average."""
     if not f.is_physical:
         raise ValueError("to_spectral expects a physical-representation field")
-    return ScalarField.from_spectrum(f.grid, _to_coeffs(f.grid, f.data))
+    return ScalarField.from_spectrum(f.grid, f.grid.to_coeffs(f.data))
 
 
 def to_physical(f: ScalarField) -> ScalarField:
@@ -276,7 +346,7 @@ def to_physical(f: ScalarField) -> ScalarField:
 
 def ensure_spectral(f: ScalarField) -> np.ndarray:
     """Coefficient array of f, transforming if needed."""
-    return f.data if f.is_spectral else _to_coeffs(f.grid, f.data)
+    return f.data if f.is_spectral else f.grid.to_coeffs(f.data)
 
 
 def ensure_physical(f: ScalarField) -> np.ndarray:

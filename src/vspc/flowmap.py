@@ -136,14 +136,11 @@ class SnapshotSampler:
             block = np.ix_(self._idx, self._idx)
             self._coeffs.append(np.stack([c1[block], c2[block]]))
         else:
-            n2 = self.grid.n * self.grid.n
-            fieldset = []
-            for c in (c1, c2,
-                      self.grid.ik1 * c1, self.grid.ik2 * c1,
-                      self.grid.ik1 * c2, self.grid.ik2 * c2):
-                samples = (np.fft.ifft2(c) * n2).real
-                fieldset.append(ndimage.spline_filter(samples, order=3, mode="grid-wrap"))
-            self._splines.append(np.stack(fieldset))
+            ik1, ik2 = self.grid.ik1, self.grid.ik2
+            samples = self.grid.to_samples(np.stack(
+                [c1, c2, ik1 * c1, ik2 * c1, ik1 * c2, ik2 * c2]))
+            self._splines.append(np.stack([
+                ndimage.spline_filter(s, order=3, mode="grid-wrap") for s in samples]))
         self.times.append(t)
 
     def _blend(self, t):
@@ -253,13 +250,10 @@ def _eval_spectra_at(grid, coeff_arrays, pts, method="spectral"):
         phases = np.exp(1j * (pts[:, :1] * k1[None, :] + pts[:, 1:] * k2[None, :]))
         return (phases @ stack.T).real
     if method == "bicubic":
-        n2 = grid.n * grid.n
         coords = (pts / grid.spacing).T
-        cols = []
-        for c in coeff_arrays:
-            samples = (np.fft.ifft2(c * grid.dealias_mask) * n2).real
-            cols.append(ndimage.map_coordinates(samples, coords, order=3, mode="grid-wrap"))
-        return np.stack(cols, axis=1)
+        samples = grid.to_samples(np.stack(coeff_arrays) * grid.dealias_mask)
+        return np.stack([ndimage.map_coordinates(s, coords, order=3, mode="grid-wrap")
+                         for s in samples], axis=1)
     raise ValueError(f"unknown sampling method {method!r}")
 
 

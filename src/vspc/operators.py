@@ -26,7 +26,6 @@ from .fields import (
     VectorField,
     ensure_spectral,
     _to_samples,
-    _to_coeffs,
 )
 
 __all__ = [
@@ -104,30 +103,12 @@ def laplacian(f: ScalarField) -> ScalarField:
     return _wrap_like(f, -f.grid.k_sq * ensure_spectral(f))
 
 
-def _project_pair(grid: GridSpec, c1, c2):
-    """Leray-project a spectral component pair; returns new pair.
-
-    Uses Nyquist-zeroed wavenumbers (the Nyquist mode maps to itself under
-    k → −k, so projecting it would break conjugate symmetry); those modes pass
-    through like the mean mode.  Dealiased fields are unaffected.
-    """
-    k1 = grid.ik1.imag
-    k2 = grid.ik2.imag
-    ksq = k1 * k1 + k2 * k2
-    inv = np.zeros_like(ksq)
-    nz = ksq > 0
-    inv[nz] = 1.0 / ksq[nz]
-    div = k1 * c1 + k2 * c2          # k·v̂ (factor i omitted, cancels)
-    corr = div * inv
-    return c1 - k1 * corr, c2 - k2 * corr
-
-
 def leray_project(v: VectorField) -> VectorField:
     """P v = v − ∇Δ⁻¹(∇·v); idempotent, self-adjoint, keeps the mean mode."""
     grid = v.grid
     c1 = ensure_spectral(v.components[0])
     c2 = ensure_spectral(v.components[1])
-    p1, p2 = _project_pair(grid, c1, c2)
+    p1, p2 = grid.project(c1, c2)
     return VectorField((_wrap_like(v.components[0], p1), _wrap_like(v.components[1], p2)))
 
 
@@ -144,7 +125,7 @@ def convective_term(v: VectorField, w: VectorField) -> VectorField:
     for cw in ws:
         d1 = _to_samples(grid, grid.ik1 * cw)
         d2 = _to_samples(grid, grid.ik2 * cw)
-        out.append(_to_coeffs(grid, vp[0] * d1 + vp[1] * d2) * mask)
+        out.append(grid.to_coeffs(vp[0] * d1 + vp[1] * d2) * mask)
     return VectorField.from_spectra(grid, out[0], out[1])
 
 
@@ -262,8 +243,8 @@ def commutator_check(s, f: ScalarField, g: ScalarField) -> CommutatorReport:
         mult[nz] = big.k_sq[nz] ** (order_s / 2.0)
         return mult * coeffs
 
-    prod = _to_coeffs(big, fs * gs)
-    lhs_coeffs = lam(prod, order.s) - _to_coeffs(big, fs * _to_samples(big, lam(pg, order.s)))
+    prod = big.to_coeffs(fs * gs)
+    lhs_coeffs = lam(prod, order.s) - big.to_coeffs(fs * _to_samples(big, lam(pg, order.s)))
     lhs = float(TAU * np.sqrt(np.sum(np.abs(lhs_coeffs) ** 2)))
 
     grad_f_sup = float(np.max(np.hypot(_to_samples(big, big.ik1 * pf),

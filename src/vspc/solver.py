@@ -3,16 +3,32 @@
 The state is a velocity u and a deformation tensor F on the torus obeying
 
     ∂ₜu − νΔu + (u·∇)u + ∇p = Σ_k (F(·,k)·∇) F(·,k),      ∇·u = 0,
-    ∂ₜF(·,k) + (u·∇) F(·,k) = (F(·,k)·∇) u,               ∇·F(·,k) = 0,
+    ∂ₜF(·,k) + (u·∇) F(·,k) = (F(·,k)·∇) u,               ∇·F(·,k) = 0.
 
-where the elastic term is the divergence of FFᵀ written column-wise.  The
-pressure never appears explicitly: the momentum right-hand side is Leray
-projected, which subtracts exactly the gradient part ∇p = (I−P)(F·∇F − u·∇u).
+Because u and both columns of F are divergence-free, the nonlinear terms are
+advanced in divergence form,
+
+    −(u·∇)u + Σ_k (F(·,k)·∇) F(·,k) = ∇·(FFᵀ − u⊗u),
+    ∂ₜF(·,k) = (∂₂a_k, −∂₁a_k),     a_k = u₁F₂ₖ − u₂F₁ₖ,
+
+so one right-hand side needs five pointwise products: the three entries of
+FFᵀ − u⊗u and one a_k per column.  The pressure never appears explicitly:
+the momentum term is Leray projected, which subtracts exactly its gradient
+part ∇p.  The F columns come out divergence-free by construction.
+
+The solver state is the six channels' rfft2 half spectra, packed as one
+(6, n, n//2+1) array in the order u₁, u₂, F₁₁, F₂₁, F₁₂, F₂₂.  One right-hand
+side is one batched inverse real transform of the six channels and one
+batched forward real transform of the five products.  Full complex spectra
+are rebuilt only where a State is handed out: diagnostics records, observer
+calls and the result.
 
 Time stepping is the classical RK4 scheme with an integrating factor
 e^{−ν|k|²t} on the velocity block (the deformation block has no diffusion and
 is stepped plainly), so stiff viscous decay never limits the step size.  The
-step size itself is CFL-limited by the transport and elastic-wave speeds.
+step size itself is CFL-limited by the transport and elastic-wave speeds,
+read from the same samples as the step's first stage.  After each step u and
+the F columns are re-projected, which removes roundoff drift only.
 
 All quadratic terms are formed pointwise in physical space from 2/3-rule
 dealiased inputs; retained modes therefore carry no aliasing error, and the
@@ -33,10 +49,8 @@ from .fields import (
     VectorField,
     ensure_physical,
     ensure_spectral,
-    _to_coeffs,
     _to_samples,
 )
-from .operators import _project_pair
 from . import diagnostics as _diag
 
 __all__ = [
@@ -49,6 +63,8 @@ __all__ = [
 # packed spectral layout: channel order u₁, u₂, F₁₁, F₂₁, F₁₂, F₂₂
 _U1, _U2, _F11, _F21, _F12, _F22 = range(6)
 _COLS = ((_F11, _F21), (_F12, _F22))
+
+
 
 
 class BlowupError(RuntimeError):
@@ -115,20 +131,22 @@ class SolverConfig:
     divergence_tolerance: float = 1.0e-8
 
     def __post_init__(self):
-        if self.nu < 0 or not np.isfinite(self.nu):
-            raise ValueError(f"viscosity must be finite and >= 0, got {self.nu}")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
         if not 0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.dt_max <= 0:
-            raise ValueError("dt_max must be positive")
+        for name in ("nu", "t_end", "energy_tolerance", "lp_tolerance", "divergence_tolerance"):
+            _require_finite(name, getattr(self, name), positive=False)
+        for name in ("dt_max", "gradu_ceiling"):
+            _require_finite(name, getattr(self, name), positive=True)
         if self.diagnostics_interval < 1:
             raise ValueError("diagnostics_interval must be >= 1")
         if self.snapshot_interval < 0:
             raise ValueError("snapshot_interval must be >= 0")
-        if self.gradu_ceiling <= 0:
-            raise ValueError("gradu_ceiling must be positive")
+
+
+def _require_finite(name, value, positive):
+    """Raise ValueError unless value is finite and > 0 (positive) or >= 0."""
+    if not np.isfinite(value) or value < 0 or (positive and value == 0):
+        raise ValueError(f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value}")
 
 
 @dataclass(eq=False)
@@ -146,26 +164,33 @@ class RunResult:
     violated_certificate: Optional[str] = None
 
 
+
+
 # ---------------------------------------------------------------------------
 # packing helpers
 
+def _channels(state: State):
+    """The six scalar fields of a state in packed channel order."""
+    return (state.u.components[0], state.u.components[1],
+            state.F.entry(0, 0), state.F.entry(1, 0), state.F.entry(0, 1), state.F.entry(1, 1))
+
+
 def _pack(state: State) -> np.ndarray:
-    """Stack the six spectral coefficient arrays into one (6, n, n) block."""
-    n = state.grid.n
-    Z = np.empty((6, n, n), dtype=np.complex128)
-    Z[_U1] = ensure_spectral(state.u.components[0])
-    Z[_U2] = ensure_spectral(state.u.components[1])
-    for k, (ci, cj) in enumerate(_COLS):
-        col = state.F.columns[k]
-        Z[ci] = ensure_spectral(col.components[0])
-        Z[cj] = ensure_spectral(col.components[1])
-    return Z
+    """Dealiased half spectra of the six channels as one (6, n, n//2+1) block."""
+    half = state.grid.half
+    return np.stack([ensure_spectral(f)[:, :half.m] for f in _channels(state)]) * half.mask
+
+
+def _fields(grid: GridSpec, Z):
+    """(u, F) as spectral field objects, from a packed block of half spectra."""
+    full = grid.half.full(Z)
+    u = VectorField.from_spectra(grid, full[_U1], full[_U2])
+    cols = [VectorField.from_spectra(grid, full[ci], full[cj]) for ci, cj in _COLS]
+    return u, TensorField.from_columns(cols[0], cols[1])
 
 
 def _unpack(grid: GridSpec, t: float, Z) -> State:
-    u = VectorField.from_spectra(grid, Z[_U1], Z[_U2])
-    cols = [VectorField.from_spectra(grid, Z[ci], Z[cj]) for ci, cj in _COLS]
-    return State(t, u, TensorField.from_columns(cols[0], cols[1]))
+    return State(t, *_fields(grid, Z))
 
 
 def state_from_arrays(grid, t, u1, u2, F11, F21, F12, F22) -> State:
@@ -176,139 +201,117 @@ def state_from_arrays(grid, t, u1, u2, F11, F21, F12, F22) -> State:
     return State(float(t), u, TensorField.from_columns(col1, col2))
 
 
-def _samples(grid, c):
-    """Unchecked inverse transform; inputs here are built from real data."""
-    return (np.fft.ifft2(c) * (grid.n * grid.n)).real
-
-
 def state_sup_distance(a: State, b: State) -> float:
     """Largest pointwise difference over all six components of two states."""
     if a.grid != b.grid:
         raise ValueError("states live on different grids")
     dist = 0.0
-    for pair in [(a.u.components[i], b.u.components[i]) for i in range(2)] + \
-                [(a.F.entry(i, k), b.F.entry(i, k)) for i in range(2) for k in range(2)]:
-        sa = ensure_physical(pair[0])
-        sb = ensure_physical(pair[1])
-        dist = max(dist, float(np.max(np.abs(sa - sb))))
+    for fa, fb in zip(_channels(a), _channels(b)):
+        dist = max(dist, float(np.max(np.abs(ensure_physical(fa) - ensure_physical(fb)))))
     return dist
 
 
 # ---------------------------------------------------------------------------
 # right-hand side
 
-def _nonlinear(grid: GridSpec, Z):
-    """Unprojected nonlinear terms: (−u·∇u + F·∇F, −u·∇F + F·∇u), spectral, dealiased."""
-    mask = grid.dealias_mask
-    ik1, ik2 = grid.ik1, grid.ik2
+def _nonlinearity(grid: GridSpec, P):
+    """Nonlinear part of ∂ₜZ from the six channels' samples P (6, n, n).
 
-    up = [_samples(grid, Z[_U1]), _samples(grid, Z[_U2])]
-    # velocity Jacobian G[i][j] = ∂_j u_i
-    G = [[_samples(grid, ik1 * Z[_U1 + i]), _samples(grid, ik2 * Z[_U1 + i])] for i in range(2)]
-    Fp = {c: _samples(grid, Z[c]) for c in (_F11, _F21, _F12, _F22)}
-    dF = {c: (_samples(grid, ik1 * Z[c]), _samples(grid, ik2 * Z[c]))
-          for c in (_F11, _F21, _F12, _F22)}
-
-    Nu = np.empty_like(Z[:2])
-    for i in range(2):
-        conv = up[0] * G[i][0] + up[1] * G[i][1]
-        elastic = np.zeros_like(conv)
-        for ci, cj in _COLS:
-            row = (ci, cj)[i]
-            elastic += Fp[ci] * dF[row][0] + Fp[cj] * dF[row][1]
-        Nu[i] = _to_coeffs(grid, elastic - conv) * mask
-
-    NF = np.empty_like(Z[2:])
-    for k, (ci, cj) in enumerate(_COLS):
-        for i, c in enumerate((ci, cj)):
-            conv = up[0] * dF[c][0] + up[1] * dF[c][1]
-            stretch = Fp[ci] * G[i][0] + Fp[cj] * G[i][1]
-            NF[c - 2] = _to_coeffs(grid, stretch - conv) * mask
-    return Nu, NF
+    Momentum: the Leray projection of ∇·(FFᵀ − u⊗u); deformation column k:
+    (∂₂a_k, −∂₁a_k) with a_k = u₁F₂ₖ − u₂F₁ₖ.  Returns dealiased half spectra
+    (6, n, n//2+1).
+    """
+    half = grid.half
+    u1, u2, F11, F21, F12, F22 = P
+    Q = np.empty((5,) + u1.shape)
+    Q[0] = F11 * F11 + F12 * F12 - u1 * u1
+    Q[1] = F11 * F21 + F12 * F22 - u1 * u2
+    Q[2] = F21 * F21 + F22 * F22 - u2 * u2
+    Q[3] = u1 * F21 - u2 * F11
+    Q[4] = u1 * F22 - u2 * F12
+    S = half.to_coeffs(Q)
+    S *= half.mask
+    ik1, ik2 = half.ik1, half.ik2
+    N = np.empty((6,) + S.shape[1:], dtype=np.complex128)
+    N[_U1], N[_U2] = grid.project(ik1 * S[0] + ik2 * S[1], ik1 * S[1] + ik2 * S[2])
+    for (ci, cj), a in zip(_COLS, S[3:]):
+        N[ci] = ik2 * a
+        N[cj] = -ik1 * a
+    return N
 
 
 def _forcing_terms(grid, forcing: ForcingSpec, t):
-    """Projected, dealiased spectral forcing contributions (gu (2,n,n), gF (4,n,n)).
+    """Dealiased half-spectrum forcing (6, n, n//2+1); g_u is Leray projected.
 
     Either channel may be None, meaning no forcing on that block.
     """
-    mask = grid.dealias_mask
-    if forcing.g_u is None:
-        gu = np.zeros((2, grid.n, grid.n), dtype=np.complex128)
-    else:
-        gu_field = forcing.g_u(t)
-        g1 = ensure_spectral(gu_field.components[0]) * mask
-        g2 = ensure_spectral(gu_field.components[1]) * mask
-        g1, g2 = _project_pair(grid, g1, g2)
-        gu = np.stack([g1, g2])
-    gF = np.zeros((4, grid.n, grid.n), dtype=np.complex128)
+    half = grid.half
+    g = np.zeros((6, half.n, half.m), dtype=np.complex128)
+    if forcing.g_u is not None:
+        g1, g2 = (ensure_spectral(c)[:, :half.m] * half.mask for c in forcing.g_u(t).components)
+        g[_U1], g[_U2] = grid.project(g1, g2)
     if forcing.g_F is not None:
-        gF_field = forcing.g_F(t)
+        gF = forcing.g_F(t)
         for k, (ci, cj) in enumerate(_COLS):
-            col = gF_field.columns[k]
-            gF[ci - 2] = ensure_spectral(col.components[0]) * mask
-            gF[cj - 2] = ensure_spectral(col.components[1]) * mask
-    return gu, gF
+            col = gF.columns[k]
+            g[ci] = ensure_spectral(col.components[0])[:, :half.m] * half.mask
+            g[cj] = ensure_spectral(col.components[1])[:, :half.m] * half.mask
+    return g
 
 
-def _rhs_transport(grid, Z, t, forcing):
-    """dZ/dt without the viscous term: projected nonlinearity plus forcing."""
-    if not np.all(np.isfinite(Z)):
+def _transport(grid, Z, t, forcing, P=None):
+    """dZ/dt without the viscous term; P, the samples of Z, is reused when given."""
+    if P is None:
+        P = grid.half.to_samples(Z)
+    if not np.all(np.isfinite(P)):
         raise BlowupError(t, "non-finite field values")
-    Nu, NF = _nonlinear(grid, Z)
-    Nu[0], Nu[1] = _project_pair(grid, Nu[0], Nu[1])
+    dZ = _nonlinearity(grid, P)
     if forcing is not None:
-        gu, gF = _forcing_terms(grid, forcing, t)
-        Nu += gu
-        NF += gF
-    return np.concatenate([Nu, NF])
+        dZ += _forcing_terms(grid, forcing, t)
+    return dZ
 
 
 def rhs(state: State, cfg: SolverConfig) -> StateDerivative:
     """Instantaneous time derivative of a state, including the viscous term."""
     grid = state.grid
-    Z = _pack(state) * grid.dealias_mask
-    dZ = _rhs_transport(grid, Z, state.t, cfg.forcing)
-    dZ[_U1] -= cfg.nu * grid.k_sq * Z[_U1]
-    dZ[_U2] -= cfg.nu * grid.k_sq * Z[_U2]
-    du = VectorField.from_spectra(grid, dZ[_U1], dZ[_U2])
-    cols = [VectorField.from_spectra(grid, dZ[ci], dZ[cj]) for ci, cj in _COLS]
-    return StateDerivative(du, TensorField.from_columns(cols[0], cols[1]))
+    Z = _pack(state)
+    dZ = _transport(grid, Z, state.t, cfg.forcing)
+    dZ[_U1] -= cfg.nu * grid.half.k_sq * Z[_U1]
+    dZ[_U2] -= cfg.nu * grid.half.k_sq * Z[_U2]
+    return StateDerivative(*_fields(grid, dZ))
 
 
 # ---------------------------------------------------------------------------
 # time stepping
 
-def _apply_factor(Z, E):
-    """Multiply the velocity block by the viscous integrating factor E."""
-    out = Z.copy()
-    out[_U1] *= E
-    out[_U2] *= E
-    return out
+def _step_packed(grid, Z, t, dt, nu, forcing, P=None):
+    """One integrating-factor RK4 step; returns (Z_new, projection correction L²).
 
-
-def _step_packed(grid, Z, t, dt, nu, forcing):
-    """One integrating-factor RK4 step; returns (Z_new, projection correction L²)."""
-    E = np.exp(-nu * grid.k_sq * (0.5 * dt))
+    P, the samples of Z, is reused for the first stage when given.
+    """
+    half = grid.half
+    # integrating factor over half a step: e^{−ν|k|²dt/2} on u, 1 on F
+    E = np.ones((6,) + half.k_sq.shape)
+    E[_U1] = E[_U2] = np.exp(-nu * half.k_sq * (0.5 * dt))
     E2 = E * E
 
-    a = _rhs_transport(grid, Z, t, forcing)
-    b = _rhs_transport(grid, _apply_factor(Z + 0.5 * dt * a, E), t + 0.5 * dt, forcing)
-    c = _rhs_transport(grid, _apply_factor(Z, E) + 0.5 * dt * b, t + 0.5 * dt, forcing)
-    d = _rhs_transport(grid, _apply_factor(Z, E2) + dt * _apply_factor(c, E), t + dt, forcing)
-
-    Znew = _apply_factor(Z, E2) + (dt / 6.0) * (
-        _apply_factor(a, E2) + 2.0 * _apply_factor(b + c, E) + d)
+    a = _transport(grid, Z, t, forcing, P)
+    b = _transport(grid, (Z + 0.5 * dt * a) * E, t + 0.5 * dt, forcing)
+    c = _transport(grid, Z * E + 0.5 * dt * b, t + 0.5 * dt, forcing)
+    d = _transport(grid, Z * E2 + dt * (c * E), t + dt, forcing)
+    Znew = Z * E2 + (dt / 6.0) * (a * E2 + 2.0 * ((b + c) * E) + d)
 
     # re-project u and each F column onto the divergence-free subspace; the
-    # scheme preserves the constraints to roundoff, so this only mops up noise
+    # scheme preserves the constraints to roundoff, so this only mops up noise.
+    # The weight makes the correction a full-spectrum L² norm.
     correction = 0.0
     for ci, cj in ((_U1, _U2),) + _COLS:
-        p1, p2 = _project_pair(grid, Znew[ci], Znew[cj])
-        correction += np.sum(np.abs(Znew[ci] - p1) ** 2) + np.sum(np.abs(Znew[cj] - p2) ** 2)
+        p1, p2 = grid.project(Znew[ci], Znew[cj])
+        correction += np.sum(half.weight * (np.abs(Znew[ci] - p1) ** 2
+                                            + np.abs(Znew[cj] - p2) ** 2))
         Znew[ci] = p1
         Znew[cj] = p2
-    Znew *= grid.dealias_mask
+    Znew *= half.mask
     return Znew, float(2.0 * np.pi * np.sqrt(correction))
 
 
@@ -317,46 +320,41 @@ def step(state: State, dt: float, cfg: SolverConfig) -> State:
     if dt <= 0 or not np.isfinite(dt):
         raise ValueError(f"step size must be positive and finite, got {dt}")
     grid = state.grid
-    Z = _pack(state) * grid.dealias_mask
-    Znew, _ = _step_packed(grid, Z, state.t, dt, cfg.nu, cfg.forcing)
+    Znew, _ = _step_packed(grid, _pack(state), state.t, dt, cfg.nu, cfg.forcing)
     if not np.all(np.isfinite(Znew)):
         raise BlowupError(state.t + dt, "non-finite field values after step")
     return _unpack(grid, state.t + dt, Znew)
 
 
-def _sup_speeds(grid, Z):
-    """Pointwise sup of |u| and of the Frobenius norm of F."""
-    u1 = _samples(grid, Z[_U1])
-    u2 = _samples(grid, Z[_U2])
-    u_sup = float(np.max(np.hypot(u1, u2)))
-    fro = np.zeros_like(u1)
-    for c in (_F11, _F21, _F12, _F22):
-        fro += _samples(grid, Z[c]) ** 2
-    return u_sup, float(np.max(np.sqrt(fro)))
+def _cfl_dt(grid, P, cfg: SolverConfig) -> float:
+    """CFL step from the six channels' samples P (see adaptive_dt)."""
+    u_sup = float(np.max(np.hypot(P[_U1], P[_U2])))
+    fro = P[_F11] ** 2 + P[_F21] ** 2 + P[_F12] ** 2 + P[_F22] ** 2
+    f_sup = float(np.max(np.sqrt(fro)))
+    return float(min(cfg.dt_max, cfg.cfl * grid.spacing / (u_sup + f_sup + 1e-10)))
 
 
 def adaptive_dt(state: State, cfg: SolverConfig) -> float:
-    """CFL step dt = min(dt_max, cfl·Δx/(‖u‖_∞ + ‖F‖_∞ + ε)); ε guards u = F = 0."""
+    """CFL step dt = min(dt_max, cfl·Δx/(‖u‖_∞ + ‖F‖_∞ + ε)); ε guards u = F = 0.
+
+    The sup-norms are those of the dealiased state the solver advances.
+    """
     grid = state.grid
-    u_sup, f_sup = _sup_speeds(grid, _pack(state))
-    return float(min(cfg.dt_max, cfg.cfl * grid.spacing / (u_sup + f_sup + 1e-10)))
+    return _cfl_dt(grid, grid.half.to_samples(_pack(state)), cfg)
 
 
 def divergence_drift(state: State):
     """Sup-norm divergence of u and the worst F column (constraint monitors)."""
     grid = state.grid
-    Z = _pack(state)
-    ik1, ik2 = grid.ik1, grid.ik2
-    du = float(np.max(np.abs(_samples(grid, ik1 * Z[_U1] + ik2 * Z[_U2]))))
-    dF = 0.0
-    for ci, cj in _COLS:
-        dF = max(dF, float(np.max(np.abs(_samples(grid, ik1 * Z[ci] + ik2 * Z[cj])))))
-    return du, dF
+    C = [ensure_spectral(f) for f in _channels(state)]
+    div = grid.to_samples(np.stack([grid.ik1 * C[ci] + grid.ik2 * C[cj]
+                                    for ci, cj in ((_U1, _U2),) + _COLS]))
+    sup = np.max(np.abs(div), axis=(1, 2))
+    return float(sup[0]), float(max(sup[1], sup[2]))
 
 
 def _validate_initial(state: State, cfg: SolverConfig):
-    Z = _pack(state)
-    if not np.all(np.isfinite(Z)):
+    if not all(np.all(np.isfinite(f.data)) for f in _channels(state)):
         raise ValueError("initial state contains non-finite values")
     du, dF = divergence_drift(state)
     tol = cfg.divergence_tolerance
@@ -389,26 +387,29 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     """
     _validate_initial(initial, cfg)
     grid = cfg.grid
-    Z = _pack(initial) * grid.dealias_mask
+    Z = _pack(initial)
     t = float(initial.t)
     t_end = t + cfg.t_end
+    observing = observer is not None and cfg.snapshot_interval > 0
 
     engine = _diag.DiagnosticsEngine(nu=cfg.nu)
-    records = [engine.observe(_unpack(grid, t, Z))]
+    state = _unpack(grid, t, Z)     # State of (t, Z), or None until one is needed
+    records = [engine.observe(state)]
     max_du = records[0].div_drift_u
     max_dF = records[0].div_drift_F
     max_corr = 0.0
-    if observer is not None and cfg.snapshot_interval > 0:
-        observer(_unpack(grid, t, Z))
+    if observing:
+        observer(state)
 
     termination = "completed"
     blowup_time = None
     violated = None
     steps = 0
     while t < t_end - 1e-12:
-        dt = min(adaptive_dt(_unpack(grid, t, Z), cfg), t_end - t)
+        P = grid.half.to_samples(Z)     # the first RK4 stage's samples set the CFL step
+        dt = min(_cfl_dt(grid, P, cfg), t_end - t)
         try:
-            Znew, corr = _step_packed(grid, Z, t, dt, cfg.nu, cfg.forcing)
+            Znew, corr = _step_packed(grid, Z, t, dt, cfg.nu, cfg.forcing, P)
             if not np.all(np.isfinite(Znew)):
                 raise BlowupError(t + dt, "non-finite field values after step")
         except BlowupError as exc:
@@ -419,10 +420,12 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
         t += dt
         steps += 1
         max_corr = max(max_corr, corr)
+        state = None
 
         at_end = t >= t_end - 1e-12
         if steps % cfg.diagnostics_interval == 0 or at_end:
-            record = engine.observe(_unpack(grid, t, Z))
+            state = _unpack(grid, t, Z)
+            record = engine.observe(state)
             records.append(record)
             max_du = max(max_du, record.div_drift_u)
             max_dF = max(max_dF, record.div_drift_F)
@@ -435,13 +438,13 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
                 if violated is not None:
                     termination = "certificate-violation-halt"
                     break
-        if observer is not None and cfg.snapshot_interval > 0 and (
-                steps % cfg.snapshot_interval == 0 or at_end):
-            observer(_unpack(grid, t, Z))
+        if observing and (steps % cfg.snapshot_interval == 0 or at_end):
+            if state is None:
+                state = _unpack(grid, t, Z)
+            observer(state)
 
-    final = _unpack(grid, t, Z)
     return RunResult(
-        final_state=final,
+        final_state=state if state is not None else _unpack(grid, t, Z),
         records=records,
         termination=termination,
         steps=steps,
@@ -482,7 +485,7 @@ def perturbed_identity_state(grid: GridSpec, amplitude: float = 0.1) -> State:
     base = taylor_green_state(grid)
     cols = []
     for k, psi in enumerate((psi1, psi2)):
-        c = _to_coeffs(grid, psi)
+        c = grid.to_coeffs(psi)
         col1 = _to_samples(grid, grid.ik2 * c) + (1.0 if k == 0 else 0.0)
         col2 = _to_samples(grid, -grid.ik1 * c) + (1.0 if k == 1 else 0.0)
         cols.append(VectorField.from_samples(grid, col1, col2))

@@ -55,6 +55,16 @@ def test_config_validation_errors(tmp_path):
         parse_run_config(tmp_path / "d.ini")
 
 
+def test_non_finite_solver_value_is_a_usage_error(tmp_path, capsys):
+    # a NaN step cap must not start a run, which would end in a false blowup
+    cfg = _write_config(tmp_path / "nan.ini", solver={"dt_max": "nan"})
+    with pytest.raises(UsageError, match="dt_max"):
+        parse_run_config(cfg)
+    assert main(["run", str(cfg)]) == 1
+    assert "dt_max" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_produces_artifacts(tmp_path, capsys):
     cfg = _write_config(tmp_path / "run.ini")
     assert main(["run", str(cfg)]) == 0

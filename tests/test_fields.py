@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vspc
 from vspc.fields import (
@@ -65,6 +66,41 @@ def test_transform_normalization():
     f = ScalarField.from_samples(g, np.full((16, 16), 3.25))
     c = ensure_spectral(f)
     assert abs(c[0, 0] - 3.25) < 1e-14
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 32, 64]),
+       batch=st.integers(1, 3))
+def test_half_spectrum_round_trip(seed, n, batch):
+    # real data: the rfft2 half spectrum is the k₂ >= 0 part of the full one,
+    # rebuilds it by conjugate symmetry (Nyquist row and column included),
+    # inverts back to the samples, and keeps Parseval through its weights
+    g = GridSpec(n)
+    half = g.half
+    x = np.random.default_rng(seed).standard_normal((batch, n, n))
+    full = g.to_coeffs(x)
+    h = half.to_coeffs(x)
+    scale = float(np.max(np.abs(full)))
+    assert h.shape == (batch, n, n // 2 + 1)
+    assert np.max(np.abs(h - full[..., :half.m])) <= 1e-14 * scale
+    rebuilt = half.full(h)
+    assert np.array_equal(rebuilt[..., :half.m], h)
+    assert np.max(np.abs(rebuilt - full)) <= 1e-14 * scale
+    np.testing.assert_allclose(half.to_samples(h), x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g.to_samples(full), x, rtol=0, atol=1e-12)
+    assert math.isclose(float(np.sum(half.weight * np.abs(h) ** 2)),
+                        float(np.sum(np.abs(full) ** 2)), rel_tol=1e-12)
+
+
+def test_half_spectrum_projection_matches_leray():
+    g = GridSpec(32)
+    rng = np.random.default_rng(5)
+    v = vspc.VectorField.from_samples(g, rng.standard_normal((32, 32)),
+                                      rng.standard_normal((32, 32)))
+    p1, p2 = (ensure_spectral(c) for c in vspc.leray_project(v).components)
+    h1, h2 = g.project(*(ensure_spectral(c)[:, :g.half.m] for c in v.components))
+    assert np.max(np.abs(h1 - p1[:, :g.half.m])) < 1e-15
+    assert np.max(np.abs(h2 - p2[:, :g.half.m])) < 1e-15
 
 
 def test_parseval_both_routes():

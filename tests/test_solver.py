@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vspc
-from vspc.fields import GridSpec, ScalarField, VectorField, TensorField, ensure_physical
+from vspc.fields import (
+    GridSpec, ScalarField, VectorField, TensorField, dealias, ensure_physical, ensure_spectral,
+    to_spectral,
+)
+from vspc.operators import convective_term, leray_project
 from vspc.solver import (
     BlowupError, ForcingSpec, SolverConfig, State,
     adaptive_dt, divergence_drift, rhs, simulate, state_from_arrays,
@@ -93,6 +98,26 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(g, nu=0.0, t_end=1.0, dt_max=0.0)
     SolverConfig(g, nu=0.0, t_end=0.0)  # zero-length runs are fine
+
+
+@pytest.mark.parametrize("name, value", [
+    ("t_end", math.nan), ("t_end", math.inf),
+    ("dt_max", math.nan), ("dt_max", math.inf), ("dt_max", -1e-3),
+    ("gradu_ceiling", math.nan), ("gradu_ceiling", math.inf), ("gradu_ceiling", 0.0),
+    ("energy_tolerance", -1.0), ("energy_tolerance", math.nan),
+    ("lp_tolerance", -1e-9), ("lp_tolerance", math.inf),
+    ("divergence_tolerance", -1e-9), ("divergence_tolerance", math.nan),
+    ("nu", math.nan), ("cfl", math.nan),
+])
+def test_config_rejects_non_finite_or_out_of_range(name, value):
+    g = GridSpec(16)
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(g, **{"nu": 0.0, "t_end": 1.0, name: value})
+
+
+def test_config_accepts_zero_tolerances():
+    SolverConfig(GridSpec(16), nu=0.0, t_end=1.0, energy_tolerance=0.0, lp_tolerance=0.0,
+                 divergence_tolerance=0.0)
 
 
 def test_simulate_rejects_divergent_initial_data():
@@ -212,3 +237,100 @@ def test_rhs_is_divergence_free():
     for col in d.dF.columns:
         dc = vspc.operators.divergence(col)
         assert float(np.max(np.abs(ensure_physical(dc)))) < 1e-12
+
+
+@pytest.mark.parametrize("n, amplitude, t_end, expected_steps", [
+    (32, 0.3, 1.0, 44), (64, 0.5, 0.5, 49)])
+def test_simulate_steps_are_adaptive_dt(n, amplitude, t_end, expected_steps):
+    # dt_max = 1 leaves the CFL limit binding.  simulate takes its step from
+    # the first RK4 stage's samples; each must be what adaptive_dt gives for
+    # the state it starts from, and the step count is the one the advective
+    # full-spectrum solver took on the same configuration
+    g = GridSpec(n)
+    initial = perturbed_identity_state(g, amplitude)
+    cfg = SolverConfig(g, nu=0.01, t_end=t_end, dt_max=1.0, snapshot_interval=1,
+                       diagnostics_interval=10 ** 9)
+    seen = []
+    res = simulate(cfg, initial, observer=seen.append)
+    assert res.steps == expected_steps
+    assert adaptive_dt(initial, cfg) < cfg.dt_max
+    assert seen[1].t - seen[0].t == adaptive_dt(initial, cfg)
+    for before, after in zip(seen[:-2], seen[1:-1]):
+        assert math.isclose(after.t - before.t, adaptive_dt(before, cfg), rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the divergence-form, half-spectrum RHS against the advective form built
+# from the public operators
+
+def _random_div_free(g, rng, scale, mean):
+    """scale·(∂₂ψ, −∂₁ψ) + mean for a random dealiased stream function ψ."""
+    psi = ensure_spectral(dealias(to_spectral(
+        ScalarField.from_samples(g, rng.standard_normal((g.n, g.n))))))
+    c1 = scale * g.ik2 * psi
+    c2 = -scale * g.ik1 * psi
+    c1[0, 0] += mean[0]
+    c2[0, 0] += mean[1]
+    return VectorField.from_spectra(g, c1, c2)
+
+
+def _random_state(g, rng):
+    u = _random_div_free(g, rng, 1.0, rng.normal(size=2))
+    cols = [_random_div_free(g, rng, 0.5, e + 0.2 * rng.normal(size=2)) for e in np.eye(2)]
+    return State(float(rng.uniform(0.0, 1.0)), u, TensorField.from_columns(*cols))
+
+
+def _random_forcing(g, rng):
+    """Fixed random fields scaled by 1 + t; g_u carries a gradient part."""
+    gu = [rng.standard_normal((g.n, g.n)) for _ in range(2)]
+    gF = [rng.standard_normal((g.n, g.n)) for _ in range(4)]
+
+    def g_u(t):
+        return VectorField.from_samples(g, *((1.0 + t) * a for a in gu))
+
+    def g_F(t):
+        return TensorField.from_columns(VectorField.from_samples(g, *((1.0 + t) * a for a in gF[:2])),
+                                        VectorField.from_samples(g, *((1.0 + t) * a for a in gF[2:])))
+
+    return ForcingSpec(g_u, g_F)
+
+
+def _spectra(v):
+    return [ensure_spectral(c) for c in v.components]
+
+
+def _reference_rhs(state, cfg):
+    """Six full spectra: P(Σₖ Fₖ·∇Fₖ − u·∇u) − ν|k|²u and Fₖ·∇u − u·∇Fₖ, plus forcing."""
+    g = state.grid
+    u, cols = state.u, state.F.columns
+    parts = [_spectra(convective_term(c, c)) for c in cols] + [_spectra(convective_term(u, u))]
+    du = _spectra(leray_project(VectorField.from_spectra(
+        g, *(parts[0][i] + parts[1][i] - parts[2][i] for i in range(2)))))
+    du = [d - cfg.nu * g.k_sq * c for d, c in zip(du, _spectra(u))]
+    dF = [[a - b for a, b in zip(_spectra(convective_term(c, u)), _spectra(convective_term(u, c)))]
+          for c in cols]
+    if cfg.forcing is not None:
+        gu = cfg.forcing.g_u(state.t)
+        gu = _spectra(leray_project(VectorField.from_spectra(
+            g, *(c * g.dealias_mask for c in _spectra(gu)))))
+        du = [d + f for d, f in zip(du, gu)]
+        gF = cfg.forcing.g_F(state.t)
+        dF = [[d + f * g.dealias_mask for d, f in zip(dF[k], _spectra(gF.columns[k]))]
+              for k in range(2)]
+    return du + dF[0] + dF[1]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 32]), forced=st.booleans(),
+       nu=st.sampled_from([0.0, 0.05]))
+def test_rhs_matches_advective_reference(seed, n, forced, nu):
+    g = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    state = _random_state(g, rng)
+    cfg = SolverConfig(g, nu=nu, t_end=1.0, forcing=_random_forcing(g, rng) if forced else None)
+    got = rhs(state, cfg)
+    got = _spectra(got.du) + _spectra(got.dF.columns[0]) + _spectra(got.dF.columns[1])
+    want = _reference_rhs(state, cfg)
+    scale = max(float(np.max(np.abs(w))) for w in want)
+    worst = max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
+    assert worst <= 1e-12 * scale
