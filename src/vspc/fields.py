@@ -51,7 +51,7 @@ class GridSpec:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 8, got {self.n!r}")
-        if abs(self.length - TAU) > 1e-15:
+        if not abs(self.length - TAU) <= 1e-15:
             raise ValueError("only the 2π-periodic torus is supported")
 
     @cached_property
@@ -228,6 +228,18 @@ class ScalarField:
     @property
     def is_spectral(self):
         return self.rep == SPECTRAL
+
+
+def _adopt_spectrum(grid, coeffs) -> ScalarField:
+    """Spectral field over coeffs itself, without the constructor's copy.
+
+    Only for a fresh, read-only (n, n) complex array of which the caller
+    keeps no writable reference, so the field stays immutable.
+    """
+    f = object.__new__(ScalarField)
+    for name, value in (("grid", grid), ("data", coeffs), ("rep", SPECTRAL)):
+        object.__setattr__(f, name, value)
+    return f
 
 
 @dataclass(frozen=True, eq=False)

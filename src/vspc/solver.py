@@ -49,6 +49,7 @@ from .fields import (
     VectorField,
     ensure_physical,
     ensure_spectral,
+    _adopt_spectrum,
     _to_samples,
 )
 from . import diagnostics as _diag
@@ -184,9 +185,13 @@ def _pack(state: State) -> np.ndarray:
 def _fields(grid: GridSpec, Z):
     """(u, F) as spectral field objects, from a packed block of half spectra."""
     full = grid.half.full(Z)
-    u = VectorField.from_spectra(grid, full[_U1], full[_U2])
-    cols = [VectorField.from_spectra(grid, full[ci], full[cj]) for ci, cj in _COLS]
-    return u, TensorField.from_columns(cols[0], cols[1])
+    full.flags.writeable = False        # the fields share its planes, uncopied
+
+    def vector(i, j):
+        return VectorField((_adopt_spectrum(grid, full[i]), _adopt_spectrum(grid, full[j])))
+
+    cols = [vector(ci, cj) for ci, cj in _COLS]
+    return vector(_U1, _U2), TensorField.from_columns(cols[0], cols[1])
 
 
 def _unpack(grid: GridSpec, t: float, Z) -> State:
@@ -406,6 +411,7 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     violated = None
     steps = 0
     while t < t_end - 1e-12:
+        state = None                    # frees its spectral block before the step
         P = grid.half.to_samples(Z)     # the first RK4 stage's samples set the CFL step
         dt = min(_cfl_dt(grid, P, cfg), t_end - t)
         try:
@@ -420,7 +426,6 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
         t += dt
         steps += 1
         max_corr = max(max_corr, corr)
-        state = None
 
         at_end = t >= t_end - 1e-12
         if steps % cfg.diagnostics_interval == 0 or at_end:

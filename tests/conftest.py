@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import vspc
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic; tests set only max_examples.
+settings.register_profile("vspc", deadline=None, derandomize=True, database=None)
+settings.load_profile("vspc")
 
 
 def _standard_run(n, nu):

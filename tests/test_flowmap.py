@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vspc
 from vspc.fields import GridSpec, ScalarField, VectorField, TensorField
@@ -147,6 +148,12 @@ def test_sampler_guards():
     sam.add(0.5, u)
     with pytest.raises(ValueError):
         sam.add(0.5, u)         # not strictly increasing
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sam.add(bad, u)
+        with pytest.raises(MissingDataError):
+            sam.sample(bad, [[0.0, 0.0]])
+    assert sam.times == [0.0, 0.5]
     with pytest.raises(MissingDataError):
         sam.sample(0.6, [[0.0, 0.0]])
     with pytest.raises(MissingDataError):
@@ -195,3 +202,109 @@ def test_trajectory_csv(tmp_path):
                        "J11", "J12", "J21", "J22", "detJ"]
     assert len(rows) == 1 + 6 * 4
     assert math.isclose(float(rows[-1][-1]), 1.0, abs_tol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# spectral point evaluation against a direct sum over every dealiased mode
+
+def _band_limited(g, rng, count):
+    """count random real fields' full spectra (count, n, n), dealiased."""
+    return g.to_coeffs(rng.standard_normal((count, g.n, g.n))) * g.dealias_mask
+
+
+def _direct_sum(g, coeffs, pts):
+    """Values (N, R) and gradients (N, R, 2): np.exp over every dealiased mode."""
+    i1, i2 = np.nonzero(g.dealias_mask)
+    k1, k2 = g.k[i1].astype(float), g.k[i2].astype(float)
+    phase = np.exp(1j * (pts[:, :1] * k1 + pts[:, 1:] * k2))       # (N, modes)
+    c = coeffs[:, i1, i2]                                          # (R, modes)
+    vals = (phase @ c.T).real
+    grad = np.stack([(phase @ (1j * k * c).T).real for k in (k1, k2)], axis=-1)
+    scale = np.sum(np.abs(c), axis=1)
+    return vals, grad, scale, np.sum(np.hypot(k1, k2) * np.abs(c), axis=1)
+
+
+def _points(draw_xs):
+    edge = [[0.0, 0.0], [TAU - 1e-12, 0.0], [0.0, TAU - 1e-12], [TAU - 1e-12, TAU - 1e-12]]
+    return np.array(edge + [list(p) for p in draw_xs])
+
+
+_coord = st.floats(-TAU, 2 * TAU, allow_nan=False)
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 32, 64]),
+       theta=st.floats(0.0, 1.0), xs=st.lists(st.tuples(_coord, _coord), max_size=40))
+def test_spectral_sampler_matches_direct_sum(seed, n, theta, xs):
+    g = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    pts = _points(xs)
+    snaps = [_band_limited(g, rng, 2) for _ in range(2)]
+    sam = SnapshotSampler(g, method="spectral")
+    sam.add(0.2, VectorField.from_spectra(g, *snaps[0]))
+    sam.add(0.7, VectorField.from_spectra(g, *snaps[1]))
+    vel, grad = sam.sample(0.2 + 0.5 * theta, pts, with_gradient=True)
+    ref = [_direct_sum(g, c, pts) for c in snaps]
+    want_vel = (1 - theta) * ref[0][0] + theta * ref[1][0]
+    want_grad = (1 - theta) * ref[0][1] + theta * ref[1][1]
+    scale = max(np.max(r[2]) for r in ref)
+    grad_scale = max(np.max(r[3]) for r in ref)
+    assert np.max(np.abs(vel - want_vel)) <= 1e-13 * scale
+    assert np.max(np.abs(grad - want_grad)) <= 1e-13 * grad_scale
+    alone, none = sam.sample(0.2 + 0.5 * theta, pts)
+    assert none is None
+    assert np.max(np.abs(alone - want_vel)) <= 1e-13 * scale
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 32, 64]),
+       xs=st.lists(st.tuples(_coord, _coord), max_size=40))
+def test_tensor_sampler_matches_direct_sum(seed, n, xs):
+    g = GridSpec(n)
+    pts = _points(xs)
+    c = _band_limited(g, np.random.default_rng(seed), 4)        # F11, F12, F21, F22
+    F = TensorField.from_columns(VectorField.from_spectra(g, c[0], c[2]),
+                                 VectorField.from_spectra(g, c[1], c[3]))
+    want, _, scale, _ = _direct_sum(g, c, pts)
+    got = tensor_sampler(F)(pts)
+    assert got.shape == (len(pts), 2, 2)
+    assert np.max(np.abs(got.reshape(-1, 4) - want)) <= 1e-13 * np.max(scale)
+
+
+@pytest.mark.parametrize("method", ["spectral", "bicubic"])
+def test_compare_with_eulerian_non_identity(method):
+    # F is band-limited and not the identity; J is built so J·F0 = F(x) at
+    # every particle but one, which is off by a known matrix D
+    g = GridSpec(32)
+    rng = np.random.default_rng(21)
+    low = (np.abs(g.k1) <= 2) & (np.abs(g.k2) <= 2)
+    c = g.to_coeffs(rng.standard_normal((4, 32, 32))) * low
+    c[[0, 3], 0, 0] += 2.0
+    F = TensorField.from_columns(VectorField.from_spectra(g, c[0], c[2]),
+                                 VectorField.from_spectra(g, c[1], c[3]))
+    labels = rng.uniform(0.0, TAU, size=(12, 2))
+    pts = rng.uniform(0.0, TAU, size=(12, 2))
+    F_at = _direct_sum(g, c, pts)[0].reshape(-1, 2, 2)
+    F0 = np.eye(2) + 0.2 * rng.standard_normal((12, 2, 2))
+    J = F_at @ np.linalg.inv(F0)
+    D = np.array([[3e-2, 0.0], [-4e-2, 0.0]])
+    J[5] -= D @ np.linalg.inv(F0[5])
+    ps = ParticleSet(labels, pts, J, 0.3)
+    gap = compare_with_eulerian(ps, F, lambda X: F0, t=0.3, method=method)
+    tol = 1e-12 if method == "spectral" else 1e-3
+    assert abs(gap - 0.05) <= tol
+
+
+@pytest.mark.parametrize("method", ["spectral", "bicubic"])
+def test_sampler_output_shapes(method):
+    g = GridSpec(16)
+    sam = SnapshotSampler(g, method=method)
+    sam.add(0.0, vspc.taylor_green_state(g).u)
+    F = vspc.perturbed_identity_state(g, 0.1).F
+    for pts in ([1.0, 2.0], [[1.0, 2.0]], np.full((5, 2), 0.5)):
+        count = len(np.atleast_2d(pts))
+        vel, none = sam.sample(0.0, pts)
+        assert vel.shape == (count, 2) and none is None
+        vel, grad = sam.sample(0.0, pts, with_gradient=True)
+        assert vel.shape == (count, 2) and grad.shape == (count, 2, 2)
+        assert tensor_sampler(F, method)(pts).shape == (count, 2, 2)

@@ -177,6 +177,30 @@ def test_observer_cadence():
     assert math.isclose(seen[-1], 0.1, abs_tol=1e-12)
 
 
+def _channel_data(state):
+    return [c.data for v in (state.u, *state.F.columns) for c in v.components]
+
+
+def test_observed_states_are_read_only_and_persist():
+    # handed-out states share one spectral block per state, uncopied: it must
+    # be read-only and no later step may write into an earlier state
+    g = GridSpec(16)
+    seen = []
+    cfg = SolverConfig(g, nu=0.01, t_end=0.05, dt_max=5e-3, snapshot_interval=1)
+    res = simulate(cfg, perturbed_identity_state(g, 0.1),
+                   observer=lambda s: seen.append((s, [a.copy() for a in _channel_data(s)])))
+    assert len(seen) > 2
+    for state, at_call in seen:
+        for a, b in zip(_channel_data(state), at_call):
+            assert np.array_equal(a, b)
+    arrays = [a for s in (seen[0][0], res.final_state) for a in _channel_data(s)]
+    arrays += [c.data for c in rhs(seen[0][0], cfg).du.components]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
 def test_records_cadence_includes_endpoints():
     g = GridSpec(16)
     cfg = SolverConfig(g, nu=0.0, t_end=0.1, dt_max=5e-3, diagnostics_interval=7)
@@ -320,7 +344,7 @@ def _reference_rhs(state, cfg):
     return du + dF[0] + dF[1]
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 32]), forced=st.booleans(),
        nu=st.sampled_from([0.0, 0.05]))
 def test_rhs_matches_advective_reference(seed, n, forced, nu):
