@@ -189,7 +189,6 @@ def cmd_run(args) -> int:
             "snapshots_written": counter[0],
             "max_div_drift_u": result.max_div_drift_u,
             "max_div_drift_F": result.max_div_drift_F,
-            "max_projection_correction": result.max_projection_correction,
             "blowup_time": result.blowup_time,
             "violated_certificate": result.violated_certificate,
             "runtime_seconds": elapsed,
@@ -375,13 +374,16 @@ def cmd_criterion_report(args) -> int:
         raise UsageError(f"cannot read diagnostics CSV: {exc}") from None
     if not records:
         raise UsageError("diagnostics CSV holds an empty history")
-    bundle = certificate_bundle(
-        records,
-        forced=args.forced,
-        energy_tolerance=args.energy_tolerance,
-        lp_tolerance=args.lp_tolerance,
-        divergence_tolerance=args.divergence_tolerance,
-    )
+    try:
+        bundle = certificate_bundle(
+            records,
+            forced=args.forced,
+            energy_tolerance=args.energy_tolerance,
+            lp_tolerance=args.lp_tolerance,
+            divergence_tolerance=args.divergence_tolerance,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     text = json.dumps(bundle, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -102,19 +102,23 @@ def _lp_field(p, column):
     return stem if column is None else f"{stem}_c{column}"
 
 
-def _l2_from_spectra(coeff_list):
-    return float(TAU * np.sqrt(sum(np.sum(np.abs(c) ** 2) for c in coeff_list)))
+def _require_finite(name, value, positive):
+    """Raise ValueError unless value is finite and > 0 (positive) or >= 0."""
+    if not np.isfinite(value) or value < 0 or (positive and value == 0):
+        raise ValueError(f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value}")
 
 
-def _weighted_l2(grid, coeff_list, weight):
-    return float(TAU * np.sqrt(sum(np.sum(weight * np.abs(c) ** 2) for c in coeff_list)))
+def _power(half, coeffs):
+    """Parseval-weighted power spectrum Σ weight·|ĉ|² of a (…, n, n//2+1) stack."""
+    return half.weight * np.sum(coeffs.real ** 2 + coeffs.imag ** 2, axis=0)
 
 
-def _lp_norm(grid, values, p):
-    if p == math.inf:
-        return float(np.max(values))
+def _lp_norms(grid, sq):
+    """(‖f‖₂, ‖f‖₄, ‖f‖₆, ‖f‖_∞) of the pointwise magnitude √sq, from sq = |f|²."""
     h2 = (TAU / grid.n) ** 2
-    return float((h2 * np.sum(values ** p)) ** (1.0 / p))
+    sq2 = sq * sq
+    return (math.sqrt(h2 * float(np.sum(sq))), (h2 * float(np.sum(sq2))) ** 0.25,
+            (h2 * float(np.sum(sq2 * sq))) ** (1.0 / 6.0), math.sqrt(float(np.max(sq))))
 
 
 def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: float = 0.0,
@@ -127,39 +131,33 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
     if prior is not None and dt_since_prior <= 0.0:
         raise ValueError("dt_since_prior must be positive when a prior record is given")
     grid = state.grid
-    cu = [ensure_spectral(c) for c in state.u.components]
-    cF = [[ensure_spectral(state.F.entry(i, k)) for i in range(2)] for k in range(2)]
-    flatF = [cF[k][i] for k in range(2) for i in range(2)]
+    half = grid.half
+    # half spectra of u₁, u₂ and of F₁₁, F₂₁, F₁₂, F₂₂
+    halves = lambda fields: np.stack([ensure_spectral(f)[:, :half.m] for f in fields])
+    hu = halves(state.u.components)
+    hF = halves(state.F.entry(i, k) for k in range(2) for i in range(2))
 
-    l2_u = _l2_from_spectra(cu)
-    l2_F = _l2_from_spectra(flatF)
-    ksq = grid.k_sq
-    h1_u = _weighted_l2(grid, cu, ksq)
-    h1_F = _weighted_l2(grid, flatF, ksq)
-    h2_u = _weighted_l2(grid, cu, ksq ** 2)
-    h2_F = _weighted_l2(grid, flatF, ksq ** 2)
-    h2s_gradu = _weighted_l2(grid, cu, (1.0 + ksq) ** 2 * ksq)
+    # Sobolev norms from one power spectrum per block
+    ksq = half.k_sq
+    pu, pF = _power(half, hu), _power(half, hF)
+    norm = lambda power, w: TAU * math.sqrt(float(np.sum(power * w)))
+    l2_u, h1_u, h2_u = (norm(pu, w) for w in (1.0, ksq, ksq * ksq))
+    l2_F, h1_F, h2_F = (norm(pF, w) for w in (1.0, ksq, ksq * ksq))
+    h2s_gradu = norm(pu, (1.0 + ksq) ** 2 * ksq)
 
     # physical-space quantities, one inverse real transform per plane:
     # G[i][j] = ∂ⱼuᵢ, Fp[k][i] = F_ik, dF[k][i] = (∂₁F_ik, ∂₂F_ik)
-    half = grid.half
-    hu = [c[:, :half.m] for c in cu]
-    hF = [c[:, :half.m] for c in flatF]
     grad = lambda cs: [d * c for c in cs for d in (half.ik1, half.ik2)]
-    S = [half.to_samples(c) for c in grad(hu) + hF + grad(hF)]
+    S = [half.to_samples(c) for c in grad(hu) + list(hF) + grad(hF)]
     G = [S[0:2], S[2:4]]
     Fp = [S[4:6], S[6:8]]
     dF = [[S[8:10], S[10:12]], [S[12:14], S[14:16]]]
 
     col_sq = [Fp[k][0] ** 2 + Fp[k][1] ** 2 for k in range(2)]
-    fro = np.sqrt(col_sq[0] + col_sq[1])
-    col = [np.sqrt(s) for s in col_sq]
-
-    lp = {p: _lp_norm(grid, fro, p) for p in (2, 4, 6, math.inf)}
-    lp_c = [{p: _lp_norm(grid, col[k], p) for p in (2, 4, 6, math.inf)} for k in range(2)]
-
+    lp = _lp_norms(grid, col_sq[0] + col_sq[1])
+    lp_c = [_lp_norms(grid, s) for s in col_sq]
     gradF_sq = sum(d[0] ** 2 + d[1] ** 2 for k in range(2) for d in (dF[k][0], dF[k][1]))
-    l6_gradF = _lp_norm(grid, np.sqrt(gradF_sq), 6)
+    l6_gradF = _lp_norms(grid, gradF_sq)[2]
 
     # sup of the Jacobian operator norm.  For [[a, b], [c, d]],
     # σ_max = (|(a+d, c−b)| + |(a−d, b+c)|)/2; unlike the root of
@@ -188,8 +186,7 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
         hs2_int = prior.hs2_gradu_int + 0.5 * dt * (prior.h2s_gradu ** 2 + h2s_gradu ** 2)
         e0 = prior.e0
         if prior_state is not None:
-            pu = [ensure_spectral(c) for c in prior_state.u.components]
-            l2_ut = _l2_from_spectra([(cu[i] - pu[i]) / dt for i in range(2)])
+            l2_ut = norm(_power(half, hu - halves(prior_state.u.components)), 1.0) / dt
         else:
             l2_ut = 0.0
 
@@ -199,11 +196,9 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
     return DiagnosticsRecord(
         t=float(state.t), l2_u=l2_u, l2_F=l2_F, h1_u=h1_u, h1_F=h1_F,
         h2_u=h2_u, h2_F=h2_F, h2s_gradu=h2s_gradu,
-        lp2_F=lp[2], lp4_F=lp[4], lp6_F=lp[6], lpinf_F=lp[math.inf],
-        lp2_F_c1=lp_c[0][2], lp4_F_c1=lp_c[0][4], lp6_F_c1=lp_c[0][6],
-        lpinf_F_c1=lp_c[0][math.inf],
-        lp2_F_c2=lp_c[1][2], lp4_F_c2=lp_c[1][4], lp6_F_c2=lp_c[1][6],
-        lpinf_F_c2=lp_c[1][math.inf],
+        lp2_F=lp[0], lp4_F=lp[1], lp6_F=lp[2], lpinf_F=lp[3],
+        lp2_F_c1=lp_c[0][0], lp4_F_c1=lp_c[0][1], lp6_F_c1=lp_c[0][2], lpinf_F_c1=lp_c[0][3],
+        lp2_F_c2=lp_c[1][0], lp4_F_c2=lp_c[1][1], lp6_F_c2=lp_c[1][2], lpinf_F_c2=lp_c[1][3],
         l6_gradF=l6_gradF, linf_gradu=linf_gradu,
         linf_curl_u=linf_curl_u, linf_curl_F=linf_curl_F, l2_ut=l2_ut,
         bkm=bkm, visc=visc, hs2_gradu_int=hs2_int, e0=e0,
@@ -350,7 +345,10 @@ def bkm_report(records: Sequence[DiagnosticsRecord], window: int = 10) -> BkmRep
     The estimate fits a line to 1/‖∇u‖_∞ over the last `window` records and
     returns its root; it is None unless ‖∇u‖_∞ grew strictly monotonically
     there and the fitted line actually crosses zero ahead of the data.
+    A window below 2 cannot fit a line and raises ValueError.
     """
+    if window < 2:
+        raise ValueError(f"blowup-time extrapolation needs a window of at least 2, got {window}")
     if len(records) < 3:
         raise ValueError("blowup-time extrapolation needs at least 3 records")
     w = min(window, len(records))
@@ -381,8 +379,11 @@ def certificate_bundle(records: Sequence[DiagnosticsRecord], forced: bool = Fals
     """All certificates plus the BKM report as one JSON-ready dictionary.
 
     Consumes records only, so re-running it on a diagnostics CSV reproduces the
-    in-run verdicts exactly.
+    in-run verdicts exactly.  Each tolerance must be finite and >= 0.
     """
+    for name, value in (("energy_tolerance", energy_tolerance), ("lp_tolerance", lp_tolerance),
+                        ("divergence_tolerance", divergence_tolerance)):
+        _require_finite(name, value, positive=False)
     reports = [energy_certificate(records, energy_tolerance, applicable=not forced)]
     for p in (2, 4, 6, math.inf):
         reports.append(lp_growth_certificate(records, p, lp_tolerance))
@@ -413,7 +414,7 @@ def write_records_csv(path, records: Sequence[DiagnosticsRecord]):
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
         for rec in records:
-            writer.writerow([repr(getattr(rec, name)) for name in CSV_FIELDS])
+            writer.writerow([repr(float(getattr(rec, name))) for name in CSV_FIELDS])
 
 
 def read_records_csv(path):

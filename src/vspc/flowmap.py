@@ -162,9 +162,13 @@ def _synthesize(block, pts, with_gradient=False):
 
 
 def _spline_planes(grid: GridSpec, coeffs):
-    """Cubic-spline coefficients (…, n, n) of the samples of full spectra."""
-    return np.stack([ndimage.spline_filter(s, order=3, mode="grid-wrap")
-                     for s in grid.to_samples(coeffs)])
+    """Cubic-spline coefficients (…, n, n) of the samples of half spectra.
+
+    On the periodic lattice the cubic B-spline prefilter is diagonal in
+    Fourier space: it divides by the symbol b(k₁)b(k₂), b = (2 + cos(2πk/n))/3.
+    """
+    b = (2.0 + np.cos(grid.spacing * grid.k)) / 3.0
+    return grid.half.to_samples(coeffs / (b[:, None] * b[None, :grid.half.m]))
 
 
 def _interpolate(grid: GridSpec, planes, pts):
@@ -209,8 +213,9 @@ class SnapshotSampler:
         if self.method == "spectral":
             self._data.append(_half_band(self.grid, c))
         else:
-            c *= self.grid.dealias_mask
-            ik1, ik2 = self.grid.ik1, self.grid.ik2
+            half = self.grid.half
+            c = c[..., :half.m] * half.mask
+            ik1, ik2 = half.ik1, half.ik2
             self._data.append(_spline_planes(self.grid, np.stack(
                 [c[0], c[1], ik1 * c[0], ik2 * c[0], ik1 * c[1], ik2 * c[1]])))
         self.times.append(t)
@@ -282,7 +287,7 @@ def tensor_sampler(F: TensorField, method: str = "spectral"):
         block = _half_band(grid, coeffs)
         evaluate = lambda pts: _synthesize(block, pts)[0]
     elif method == "bicubic":
-        planes = _spline_planes(grid, coeffs * grid.dealias_mask)
+        planes = _spline_planes(grid, coeffs[..., :grid.half.m] * grid.half.mask)
         evaluate = lambda pts: _interpolate(grid, planes, pts)
     else:
         raise ValueError(f"unknown sampling method {method!r}")

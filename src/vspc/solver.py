@@ -14,7 +14,8 @@ advanced in divergence form,
 so one right-hand side needs five pointwise products: the three entries of
 FFᵀ − u⊗u and one a_k per column.  The pressure never appears explicitly:
 the momentum term is Leray projected, which subtracts exactly its gradient
-part ∇p.  The F columns come out divergence-free by construction.
+part ∇p.  The F increments are curls, divergence-free by construction, so
+every increment preserves the constraints and no step re-projects the state.
 
 The solver state is the six channels' rfft2 half spectra, packed as one
 (6, n, n//2+1) array in the order u₁, u₂, F₁₁, F₂₁, F₁₂, F₂₂.  One right-hand
@@ -27,8 +28,7 @@ Time stepping is the classical RK4 scheme with an integrating factor
 e^{−ν|k|²t} on the velocity block (the deformation block has no diffusion and
 is stepped plainly), so stiff viscous decay never limits the step size.  The
 step size itself is CFL-limited by the transport and elastic-wave speeds,
-read from the same samples as the step's first stage.  After each step u and
-the F columns are re-projected, which removes roundoff drift only.
+read from the same samples as the step's first stage.
 
 All quadratic terms are formed pointwise in physical space from 2/3-rule
 dealiased inputs; retained modes therefore carry no aliasing error, and the
@@ -107,8 +107,8 @@ class ForcingSpec:
     """External body forces: time-functions for the velocity and deformation equations.
 
     g_u(t) is Leray-projected before use, so any gradient part it carries is
-    discarded; g_F columns are taken as given (they should be divergence-free).
-    Either may be None for an unforced block.
+    discarded; g_F columns are taken as given, so a gradient part in them
+    shows up as divergence drift.  Either may be None for an unforced block.
     """
 
     g_u: Optional[Callable[[float], VectorField]]
@@ -135,19 +135,13 @@ class SolverConfig:
         if not 0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         for name in ("nu", "t_end", "energy_tolerance", "lp_tolerance", "divergence_tolerance"):
-            _require_finite(name, getattr(self, name), positive=False)
+            _diag._require_finite(name, getattr(self, name), positive=False)
         for name in ("dt_max", "gradu_ceiling"):
-            _require_finite(name, getattr(self, name), positive=True)
+            _diag._require_finite(name, getattr(self, name), positive=True)
         if self.diagnostics_interval < 1:
             raise ValueError("diagnostics_interval must be >= 1")
         if self.snapshot_interval < 0:
             raise ValueError("snapshot_interval must be >= 0")
-
-
-def _require_finite(name, value, positive):
-    """Raise ValueError unless value is finite and > 0 (positive) or >= 0."""
-    if not np.isfinite(value) or value < 0 or (positive and value == 0):
-        raise ValueError(f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value}")
 
 
 @dataclass(eq=False)
@@ -160,7 +154,6 @@ class RunResult:
     steps: int
     max_div_drift_u: float
     max_div_drift_F: float
-    max_projection_correction: float
     blowup_time: Optional[float] = None
     violated_certificate: Optional[str] = None
 
@@ -290,9 +283,11 @@ def rhs(state: State, cfg: SolverConfig) -> StateDerivative:
 # time stepping
 
 def _step_packed(grid, Z, t, dt, nu, forcing, P=None):
-    """One integrating-factor RK4 step; returns (Z_new, projection correction L²).
+    """One integrating-factor RK4 step; returns the new packed state.
 
-    P, the samples of Z, is reused for the first stage when given.
+    P, the samples of Z, is reused for the first stage when given.  Every
+    stage output is dealiased, and divergence-free whenever g_F is, so the
+    result needs no re-projection.
     """
     half = grid.half
     # integrating factor over half a step: e^{−ν|k|²dt/2} on u, 1 on F
@@ -305,19 +300,9 @@ def _step_packed(grid, Z, t, dt, nu, forcing, P=None):
     c = _transport(grid, Z * E + 0.5 * dt * b, t + 0.5 * dt, forcing)
     d = _transport(grid, Z * E2 + dt * (c * E), t + dt, forcing)
     Znew = Z * E2 + (dt / 6.0) * (a * E2 + 2.0 * ((b + c) * E) + d)
-
-    # re-project u and each F column onto the divergence-free subspace; the
-    # scheme preserves the constraints to roundoff, so this only mops up noise.
-    # The weight makes the correction a full-spectrum L² norm.
-    correction = 0.0
-    for ci, cj in ((_U1, _U2),) + _COLS:
-        p1, p2 = grid.project(Znew[ci], Znew[cj])
-        correction += np.sum(half.weight * (np.abs(Znew[ci] - p1) ** 2
-                                            + np.abs(Znew[cj] - p2) ** 2))
-        Znew[ci] = p1
-        Znew[cj] = p2
-    Znew *= half.mask
-    return Znew, float(2.0 * np.pi * np.sqrt(correction))
+    if not np.all(np.isfinite(Znew)):
+        raise BlowupError(t + dt, "non-finite field values after step")
+    return Znew
 
 
 def step(state: State, dt: float, cfg: SolverConfig) -> State:
@@ -325,9 +310,7 @@ def step(state: State, dt: float, cfg: SolverConfig) -> State:
     if dt <= 0 or not np.isfinite(dt):
         raise ValueError(f"step size must be positive and finite, got {dt}")
     grid = state.grid
-    Znew, _ = _step_packed(grid, _pack(state), state.t, dt, cfg.nu, cfg.forcing)
-    if not np.all(np.isfinite(Znew)):
-        raise BlowupError(state.t + dt, "non-finite field values after step")
+    Znew = _step_packed(grid, _pack(state), state.t, dt, cfg.nu, cfg.forcing)
     return _unpack(grid, state.t + dt, Znew)
 
 
@@ -359,6 +342,9 @@ def divergence_drift(state: State):
 
 
 def _validate_initial(state: State, cfg: SolverConfig):
+    if state.grid != cfg.grid:
+        raise ValueError(f"initial state grid n={state.grid.n} does not match "
+                         f"config grid n={cfg.grid.n}")
     if not all(np.all(np.isfinite(f.data)) for f in _channels(state)):
         raise ValueError("initial state contains non-finite values")
     du, dF = divergence_drift(state)
@@ -402,7 +388,6 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     records = [engine.observe(state)]
     max_du = records[0].div_drift_u
     max_dF = records[0].div_drift_F
-    max_corr = 0.0
     if observing:
         observer(state)
 
@@ -415,17 +400,13 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
         P = grid.half.to_samples(Z)     # the first RK4 stage's samples set the CFL step
         dt = min(_cfl_dt(grid, P, cfg), t_end - t)
         try:
-            Znew, corr = _step_packed(grid, Z, t, dt, cfg.nu, cfg.forcing, P)
-            if not np.all(np.isfinite(Znew)):
-                raise BlowupError(t + dt, "non-finite field values after step")
+            Z = _step_packed(grid, Z, t, dt, cfg.nu, cfg.forcing, P)
         except BlowupError as exc:
             termination = "blowup-detected"
             blowup_time = exc.t
             break
-        Z = Znew
         t += dt
         steps += 1
-        max_corr = max(max_corr, corr)
 
         at_end = t >= t_end - 1e-12
         if steps % cfg.diagnostics_interval == 0 or at_end:
@@ -455,7 +436,6 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
         steps=steps,
         max_div_drift_u=max_du,
         max_div_drift_F=max_dF,
-        max_projection_correction=max_corr,
         blowup_time=blowup_time,
         violated_certificate=violated,
     )

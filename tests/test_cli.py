@@ -79,6 +79,7 @@ def test_run_produces_artifacts(tmp_path, capsys):
     assert meta["config"]["grid"]["n"] == "16"
     assert meta["result"]["termination"] == "completed"
     assert meta["result"]["snapshots_written"] == 3
+    assert "max_projection_correction" not in meta["result"]
 
     certs = json.loads((out / "certificates.json").read_text())
     assert all(c["satisfied"] for c in certs["certificates"])
@@ -105,6 +106,21 @@ def test_criterion_report_forced_flag(tmp_path, capsys):
     energy = report["certificates"][0]
     assert energy["name"] == "energy-identity"
     assert energy["applicable"] is False
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--divergence-tolerance", "inf"), ("--lp-tolerance", "nan"),
+    ("--energy-tolerance", "-1")])
+def test_criterion_report_rejects_bad_tolerances(tmp_path, capsys, flag, value):
+    cfg = _write_config(tmp_path / "run.ini")
+    assert main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    csv_path = str(tmp_path / "out" / "diagnostics.csv")
+    assert main(["criterion-report", csv_path, flag, value, "--out", str(report)]) == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not report.exists()
+    assert main(["criterion-report", csv_path, flag, "0", "--out", str(report)]) == 0
 
 
 def test_criterion_report_rejects_empty_history(tmp_path):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vspc
 from vspc.fields import GridSpec, TensorField, VectorField
@@ -124,6 +125,12 @@ def test_bkm_report_validation_and_extrapolation():
     assert math.isclose(rep.integral, vspc.zgh_bkm_integral(p, 0.3), rel_tol=1e-3)
     with pytest.raises(ValueError):
         bkm_report(recs[:2])
+    # a line needs two points: window 0 used to fit every record and report 0,
+    # window 1 ran a degenerate fit
+    for window in (-1, 0, 1):
+        with pytest.raises(ValueError, match="window"):
+            bkm_report(recs, window=window)
+    assert bkm_report(recs, window=2).window == 2
 
 
 def test_bkm_report_none_when_not_growing(run64_viscous):
@@ -142,6 +149,14 @@ def test_csv_round_trip(tmp_path, run64_inviscid):
         for name in CSV_FIELDS:
             va, vb = getattr(a, name), getattr(b, name)
             assert va == vb or (math.isnan(va) and math.isnan(vb))
+
+
+def test_csv_round_trip_of_numpy_floats(tmp_path):
+    # synthetic histories hold numpy floats; they must be written as numbers
+    recs = vspc.zgh_synthetic_history(vspc.ZghParams(2.0, 1.0, 1.0), [0.0, 0.1, 0.2])
+    path = tmp_path / "diag.csv"
+    write_records_csv(path, recs)
+    assert read_records_csv(path) == recs
 
 
 def test_csv_rejects_mangled_input(tmp_path):
@@ -177,6 +192,18 @@ def test_certificate_bundle_shape(run64_viscous):
     assert bundle["bkm"]["integral"] > 0.0
 
 
+@pytest.mark.parametrize("name, value", [
+    ("energy_tolerance", -1.0), ("energy_tolerance", math.nan),
+    ("lp_tolerance", math.nan), ("lp_tolerance", math.inf),
+    ("divergence_tolerance", math.inf), ("divergence_tolerance", -1e-8)])
+def test_certificate_bundle_rejects_bad_tolerances(name, value):
+    recs = vspc.zgh_synthetic_history(vspc.ZghParams(2.0, 1.0, 1.0), [0.0, 0.1, 0.2])
+    with pytest.raises(ValueError, match=name):
+        certificate_bundle(recs, **{name: value})
+    zero = certificate_bundle(recs, **{name: 0.0})
+    assert len(zero["certificates"]) == 7
+
+
 def test_certificate_bundle_short_history():
     p = vspc.ZghParams(2.0, 1.0, 1.0)
     recs = vspc.zgh_synthetic_history(p, [0.0, 0.05])
@@ -196,3 +223,66 @@ def test_divergence_drift_fields_populated(run64_viscous):
     assert all(r.div_drift_u < 1e-12 for r in recs)
     assert all(r.div_drift_F < 1e-12 for r in recs)
     assert all(b.visc >= a.visc for a, b in zip(recs, recs[1:]))
+
+
+# ---------------------------------------------------------------------------
+# record() against direct full-lattice sums
+
+def _full_lattice_reference(state, prior_state, dt):
+    """The record's instantaneous norms from full fft2 spectra and samples."""
+    g = state.grid
+    h2 = (TAU / g.n) ** 2
+    cu = np.stack([np.fft.fft2(vspc.ensure_physical(c)) / g.n ** 2 for c in state.u.components])
+    cF = np.stack([np.fft.fft2(vspc.ensure_physical(state.F.entry(i, k))) / g.n ** 2
+                   for k in range(2) for i in range(2)])
+
+    def sobolev(c, w):
+        return TAU * math.sqrt(float(np.sum(w * np.abs(c) ** 2)))
+
+    ksq = g.k_sq
+    want = {"l2_u": sobolev(cu, 1.0), "h1_u": sobolev(cu, ksq), "h2_u": sobolev(cu, ksq ** 2),
+            "l2_F": sobolev(cF, 1.0), "h1_F": sobolev(cF, ksq), "h2_F": sobolev(cF, ksq ** 2),
+            "h2s_gradu": sobolev(cu, (1.0 + ksq) ** 2 * ksq)}
+    pu = np.stack([np.fft.fft2(vspc.ensure_physical(c)) / g.n ** 2
+                   for c in prior_state.u.components])
+    want["l2_ut"] = sobolev((cu - pu) / dt, 1.0)
+
+    samples = lambda c: np.fft.ifft2(c).real * g.n ** 2
+    F = samples(cF)
+    cols = {"_c1": F[0:2], "_c2": F[2:4], "": F}
+    for suffix, block in cols.items():
+        mag = np.sqrt(np.sum(block ** 2, axis=0))
+        for p in (2, 4, 6):
+            want[f"lp{p}_F{suffix}"] = (h2 * float(np.sum(mag ** p))) ** (1.0 / p)
+        want[f"lpinf_F{suffix}"] = float(np.max(mag))
+    dF = np.stack([samples(d * c) for c in cF for d in (g.ik1, g.ik2)])
+    want["l6_gradF"] = (h2 * float(np.sum(np.sum(dF ** 2, axis=0) ** 3))) ** (1.0 / 6.0)
+    G = np.stack([samples(d * c) for c in cu for d in (g.ik1, g.ik2)]).reshape(2, 2, g.n, g.n)
+    want["linf_gradu"] = float(np.max(np.linalg.norm(G.transpose(2, 3, 0, 1), ord=2, axis=(2, 3))))
+    want["linf_curl_u"] = float(np.max(np.abs(G[1, 0] - G[0, 1])))
+    want["div_drift_u"] = float(np.max(np.abs(G[0, 0] + G[1, 1])))
+    dF = dF.reshape(2, 2, 2, g.n, g.n)              # [column, row i, ∂ⱼ]
+    want["linf_curl_F"] = max(float(np.max(np.abs(dF[k, 1, 0] - dF[k, 0, 1]))) for k in range(2))
+    want["div_drift_F"] = max(float(np.max(np.abs(dF[k, 0, 0] + dF[k, 1, 1]))) for k in range(2))
+    return want
+
+
+def _random_state(g, rng, t):
+    """Random real fields with content in every column, the Nyquist one included."""
+    arrays = [rng.standard_normal((g.n, g.n)) + (1.0 if i in (2, 5) else 0.0) for i in range(6)]
+    return vspc.state_from_arrays(g, t, *arrays)
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 32]))
+def test_record_matches_full_lattice_reference(seed, n):
+    g = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    prior_state, state = _random_state(g, rng, 0.0), _random_state(g, rng, 0.25)
+    prior = DiagnosticsEngine(nu=0.0).observe(prior_state)
+    rec = vspc.diagnostics.record(state, prior=prior, dt_since_prior=0.25,
+                                  prior_state=prior_state)
+    # plain floats, so the CSV holds numbers that read back
+    assert all(type(getattr(rec, name)) is float for name in CSV_FIELDS)
+    for name, value in _full_lattice_reference(state, prior_state, 0.25).items():
+        assert math.isclose(getattr(rec, name), value, rel_tol=1e-12), name

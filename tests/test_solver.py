@@ -130,6 +130,32 @@ def test_simulate_rejects_divergent_initial_data():
         simulate(cfg, bad)
 
 
+def test_simulate_rejects_initial_state_on_another_grid():
+    cfg = SolverConfig(GridSpec(32), nu=0.0, t_end=0.1)
+    with pytest.raises(ValueError, match="n=16.*n=32"):
+        simulate(cfg, taylor_green_state(GridSpec(16)))
+
+
+def test_gradient_forcing_of_F_shows_as_divergence_drift():
+    # g_F is taken as given.  From rest with F = I, a column-1 forcing
+    # (cos x₁, 0) leaves u = 0 (∇·FFᵀ is a gradient) and gives F₁₁ = 1 + t cos x₁,
+    # so the sup of div F₁ = −t sin x₁ is t: the monitors must report it
+    g = GridSpec(16)
+    x1, _ = g.mesh()
+    zero = np.zeros_like(x1)
+    gF = TensorField.from_columns(VectorField.from_samples(g, np.cos(x1), zero),
+                                  VectorField.from_samples(g, zero, zero))
+    cfg = SolverConfig(g, nu=0.0, t_end=0.05, dt_max=5e-3,
+                       forcing=ForcingSpec(g_u=None, g_F=lambda t: gF))
+    res = simulate(cfg, steady_identity_state(g))
+    assert res.termination == "completed"
+    assert math.isclose(res.max_div_drift_F, 0.05, rel_tol=1e-12)
+    assert res.max_div_drift_u < 1e-14
+    bundle = vspc.diagnostics.certificate_bundle(res.records, forced=True)
+    div = [c for c in bundle["certificates"] if c["name"] == "divergence-constraint"]
+    assert not div[0]["satisfied"]
+
+
 def test_simulate_zero_horizon():
     g = GridSpec(16)
     cfg = SolverConfig(g, nu=0.0, t_end=0.0)
@@ -358,3 +384,22 @@ def test_rhs_matches_advective_reference(seed, n, forced, nu):
     scale = max(float(np.max(np.abs(w))) for w in want)
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(got, want))
     assert worst <= 1e-12 * scale
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 32]), forced=st.booleans())
+def test_step_keeps_divergence_free_states_divergence_free(seed, n, forced):
+    # the u increments are Leray projected (a forcing g_u's gradient part too)
+    # and the F increments are curls, so steps keep the constraints without
+    # any re-projection
+    g = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    state = _random_state(g, rng)
+    forcing = ForcingSpec(_random_forcing(g, rng).g_u, None) if forced else None
+    cfg = SolverConfig(g, nu=0.01, t_end=1.0, forcing=forcing)
+    for _ in range(3):
+        state = step(state, adaptive_dt(state, cfg), cfg)
+    # Σ|k||ĉ| bounds the sup of each channel's gradient
+    channels = _spectra(state.u) + [c for col in state.F.columns for c in _spectra(col)]
+    scale = max(float(np.sum(np.sqrt(g.k_sq) * np.abs(c))) for c in channels)
+    assert max(divergence_drift(state)) <= 1e-12 * scale
