@@ -148,13 +148,12 @@ def parse_run_config(path) -> RunConfig:
 
 def cmd_run(args) -> int:
     cfg = parse_run_config(args.config)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = cfg.out_dir           # created once simulate has accepted the initial state
     snap_dir = out / "snapshots"
     counter = [0]
 
     def observer(state):
-        snap_dir.mkdir(exist_ok=True)
+        snap_dir.mkdir(parents=True, exist_ok=True)
         fields = [state.u.components[0], state.u.components[1],
                   state.F.entry(0, 0), state.F.entry(1, 0),
                   state.F.entry(0, 1), state.F.entry(1, 1)]
@@ -168,6 +167,7 @@ def cmd_run(args) -> int:
         raise UsageError(str(exc)) from None
     elapsed = time.perf_counter() - started
 
+    out.mkdir(parents=True, exist_ok=True)
     write_records_csv(out / "diagnostics.csv", result.records)
     bundle = certificate_bundle(
         result.records,

@@ -25,7 +25,6 @@ from .fields import (
     TensorField,
     VectorField,
     ensure_spectral,
-    _to_samples,
 )
 
 __all__ = [
@@ -64,7 +63,7 @@ def _wrap_like(template: ScalarField, coeffs) -> ScalarField:
     """Return coeffs as a field in the same representation as template."""
     grid = template.grid
     if template.is_physical:
-        return ScalarField.from_samples(grid, _to_samples(grid, coeffs))
+        return ScalarField.from_samples(grid, grid.to_samples(coeffs))
     return ScalarField.from_spectrum(grid, coeffs)
 
 
@@ -118,14 +117,10 @@ def convective_term(v: VectorField, w: VectorField) -> VectorField:
         raise ValueError("convective term of fields on different grids")
     grid = v.grid
     mask = grid.dealias_mask
-    vs = [ensure_spectral(c) * mask for c in v.components]
-    ws = [ensure_spectral(c) * mask for c in w.components]
-    vp = [_to_samples(grid, c) for c in vs]
-    out = []
-    for cw in ws:
-        d1 = _to_samples(grid, grid.ik1 * cw)
-        d2 = _to_samples(grid, grid.ik2 * cw)
-        out.append(grid.to_coeffs(vp[0] * d1 + vp[1] * d2) * mask)
+    vs = np.stack([ensure_spectral(c) for c in v.components]) * mask
+    ws = np.stack([ensure_spectral(c) for c in w.components]) * mask
+    P = grid.to_samples(np.concatenate([vs, grid.ik1 * ws, grid.ik2 * ws]))
+    out = grid.to_coeffs(P[0] * P[2:4] + P[1] * P[4:6]) * mask
     return VectorField.from_spectra(grid, out[0], out[1])
 
 
@@ -149,16 +144,15 @@ def pressure_gradient(u: VectorField, F) -> VectorField:
         n2 += ensure_spectral(el.components[1])
     n1 -= ensure_spectral(adv.components[0])
     n2 -= ensure_spectral(adv.components[1])
-    k1, k2 = grid.k1, grid.k2
-    coef = (k1 * n1 + k2 * n2) * grid.inv_k_sq
-    return VectorField((_wrap_like(u.components[0], k1 * coef),
-                        _wrap_like(u.components[1], k2 * coef)))
+    p1, p2 = grid.project(n1, n2)
+    return VectorField((_wrap_like(u.components[0], n1 - p1),
+                        _wrap_like(u.components[1], n2 - p2)))
 
 
 def _div_max(v: VectorField) -> float:
     grid = v.grid
     c = grid.ik1 * ensure_spectral(v.components[0]) + grid.ik2 * ensure_spectral(v.components[1])
-    return float(np.max(np.abs(_to_samples(grid, c))))
+    return float(np.max(np.abs(grid.to_samples(c))))
 
 
 def lambda_s(f: ScalarField, s) -> ScalarField:
@@ -169,10 +163,13 @@ def lambda_s(f: ScalarField, s) -> ScalarField:
     if order.inhomogeneous:
         mult = (1.0 + grid.k_sq) ** (order.s / 2.0)
     else:
-        mult = np.zeros_like(grid.k_sq)
-        nz = grid.k_sq > 0
-        mult[nz] = grid.k_sq[nz] ** (order.s / 2.0)
+        mult = _k_power(grid.k_sq, order.s)
     return _wrap_like(f, mult * c)
+
+
+def _k_power(k_sq, s):
+    """|k|ˢ from |k|², zero at k = 0."""
+    return np.power(k_sq, s / 2.0, out=np.zeros_like(k_sq), where=k_sq > 0)
 
 
 def sobolev_norm(f: ScalarField, s) -> float:
@@ -187,7 +184,8 @@ def sobolev_norm(f: ScalarField, s) -> float:
 #
 # For band-limited f, g the commutator Λˢ(fg) − fΛˢg is evaluated exactly on a
 # padded 2n grid (products of n/3-band inputs stay below the padded Nyquist),
-# and compared against ‖∇f‖_∞‖Λ^{s−1}g‖₂ + ‖Λˢf‖₂‖g‖_∞.
+# and compared against ‖∇f‖_∞‖Λ^{s−1}g‖₂ + ‖Λˢf‖₂‖g‖_∞.  The bands are copied
+# into the 2n half spectrum, so all of it runs on real transforms.
 
 @dataclass(frozen=True)
 class CommutatorReport:
@@ -199,13 +197,9 @@ class CommutatorReport:
     ratio: float
 
 
-def _pad_spectrum(coeffs, n, m):
-    """Embed an n-grid coefficient array in an m-grid one (m > n), same modes."""
-    shifted = np.fft.fftshift(coeffs)
-    out = np.zeros((m, m), dtype=np.complex128)
-    lo = (m - n) // 2
-    out[lo:lo + n, lo:lo + n] = shifted
-    return np.fft.ifftshift(out)
+def _l2(half, coeffs):
+    """L² norm on the torus of a half spectrum (Parseval, mirror columns counted)."""
+    return float(TAU * np.sqrt(np.sum(half.weight * np.abs(coeffs) ** 2)))
 
 
 def _require_band_limited(grid, coeffs, what):
@@ -230,29 +224,22 @@ def commutator_check(s, f: ScalarField, g: ScalarField) -> CommutatorReport:
     _require_band_limited(grid, cf, "f")
     _require_band_limited(grid, cg, "g")
 
-    n = grid.n
-    big = GridSpec(2 * n)
-    pf = _pad_spectrum(cf, n, big.n)
-    pg = _pad_spectrum(cg, n, big.n)
-    fs = _to_samples(big, pf)
-    gs = _to_samples(big, pg)
+    both = np.stack([cf, cg])
+    grid.to_samples(both)                       # rejects spectra of non-real fields
 
-    def lam(coeffs, order_s):
-        mult = np.zeros_like(big.k_sq)
-        nz = big.k_sq > 0
-        mult[nz] = big.k_sq[nz] ** (order_s / 2.0)
-        return mult * coeffs
-
-    prod = big.to_coeffs(fs * gs)
-    lhs_coeffs = lam(prod, order.s) - big.to_coeffs(fs * _to_samples(big, lam(pg, order.s)))
-    lhs = float(TAU * np.sqrt(np.sum(np.abs(lhs_coeffs) ** 2)))
-
-    grad_f_sup = float(np.max(np.hypot(_to_samples(big, big.ik1 * pf),
-                                       _to_samples(big, big.ik2 * pf))))
-    lam_g = float(TAU * np.sqrt(np.sum(np.abs(lam(pg, order.s - 1.0)) ** 2)))
-    lam_f = float(TAU * np.sqrt(np.sum(np.abs(lam(pf, order.s)) ** 2)))
-    g_sup = float(np.max(np.abs(gs)))
-    rhs = grad_f_sup * lam_g + lam_f * g_sup
+    big = GridSpec(2 * grid.n).half
+    b = grid.dealias_limit
+    rows = np.r_[0:b + 1, -b:0]                 # k₁ = 0 … b, −b … −1 on either grid
+    pad = np.zeros((2, big.n, big.m), dtype=np.complex128)
+    pad[:, rows, :b + 1] = both[:, rows, :b + 1]
+    pf, pg = pad
+    lam = _k_power(big.k_sq, order.s)
+    fs, gs, lam_gs, d1f, d2f = big.to_samples(
+        np.stack([pf, pg, lam * pg, big.ik1 * pf, big.ik2 * pf]))
+    prod = big.to_coeffs(np.stack([fs * gs, fs * lam_gs]))
+    lhs = _l2(big, lam * prod[0] - prod[1])
+    rhs = (float(np.max(np.hypot(d1f, d2f))) * _l2(big, _k_power(big.k_sq, order.s - 1.0) * pg)
+           + _l2(big, lam * pf) * float(np.max(np.abs(gs))))
 
     if rhs == 0.0:
         if lhs > 1e-10:

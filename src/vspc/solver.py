@@ -44,13 +44,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import (
+    ConjugateSymmetryError,
     GridSpec,
     TensorField,
     VectorField,
     ensure_physical,
     ensure_spectral,
     _adopt_spectrum,
-    _to_samples,
 )
 from . import diagnostics as _diag
 
@@ -333,9 +333,9 @@ def adaptive_dt(state: State, cfg: SolverConfig) -> float:
 
 def divergence_drift(state: State):
     """Sup-norm divergence of u and the worst F column (constraint monitors)."""
-    grid = state.grid
-    C = [ensure_spectral(f) for f in _channels(state)]
-    div = grid.to_samples(np.stack([grid.ik1 * C[ci] + grid.ik2 * C[cj]
+    half = state.grid.half
+    C = [ensure_spectral(f)[:, :half.m] for f in _channels(state)]
+    div = half.to_samples(np.stack([half.ik1 * C[ci] + half.ik2 * C[cj]
                                     for ci, cj in ((_U1, _U2),) + _COLS]))
     sup = np.max(np.abs(div), axis=(1, 2))
     return float(sup[0]), float(max(sup[1], sup[2]))
@@ -347,6 +347,12 @@ def _validate_initial(state: State, cfg: SolverConfig):
                          f"config grid n={cfg.grid.n}")
     if not all(np.all(np.isfinite(f.data)) for f in _channels(state)):
         raise ValueError("initial state contains non-finite values")
+    spectral = [f.data for f in _channels(state) if f.is_spectral]
+    if spectral:
+        try:
+            state.grid.to_samples(np.stack(spectral))
+        except ConjugateSymmetryError as exc:
+            raise ValueError(f"initial state is not a real field: {exc}") from None
     du, dF = divergence_drift(state)
     tol = cfg.divergence_tolerance
     if du > tol or dF > tol:
@@ -468,10 +474,9 @@ def perturbed_identity_state(grid: GridSpec, amplitude: float = 0.1) -> State:
     psi1 = amplitude * (np.sin(x1) * np.sin(x2) + 0.4 * np.cos(2.0 * x1 + x2))
     psi2 = amplitude * (np.cos(x1 + 2.0 * x2) - 0.6 * np.sin(x1) * np.cos(x2))
     base = taylor_green_state(grid)
-    cols = []
-    for k, psi in enumerate((psi1, psi2)):
-        c = grid.to_coeffs(psi)
-        col1 = _to_samples(grid, grid.ik2 * c) + (1.0 if k == 0 else 0.0)
-        col2 = _to_samples(grid, -grid.ik1 * c) + (1.0 if k == 1 else 0.0)
-        cols.append(VectorField.from_samples(grid, col1, col2))
+    c = grid.to_coeffs(np.stack([psi1, psi2]))
+    F = grid.to_samples(np.stack([grid.ik2 * c, -grid.ik1 * c]))    # F[i, k] = F_ik − δ_ik
+    F[0, 0] += 1.0
+    F[1, 1] += 1.0
+    cols = [VectorField.from_samples(grid, F[0, k], F[1, k]) for k in range(2)]
     return State(0.0, base.u, TensorField.from_columns(cols[0], cols[1]))

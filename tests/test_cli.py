@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from vspc.cli import main, parse_run_config, UsageError
+from vspc.fields import GridSpec, ScalarField, write_snapshot
 
 
 def _write_config(path, **overrides):
@@ -153,6 +155,20 @@ def test_run_from_snapshot_grid_mismatch(tmp_path):
     cfg2 = _write_config(tmp_path / "second.ini", grid={"n": 32},
                          initial={"kind": "from-snapshot", "path": str(snap)})
     assert main(["run", str(cfg2)]) == 1
+
+
+def test_rejected_initial_state_writes_nothing(tmp_path, capsys):
+    # a snapshot of u = (sin x₁, 0) breaks div u = 0: a usage error, and no out/
+    g = GridSpec(16)
+    x1, _ = g.mesh()
+    zero, one = np.zeros_like(x1), np.ones_like(x1)
+    snap = tmp_path / "divergent.vspc"
+    write_snapshot(snap, 0.0, [ScalarField.from_samples(g, a)
+                               for a in (np.sin(x1), zero, one, zero, zero, one)])
+    cfg = _write_config(tmp_path / "bad.ini", initial={"kind": "from-snapshot", "path": str(snap)})
+    assert main(["run", str(cfg)]) == 1
+    assert "divergence" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_zero_horizon_run(tmp_path):

@@ -1,6 +1,8 @@
 """Grid conventions, transforms, field containers, and snapshot IO."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,7 +83,7 @@ def test_half_spectrum_round_trip(seed, n, batch):
     g = GridSpec(n)
     half = g.half
     x = np.random.default_rng(seed).standard_normal((batch, n, n))
-    full = g.to_coeffs(x)
+    full = np.fft.fft2(x) / n ** 2
     h = half.to_coeffs(x)
     scale = float(np.max(np.abs(full)))
     assert h.shape == (batch, n, n // 2 + 1)
@@ -93,6 +95,40 @@ def test_half_spectrum_round_trip(seed, n, batch):
     np.testing.assert_allclose(g.to_samples(full), x, rtol=0, atol=1e-12)
     assert math.isclose(float(np.sum(half.weight * np.abs(h) ** 2)),
                         float(np.sum(np.abs(full) ** 2)), rel_tol=1e-12)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 32, 64]),
+       batch=st.integers(1, 3))
+def test_checked_inverse_round_trip_and_batching(seed, n, batch):
+    g = GridSpec(n)
+    x = np.random.default_rng(seed).standard_normal((batch, n, n))
+    c = g.to_coeffs(x)
+    assert np.max(np.abs(c - np.fft.fft2(x) / n ** 2)) <= 1e-14 * float(np.max(np.abs(c)))
+    back = g.to_samples(c)
+    np.testing.assert_allclose(back, x, rtol=0, atol=1e-12)
+    for plane, coeffs in zip(back, c):
+        assert np.array_equal(plane, g.to_samples(coeffs))
+
+
+def test_each_symmetry_test_catches_what_the_other_passes():
+    g = GridSpec(64)
+    x1, x2 = g.mesh()
+    # i·ε on every coefficient leaves each ĉ(k) within 2ε < 1e-10·max|ĉ| of
+    # conj ĉ(−k), so the mirror test passes; the imaginary parts add up
+    # coherently to n²ε at x = 0, which only the residue test catches
+    c = g.to_coeffs(np.sin(x1) * np.cos(x2))
+    shifted = c + 1j * 0.4e-10 * float(np.max(np.abs(c)))
+    with pytest.raises(ConjugateSymmetryError, match="imaginary residue 4.096e-08"):
+        to_physical(ScalarField.from_spectrum(g, shifted))
+    with pytest.raises(ConjugateSymmetryError, match="imaginary residue"):
+        g.to_samples(np.stack([c, shifted]))
+    # one mode 5e-10·max|ĉ| off its mirror leaves a residue far below
+    # 1e-10·max(max|w|, 1) when the samples are O(1) and the spectrum broad
+    c = g.to_coeffs(np.random.default_rng(11).standard_normal((64, 64)))
+    c[3, 5] += 5e-10 * float(np.max(np.abs(c)))
+    with pytest.raises(ConjugateSymmetryError, match="conjugate symmetry violated"):
+        g.to_samples(c)
 
 
 def test_half_spectrum_projection_matches_leray():
@@ -138,6 +174,40 @@ def test_conjugate_symmetry_guard():
     f = ScalarField.from_spectrum(g, c)
     with pytest.raises(ConjugateSymmetryError):
         to_physical(f)
+
+
+def _fft_uses(tree):
+    """(enclosing class, name) for each `….fft` in a module: the attribute
+    taken from it, or None when it is used bare; fft imports count too."""
+    uses = []
+
+    def visit(node, parent, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            taken = parent.attr if isinstance(parent, ast.Attribute) else None
+            uses.append((cls, taken))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            if any("fft" in name for name in names):
+                uses.append((cls, "import"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, node, cls)
+
+    visit(tree, None, None)
+    return uses
+
+
+def test_single_transform_layer():
+    # np.fft in the package is fftfreq, plus rfft2/irfft2 inside HalfSpectrum
+    bad = []
+    for path in sorted(Path(vspc.__file__).parent.glob("*.py")):
+        for cls, name in _fft_uses(ast.parse(path.read_text())):
+            if name != "fftfreq" and not (cls == "HalfSpectrum" and name in ("rfft2", "irfft2")):
+                bad.append(f"{path.name}: {cls or 'module'} uses fft.{name}")
+    assert not bad, bad
+    fake = "class A:\n    def f(self, x):\n        return np.fft.fft2(x) + numpy.fft.rfft2(x)\n"
+    assert _fft_uses(ast.parse(fake)) == [("A", "fft2"), ("A", "rfft2")]
 
 
 def test_dealias_mask():

@@ -172,12 +172,66 @@ def test_commutator_hand_oracle():
     assert math.isclose(rep.ratio, rep.lhs / rep.rhs, rel_tol=1e-15)
 
 
+def _reference_commutator(s, f, g):
+    """(lhs, rhs) of the commutator check on full complex transforms of the
+    fftshift-padded 2n grid, the formulation the half-spectrum one replaced."""
+    n = f.grid.n
+    m = 2 * n
+    big = GridSpec(m)
+
+    def pad(c):
+        out = np.zeros((m, m), dtype=complex)
+        out[n // 2:n // 2 + n, n // 2:n // 2 + n] = np.fft.fftshift(c)
+        return np.fft.ifftshift(out)
+
+    def lam(c, order):
+        mult = np.zeros_like(big.k_sq)
+        nz = big.k_sq > 0
+        mult[nz] = big.k_sq[nz] ** (order / 2.0)
+        return mult * c
+
+    samples = lambda c: np.fft.ifft2(c).real * m * m
+    coeffs = lambda x: np.fft.fft2(x) / (m * m)
+    norm = lambda c: TAU * np.sqrt(np.sum(np.abs(c) ** 2))
+    pf, pg = pad(f.data), pad(g.data)
+    fs, gs = samples(pf), samples(pg)
+    lhs = norm(lam(coeffs(fs * gs), s) - coeffs(fs * samples(lam(pg, s))))
+    grad_f = np.hypot(samples(big.ik1 * pf), samples(big.ik2 * pf))
+    rhs = np.max(grad_f) * norm(lam(pg, s - 1.0)) + norm(lam(pf, s)) * np.max(np.abs(gs))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+def test_commutator_matches_full_transform_reference(n, s):
+    g = GridSpec(n)
+    rng = np.random.default_rng(n)
+    fields = []
+    for _ in range(2):
+        c = g.to_coeffs(rng.standard_normal((n, n))) * g.dealias_mask
+        fields.append(ScalarField.from_spectrum(g, c / (1.0 + g.k_sq)))
+    rep = commutator_check(s, *fields)
+    lhs, rhs = _reference_commutator(s, *fields)
+    assert math.isclose(rep.lhs, lhs, rel_tol=1e-12)
+    assert math.isclose(rep.rhs, rhs, rel_tol=1e-12)
+    assert math.isclose(rep.ratio, lhs / rhs, rel_tol=1e-12)
+
+
 def test_commutator_requires_band_limited_inputs():
     g = GridSpec(32)
     rng = np.random.default_rng(3)
     noisy = _scalar(g, rng.standard_normal((32, 32)))  # full-spectrum content
     with pytest.raises(ValueError, match="band"):
         commutator_check(2.0, noisy, noisy)
+
+
+def test_commutator_rejects_spectra_of_non_real_fields():
+    g = GridSpec(32)
+    c = np.zeros((32, 32), dtype=complex)
+    c[1, 2] = 1.0            # in band, with no mirror partner at (−1, −2)
+    f = ScalarField.from_spectrum(g, c)
+    with pytest.raises(vspc.ConjugateSymmetryError):
+        commutator_check(2.0, f, f)
 
 
 def test_commutator_zero_rhs_is_not_a_violation():

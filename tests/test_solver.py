@@ -130,6 +130,23 @@ def test_simulate_rejects_divergent_initial_data():
         simulate(cfg, bad)
 
 
+def test_simulate_rejects_non_real_spectral_initial_state():
+    # F₁₁ gains a k = (1, 12) mode without its mirror; at n = 16 that column
+    # lies outside the k₂ <= n/2 half the solver packs, so only the checked
+    # inverse transform can see it
+    g = GridSpec(16)
+    tg = taylor_green_state(g)
+    spec = lambda f: to_spectral(f).data.copy()
+    F11 = spec(tg.F.entry(0, 0))
+    F11[1, 12] += 0.3
+    u = VectorField.from_spectra(g, *(spec(c) for c in tg.u.components))
+    cols = [VectorField.from_spectra(g, F11, spec(tg.F.entry(1, 0))),
+            VectorField.from_spectra(g, spec(tg.F.entry(0, 1)), spec(tg.F.entry(1, 1)))]
+    bad = State(0.0, u, TensorField.from_columns(*cols))
+    with pytest.raises(ValueError, match="conjugate symmetry"):
+        simulate(SolverConfig(g, nu=0.01, t_end=0.01), bad)
+
+
 def test_simulate_rejects_initial_state_on_another_grid():
     cfg = SolverConfig(GridSpec(32), nu=0.0, t_end=0.1)
     with pytest.raises(ValueError, match="n=16.*n=32"):
