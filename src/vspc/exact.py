@@ -373,12 +373,13 @@ def manufactured(grid: GridSpec, nu: float, case: str = "broadband") -> Manufact
     ident[3, 0, 0] = 1.0
     half = grid.half
     u_h, G_h, ident_h = (block[..., :half.m] for block in (u_d, G_d, ident))
+    work = _solver._Workspace(grid)
 
     @lru_cache(maxsize=8)
     def terms(t):
         """Full spectra of (g_u, g_F) at t, stacked in the solver's channel order."""
         Z = np.concatenate([lam_u(t) * u_h, ident_h + lam_F(t) * G_h])
-        N = _solver._nonlinearity(grid, half.to_samples(Z))
+        N = _solver._nonlinearity(work, half.to_samples(Z))    # a fresh array
         gu = dlam_u(t) * u_h - N[:2] + nu * half.k_sq * (lam_u(t) * u_h)
         gF = dlam_F(t) * G_h - N[2:]
         return half.full(np.concatenate([gu, gF]))

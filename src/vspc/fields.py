@@ -196,11 +196,11 @@ class HalfSpectrum:
 
     def to_samples(self, coeffs):
         """Real samples of half spectra, batched over leading axes."""
-        return np.fft.irfft2(coeffs, s=(self.n, self.n)) * (self.n * self.n)
+        return np.fft.irfft2(coeffs, s=(self.n, self.n), norm="forward")
 
     def to_coeffs(self, samples):
         """Half spectra of real samples, batched over leading axes."""
-        return np.fft.rfft2(samples) / (self.n * self.n)
+        return np.fft.rfft2(samples, norm="forward")
 
     def full(self, coeffs):
         """Full spectra rebuilt from half spectra: ĉ(k₁, −k₂) = conj ĉ(−k₁, k₂)."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -211,6 +212,15 @@ def _require_band_limited(grid, coeffs, what):
         raise ValueError(f"{what} carries energy beyond the n/3 dealias band")
 
 
+@lru_cache(maxsize=8)
+def _padded_layer(n, s):
+    """The 2n half-spectrum layer with |k|ˢ and |k|ˢ⁻¹ on it; shared per (n, s), so read-only."""
+    big = GridSpec(2 * n).half
+    lam, lam_low = _k_power(big.k_sq, s), _k_power(big.k_sq, s - 1.0)
+    lam.flags.writeable = lam_low.flags.writeable = False
+    return big, lam, lam_low
+
+
 def commutator_check(s, f: ScalarField, g: ScalarField) -> CommutatorReport:
     """Evaluate the Kato–Ponce commutator inequality at (p₁,p₂,p₃,p₄) = (∞,2,2,∞)."""
     order = _order(s)
@@ -227,18 +237,17 @@ def commutator_check(s, f: ScalarField, g: ScalarField) -> CommutatorReport:
     both = np.stack([cf, cg])
     grid.to_samples(both)                       # rejects spectra of non-real fields
 
-    big = GridSpec(2 * grid.n).half
+    big, lam, lam_low = _padded_layer(grid.n, order.s)
     b = grid.dealias_limit
     rows = np.r_[0:b + 1, -b:0]                 # k₁ = 0 … b, −b … −1 on either grid
     pad = np.zeros((2, big.n, big.m), dtype=np.complex128)
     pad[:, rows, :b + 1] = both[:, rows, :b + 1]
     pf, pg = pad
-    lam = _k_power(big.k_sq, order.s)
     fs, gs, lam_gs, d1f, d2f = big.to_samples(
         np.stack([pf, pg, lam * pg, big.ik1 * pf, big.ik2 * pf]))
     prod = big.to_coeffs(np.stack([fs * gs, fs * lam_gs]))
     lhs = _l2(big, lam * prod[0] - prod[1])
-    rhs = (float(np.max(np.hypot(d1f, d2f))) * _l2(big, _k_power(big.k_sq, order.s - 1.0) * pg)
+    rhs = (float(np.max(np.hypot(d1f, d2f))) * _l2(big, lam_low * pg)
            + _l2(big, lam * pf) * float(np.max(np.abs(gs))))
 
     if rhs == 0.0:

@@ -30,6 +30,13 @@ is stepped plainly), so stiff viscous decay never limits the step size.  The
 step size itself is CFL-limited by the transport and elastic-wave speeds,
 read from the same samples as the step's first stage.
 
+Each run owns one private workspace: the momentum multipliers (mask,
+divergence and Leray projection in one map; the stress trace is a gradient,
+so only the normal-stress difference and the shear stress enter), the masked
+curl multipliers, the stage buffers and the integrating factor, recomputed
+only when dt changes.  The transforms normalize themselves (norm="forward"),
+so no pass rescales, masks or projects.
+
 All quadratic terms are formed pointwise in physical space from 2/3-rule
 dealiased inputs; retained modes therefore carry no aliasing error, and the
 scheme conserves ‖u‖₂² + ‖F‖₂² in the inviscid unforced case up to time
@@ -212,29 +219,42 @@ def state_sup_distance(a: State, b: State) -> float:
 # ---------------------------------------------------------------------------
 # right-hand side
 
-def _nonlinearity(grid: GridSpec, P):
+class _Workspace:
+    """A run's buffers; M maps (S₀ − S₂, S₁) to momentum, `curl` a_k to column k, dealiased."""
+
+    def __init__(self, grid: GridSpec, nu: float = 0.0):
+        half = self.half = grid.half
+        self.grid, self.nu, self.dt = grid, nu, None
+        d = np.eye(2)[:, :, None, None]         # d[s, j]: S_s of unit input j; S₂'s is −S₀'s
+        self.M = np.stack(grid.project(half.ik1 * d[0] + half.ik2 * d[1],
+                                       half.ik1 * d[1])) * half.mask
+        self.curl = (half.ik2 * half.mask, -half.ik1 * half.mask)
+        self.K, self.Y = np.empty((2, 6, half.n, half.m), dtype=np.complex128)
+
+
+def _nonlinearity(work: _Workspace, P, out=None):
     """Nonlinear part of ∂ₜZ from the six channels' samples P (6, n, n).
 
     Momentum: the Leray projection of ∇·(FFᵀ − u⊗u); deformation column k:
-    (∂₂a_k, −∂₁a_k) with a_k = u₁F₂ₖ − u₂F₁ₖ.  Returns dealiased half spectra
-    (6, n, n//2+1).
+    (∂₂a_k, −∂₁a_k) with a_k = u₁F₂ₖ − u₂F₁ₖ.  Writes dealiased half spectra
+    (6, n, n//2+1) into out, a fresh array when out is None; the five products
+    are formed in its bytes first.
     """
-    half = grid.half
     u1, u2, F11, F21, F12, F22 = P
-    Q = np.empty((5,) + u1.shape)
+    N = np.empty((6, work.half.n, work.half.m), dtype=np.complex128) if out is None else out
+    Q = N.reshape(-1).view(np.float64)[:5 * u1.size].reshape((5,) + u1.shape)
     Q[0] = F11 * F11 + F12 * F12 - u1 * u1
     Q[1] = F11 * F21 + F12 * F22 - u1 * u2
     Q[2] = F21 * F21 + F22 * F22 - u2 * u2
     Q[3] = u1 * F21 - u2 * F11
     Q[4] = u1 * F22 - u2 * F12
-    S = half.to_coeffs(Q)
-    S *= half.mask
-    ik1, ik2 = half.ik1, half.ik2
-    N = np.empty((6,) + S.shape[1:], dtype=np.complex128)
-    N[_U1], N[_U2] = grid.project(ik1 * S[0] + ik2 * S[1], ik1 * S[1] + ik2 * S[2])
+    S = work.half.to_coeffs(Q)                  # Q, in N's bytes, is spent now
+    S[0] -= S[2]                                # a trace part is a gradient, which Leray drops
+    for r, M in zip((_U1, _U2), work.M):
+        N[r] = M[0] * S[0] + M[1] * S[1]
     for (ci, cj), a in zip(_COLS, S[3:]):
-        N[ci] = ik2 * a
-        N[cj] = -ik1 * a
+        np.multiply(work.curl[0], a, out=N[ci])
+        np.multiply(work.curl[1], a, out=N[cj])
     return N
 
 
@@ -257,15 +277,15 @@ def _forcing_terms(grid, forcing: ForcingSpec, t):
     return g
 
 
-def _transport(grid, Z, t, forcing, P=None):
-    """dZ/dt without the viscous term; P, the samples of Z, is reused when given."""
+def _transport(work, Z, t, forcing, out=None, P=None):
+    """dZ/dt without the viscous term, into out; P, the samples of Z, is reused when given."""
     if P is None:
-        P = grid.half.to_samples(Z)
+        P = work.half.to_samples(Z)
     if not np.all(np.isfinite(P)):
         raise BlowupError(t, "non-finite field values")
-    dZ = _nonlinearity(grid, P)
+    dZ = _nonlinearity(work, P, out)
     if forcing is not None:
-        dZ += _forcing_terms(grid, forcing, t)
+        dZ += _forcing_terms(work.grid, forcing, t)
     return dZ
 
 
@@ -273,33 +293,45 @@ def rhs(state: State, cfg: SolverConfig) -> StateDerivative:
     """Instantaneous time derivative of a state, including the viscous term."""
     grid = state.grid
     Z = _pack(state)
-    dZ = _transport(grid, Z, state.t, cfg.forcing)
-    dZ[_U1] -= cfg.nu * grid.half.k_sq * Z[_U1]
-    dZ[_U2] -= cfg.nu * grid.half.k_sq * Z[_U2]
+    dZ = _transport(_Workspace(grid), Z, state.t, cfg.forcing)
+    dZ[:2] -= cfg.nu * grid.half.k_sq * Z[:2]
     return StateDerivative(*_fields(grid, dZ))
 
 
 # ---------------------------------------------------------------------------
 # time stepping
 
-def _step_packed(grid, Z, t, dt, nu, forcing, P=None):
-    """One integrating-factor RK4 step; returns the new packed state.
+def _step_packed(work, Z, t, dt, forcing, P=None):
+    """One integrating-factor RK4 step; returns the new packed state, a fresh array.
 
-    P, the samples of Z, is reused for the first stage when given.  Every
-    stage output is dealiased, and divergence-free whenever g_F is, so the
-    result needs no re-projection.
+    P, the samples of Z, is reused for the first stage when given; Z is only
+    read, so it is intact when a check raises.  Stage outputs are dealiased,
+    and divergence-free whenever g_F is, so the result needs no re-projection.
+    With E = e^{−ν|k|²dt/2} on the u rows (:2), E(E(Z + dt/6·k₁) + dt/3·(k₂ +
+    k₃)) + dt/6·k₄ is summed as the slopes arrive in work.K.
     """
-    half = grid.half
-    # integrating factor over half a step: e^{−ν|k|²dt/2} on u, 1 on F
-    E = np.ones((6,) + half.k_sq.shape)
-    E[_U1] = E[_U2] = np.exp(-nu * half.k_sq * (0.5 * dt))
-    E2 = E * E
-
-    a = _transport(grid, Z, t, forcing, P)
-    b = _transport(grid, (Z + 0.5 * dt * a) * E, t + 0.5 * dt, forcing)
-    c = _transport(grid, Z * E + 0.5 * dt * b, t + 0.5 * dt, forcing)
-    d = _transport(grid, Z * E2 + dt * (c * E), t + dt, forcing)
-    Znew = Z * E2 + (dt / 6.0) * (a * E2 + 2.0 * ((b + c) * E) + d)
+    if dt != work.dt:
+        work.dt, work.E = dt, np.exp(-work.nu * work.half.k_sq * (0.5 * dt))
+    E, K, Y, h = work.E, work.K, work.Y, 0.5 * dt
+    _transport(work, Z, t, forcing, K, P)
+    Znew = K * (dt / 6.0) + Z
+    np.add(Z, np.multiply(K, h, out=Y), out=Y)  # Y = E(Z + h·k₁)
+    Y[:2] *= E
+    _transport(work, Y, t + h, forcing, K)
+    Znew[:2] *= E
+    Znew += np.multiply(K, dt / 3.0, out=Y)
+    np.multiply(K, h, out=Y)                    # Y = E·Z + h·k₂
+    Y[:2] += Z[:2] * E
+    Y[2:] += Z[2:]
+    _transport(work, Y, t + h, forcing, K)
+    Znew += np.multiply(K, dt / 3.0, out=Y)
+    np.multiply(K, dt, out=Y)                   # Y = E(E·Z + dt·k₃)
+    Y[:2] += Z[:2] * E
+    Y[2:] += Z[2:]
+    Y[:2] *= E
+    _transport(work, Y, t + dt, forcing, K)
+    Znew[:2] *= E
+    Znew += np.multiply(K, dt / 6.0, out=Y)
     if not np.all(np.isfinite(Znew)):
         raise BlowupError(t + dt, "non-finite field values after step")
     return Znew
@@ -310,7 +342,7 @@ def step(state: State, dt: float, cfg: SolverConfig) -> State:
     if dt <= 0 or not np.isfinite(dt):
         raise ValueError(f"step size must be positive and finite, got {dt}")
     grid = state.grid
-    Znew = _step_packed(grid, _pack(state), state.t, dt, cfg.nu, cfg.forcing)
+    Znew = _step_packed(_Workspace(grid, cfg.nu), _pack(state), state.t, dt, cfg.forcing)
     return _unpack(grid, state.t + dt, Znew)
 
 
@@ -384,6 +416,7 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     """
     _validate_initial(initial, cfg)
     grid = cfg.grid
+    work = _Workspace(grid, cfg.nu)
     Z = _pack(initial)
     t = float(initial.t)
     t_end = t + cfg.t_end
@@ -406,13 +439,14 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
         P = grid.half.to_samples(Z)     # the first RK4 stage's samples set the CFL step
         dt = min(_cfl_dt(grid, P, cfg), t_end - t)
         try:
-            Z = _step_packed(grid, Z, t, dt, cfg.nu, cfg.forcing, P)
+            Z = _step_packed(work, Z, t, dt, cfg.forcing, P)
         except BlowupError as exc:
             termination = "blowup-detected"
             blowup_time = exc.t
             break
         t += dt
         steps += 1
+        P = None                        # frees the step's samples before a record
 
         at_end = t >= t_end - 1e-12
         if steps % cfg.diagnostics_interval == 0 or at_end:

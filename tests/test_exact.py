@@ -185,6 +185,24 @@ def test_manufactured_taylor_green_forcing_only_on_deformation():
     assert sup_gF > 0.1
 
 
+def test_manufactured_forcing_keeps_its_cached_values():
+    # the forcing is cached per time and shares the solver's nonlinearity
+    # workspace: evaluating another time must leave an earlier value as it was
+    g = GridSpec(32)
+    forcing = manufactured(g, 0.02, "broadband").forcing
+
+    def spectra(t):
+        return [ensure_spectral(c).copy() for c in
+                (*forcing.g_u(t).components, *(forcing.g_F(t).entry(i, k)
+                                               for k in range(2) for i in range(2)))]
+
+    first = spectra(0.1)
+    other = spectra(0.2)
+    assert not np.array_equal(first[0], other[0])
+    for a, b in zip(first, spectra(0.1)):
+        assert np.array_equal(a, b)
+
+
 def test_manufactured_broadband_is_consistent_in_evolution():
     g = GridSpec(64)
     prob = manufactured(g, 0.02, "broadband")

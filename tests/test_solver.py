@@ -1,12 +1,18 @@
 """Time stepper, CFL control, conservation, and run-control behavior."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import vspc
+from vspc import solver
 from vspc.fields import (
     GridSpec, ScalarField, VectorField, TensorField, dealias, ensure_physical, ensure_spectral,
     to_spectral,
@@ -420,3 +426,123 @@ def test_step_keeps_divergence_free_states_divergence_free(seed, n, forced):
     channels = _spectra(state.u) + [c for col in state.F.columns for c in _spectra(col)]
     scale = max(float(np.sum(np.sqrt(g.k_sq) * np.abs(c))) for c in channels)
     assert max(divergence_drift(state)) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# the per-run workspace: non-finite exits, step-size changes, the precomposed
+# multipliers and the allocation budget of one step
+
+@pytest.mark.parametrize("stage", ["second", "last"])
+def test_non_finite_forcing_ends_the_run_with_the_last_good_state(stage):
+    # g_F turns NaN after t₁, first seen by the second stage of the step from
+    # t₁ (its non-finite samples raise) or only by the last (the new state's
+    # check raises).  Either way the run ends at the state it had at t₁, which
+    # it must hand back unchanged: no stage may write into its input.  Powers
+    # of two keep the step times exact
+    g = GridSpec(16)
+    dt, t1 = 2.0 ** -7, 2.0 ** -5
+    onset = t1 + (0.5 * dt if stage == "second" else dt)
+    nan = TensorField.from_columns(*(VectorField.from_samples(g, *np.full((2, 16, 16), np.nan))
+                                     for _ in range(2)))
+    zero = TensorField.from_columns(*(VectorField.from_samples(g, *np.zeros((2, 16, 16)))
+                                      for _ in range(2)))
+    forcing = ForcingSpec(g_u=None, g_F=lambda t: nan if t >= onset else zero)
+
+    def run(t_end):
+        cfg = SolverConfig(g, nu=0.01, t_end=t_end, dt_max=dt, forcing=forcing)
+        return simulate(cfg, perturbed_identity_state(g, 0.1))
+
+    short, long = run(t1), run(0.25)
+    assert short.termination == "completed"
+    assert long.termination == "blowup-detected"
+    assert long.blowup_time == onset
+    assert long.final_state.t == short.final_state.t == t1
+    for a, b in zip(_channel_data(long.final_state), _channel_data(short.final_state)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dt_max, t_end", [(5e-3, 0.0123), (1.0, 0.15)])
+def test_simulate_equals_a_chain_of_steps(dt_max, t_end):
+    # the first case truncates its last step, the second is CFL-limited on
+    # every step: each change of dt must reach the integrating factor
+    g = GridSpec(32)
+    initial = perturbed_identity_state(g, 0.3)
+    cfg = SolverConfig(g, nu=0.05, t_end=t_end, dt_max=dt_max, snapshot_interval=1,
+                       diagnostics_interval=10 ** 9)
+    seen = []
+    res = simulate(cfg, initial, observer=seen.append)
+    dts = [b.t - a.t for a, b in zip(seen, seen[1:])]
+    assert len(set(dts)) > 1
+    chained = initial
+    for dt in dts:
+        chained = step(chained, dt, cfg)
+    scale = max(float(np.max(np.abs(ensure_physical(c)))) for c in solver._channels(chained))
+    assert state_sup_distance(res.final_state, chained) <= 1e-14 * scale
+
+
+_ALONE = """
+import sys
+import numpy as np
+import vspc
+g = vspc.GridSpec(16)
+cfg = vspc.SolverConfig(g, nu=float(sys.argv[1]), t_end=0.05, dt_max=5e-3)
+res = vspc.simulate(cfg, vspc.perturbed_identity_state(g, 0.3))
+np.save(sys.argv[2], np.stack([c.data for v in (res.final_state.u, *res.final_state.F.columns)
+                               for c in v.components]))
+"""
+
+
+def test_back_to_back_runs_match_runs_made_alone(tmp_path):
+    # each run owns its buffers and integrating factors: a run after one with
+    # another ν, in the same process, is bit-identical to the run on its own
+    g = GridSpec(16)
+    env = dict(os.environ, PYTHONPATH=str(Path(vspc.__file__).resolve().parents[1]))
+    for nu in (0.0, 0.1):
+        cfg = SolverConfig(g, nu=nu, t_end=0.05, dt_max=5e-3)
+        res = simulate(cfg, perturbed_identity_state(g, 0.3))
+        out = tmp_path / f"alone-{nu}.npy"
+        subprocess.run([sys.executable, "-c", _ALONE, str(nu), str(out)], env=env, check=True,
+                       timeout=120)
+        assert np.array_equal(np.stack(_channel_data(res.final_state)), np.load(out))
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 32, 64]))
+def test_precomposed_multipliers_match_projected_divergence_and_curl(seed, n):
+    g = GridSpec(n)
+    half = g.half
+    rng = np.random.default_rng(seed)
+    Z = (rng.standard_normal((6, n, half.m)) + 1j * rng.standard_normal((6, n, half.m))) * half.mask
+    P = half.to_samples(Z)
+    u1, u2, F11, F21, F12, F22 = P
+    S = half.to_coeffs(np.stack([F11 * F11 + F12 * F12 - u1 * u1, F11 * F21 + F12 * F22 - u1 * u2,
+                                 F21 * F21 + F22 * F22 - u2 * u2, u1 * F21 - u2 * F11,
+                                 u1 * F22 - u2 * F12])) * half.mask
+    ik1, ik2 = half.ik1, half.ik2
+    want = np.stack([*g.project(ik1 * S[0] + ik2 * S[1], ik1 * S[1] + ik2 * S[2]),
+                     ik2 * S[3], -ik1 * S[3], ik2 * S[4], -ik1 * S[4]])
+    work = solver._Workspace(g)
+    got = solver._nonlinearity(work, P)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # without an out buffer the result is fresh: a later call leaves it alone
+    kept = got.copy()
+    solver._nonlinearity(work, half.to_samples(2.0 * Z))
+    assert np.array_equal(got, kept)
+
+
+def test_one_step_allocates_little_beyond_its_workspace():
+    # transient numpy allocation of one warm step, the returned state
+    # included, in units of the packed state's bytes
+    g = GridSpec(32)
+    cfg = SolverConfig(g, nu=0.01, t_end=1.0)
+    work = solver._Workspace(g, cfg.nu)
+    Z = solver._pack(perturbed_identity_state(g, 0.1))
+    solver._step_packed(work, Z, 0.0, 1e-3, None)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solver._step_packed(work, Z, 0.0, 1e-3, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 4 * Z.nbytes
