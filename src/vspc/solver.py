@@ -116,6 +116,8 @@ class ForcingSpec:
     g_u(t) is Leray-projected before use, so any gradient part it carries is
     discarded; g_F columns are taken as given, so a gradient part in them
     shows up as divergence drift.  Either may be None for an unforced block.
+    Both must be functions of t alone: a run evaluates each once per distinct
+    RK4 stage time, two per step (t + dt is the next step's start).
     """
 
     g_u: Optional[Callable[[float], VectorField]]
@@ -182,16 +184,18 @@ def _pack(state: State) -> np.ndarray:
     return np.stack([ensure_spectral(f)[:, :half.m] for f in _channels(state)]) * half.mask
 
 
-def _fields(grid: GridSpec, Z):
-    """(u, F) as spectral field objects, from a packed block of half spectra."""
+def _vectors(grid: GridSpec, Z):
+    """Spectral vector fields of the row pairs (0, 1), (2, 3), … of half spectra Z."""
     full = grid.half.full(Z)
     full.flags.writeable = False        # the fields share its planes, uncopied
+    return [VectorField((_adopt_spectrum(grid, full[i]), _adopt_spectrum(grid, full[i + 1])))
+            for i in range(0, len(full), 2)]
 
-    def vector(i, j):
-        return VectorField((_adopt_spectrum(grid, full[i]), _adopt_spectrum(grid, full[j])))
 
-    cols = [vector(ci, cj) for ci, cj in _COLS]
-    return vector(_U1, _U2), TensorField.from_columns(cols[0], cols[1])
+def _fields(grid: GridSpec, Z):
+    """(u, F) as spectral field objects, from a packed block of half spectra."""
+    u, col1, col2 = _vectors(grid, Z)   # the packed order pairs u and F's columns
+    return u, TensorField.from_columns(col1, col2)
 
 
 def _unpack(grid: GridSpec, t: float, Z) -> State:
@@ -230,6 +234,16 @@ class _Workspace:
                                        half.ik1 * d[1])) * half.mask
         self.curl = (half.ik2 * half.mask, -half.ik1 * half.mask)
         self.K, self.Y = np.empty((2, 6, half.n, half.m), dtype=np.complex128)
+        self.forced = {}
+
+    def forcing_at(self, forcing: ForcingSpec, t):
+        """_forcing_terms of a run's one forcing at t.  The last two t are kept:
+        RK4 asks at t, t + h, t + h and t + dt, which is the next step's t."""
+        if t not in self.forced:
+            if len(self.forced) == 2:
+                del self.forced[next(iter(self.forced))]
+            self.forced[t] = _forcing_terms(self.grid, forcing, t)
+        return self.forced[t]
 
 
 def _nonlinearity(work: _Workspace, P, out=None):
@@ -269,11 +283,9 @@ def _forcing_terms(grid, forcing: ForcingSpec, t):
         g1, g2 = (ensure_spectral(c)[:, :half.m] * half.mask for c in forcing.g_u(t).components)
         g[_U1], g[_U2] = grid.project(g1, g2)
     if forcing.g_F is not None:
-        gF = forcing.g_F(t)
-        for k, (ci, cj) in enumerate(_COLS):
-            col = gF.columns[k]
-            g[ci] = ensure_spectral(col.components[0])[:, :half.m] * half.mask
-            g[cj] = ensure_spectral(col.components[1])[:, :half.m] * half.mask
+        g[2:] = [ensure_spectral(c)[:, :half.m] for col in forcing.g_F(t).columns
+                 for c in col.components]     # the packed order of F's entries
+        g[2:] *= half.mask
     return g
 
 
@@ -285,7 +297,7 @@ def _transport(work, Z, t, forcing, out=None, P=None):
         raise BlowupError(t, "non-finite field values")
     dZ = _nonlinearity(work, P, out)
     if forcing is not None:
-        dZ += _forcing_terms(work.grid, forcing, t)
+        dZ += work.forcing_at(forcing, t)
     return dZ
 
 

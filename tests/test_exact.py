@@ -11,7 +11,8 @@ from vspc.exact import (
     manufactured, ode_reduce_step, zgh_amplitude, zgh_bkm_integral,
     zgh_fields, zgh_residual, zgh_synthetic_history,
 )
-from vspc.fields import GridSpec, ensure_spectral
+from vspc import exact, solver
+from vspc.fields import GridSpec, HalfSpectrum, ensure_spectral
 from vspc.solver import SolverConfig, simulate, state_sup_distance
 
 LN10_OVER_3 = math.log(10.0) / 3.0   # ∫₀^0.3 dt/(1−3t)
@@ -186,8 +187,8 @@ def test_manufactured_taylor_green_forcing_only_on_deformation():
 
 
 def test_manufactured_forcing_keeps_its_cached_values():
-    # the forcing is cached per time and shares the solver's nonlinearity
-    # workspace: evaluating another time must leave an earlier value as it was
+    # the forcing's fields adopt a block of spectra computed per call, uncopied:
+    # evaluating another time must leave an earlier value as it was
     g = GridSpec(32)
     forcing = manufactured(g, 0.02, "broadband").forcing
 
@@ -201,6 +202,56 @@ def test_manufactured_forcing_keeps_its_cached_values():
     assert not np.array_equal(first[0], other[0])
     for a, b in zip(first, spectra(0.1)):
         assert np.array_equal(a, b)
+
+
+# the modulations of manufactured(): (λ_u, λ_u', λ_F, λ_F') at t for viscosity nu
+_MODULATION = {
+    "taylor-green": lambda t, nu: (math.exp(-2.0 * nu * t), -2.0 * nu * math.exp(-2.0 * nu * t),
+                                   0.0, 0.0),
+    "broadband": lambda t, nu: (1.0 + 0.5 * math.sin(1.1 * t), 0.55 * math.cos(1.1 * t),
+                                1.0 + 0.4 * math.sin(0.7 * t + 0.4),
+                                0.28 * math.cos(0.7 * t + 0.4)),
+}
+
+
+@pytest.mark.parametrize("case", ["broadband", "taylor-green"])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_polarized_forcing_matches_the_nonlinearity_of_the_analytic_state(case, n):
+    # reference: g = λ'·shape − N(Z(t)) + ν|k|²λ_u·U on the u rows, with the
+    # solver's nonlinearity N run on the samples of Z(t) = λ_u·U + I + λ_F·G
+    g, nu = GridSpec(n), 0.02
+    half = g.half
+    forcing = manufactured(g, nu, case).forcing
+    shapes = {"taylor-green": exact._taylor_green_shapes, "broadband": exact._broadband_shapes}
+    U, G = (exact._project_block(g, shape * g.dealias_mask)[..., :half.m]
+            for shape in shapes[case](g))
+    ident = np.zeros_like(G)
+    ident[0, 0, 0] = ident[3, 0, 0] = 1.0
+    work = solver._Workspace(g)
+    for t in (0.0, 0.05, 1.3, 4.7, 8.9):
+        lam_u, dlam_u, lam_F, dlam_F = _MODULATION[case](t, nu)
+        Z = np.concatenate([lam_u * U, ident + lam_F * G])
+        N = solver._nonlinearity(work, half.to_samples(Z))
+        ref = np.concatenate([dlam_u * U - N[:2] + nu * half.k_sq * lam_u * U,
+                              dlam_F * G - N[2:]])
+        gu, gF = forcing.g_u(t), forcing.g_F(t)
+        got = np.stack([ensure_spectral(c)[:, :half.m] for c in
+                        (*gu.components, *(gF.entry(i, k) for k in range(2) for i in range(2)))])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_manufactured_forcing_needs_no_transform(monkeypatch):
+    g = GridSpec(32)
+    forcing = manufactured(g, 0.02, "broadband").forcing
+
+    def refuse(self, data):
+        raise AssertionError("the forcing ran a transform")
+
+    monkeypatch.setattr(HalfSpectrum, "to_samples", refuse)
+    monkeypatch.setattr(HalfSpectrum, "to_coeffs", refuse)
+    for t in (0.0, 0.3, 7.25):
+        assert np.all(np.isfinite(ensure_spectral(forcing.g_u(t).components[0])))
+        assert np.all(np.isfinite(ensure_spectral(forcing.g_F(t).entry(1, 0))))
 
 
 def test_manufactured_broadband_is_consistent_in_evolution():

@@ -461,6 +461,47 @@ def test_non_finite_forcing_ends_the_run_with_the_last_good_state(stage):
         assert np.array_equal(a, b)
 
 
+def test_forcing_is_evaluated_once_per_distinct_stage_time():
+    # RK4 asks at t, t + h, t + h and t + dt, and t + dt starts the next step
+    g = GridSpec(16)
+    prob = vspc.exact.manufactured(g, 0.02, "broadband")
+    seen = {"g_u": [], "g_F": []}
+
+    def counted(name, fn):
+        return lambda t: seen[name].append(t) or fn(t)
+
+    forcing = ForcingSpec(counted("g_u", prob.forcing.g_u), counted("g_F", prob.forcing.g_F))
+    cfg = SolverConfig(g, nu=0.02, t_end=0.0123, dt_max=2e-3, forcing=forcing)
+    res = simulate(cfg, prob.initial)
+    assert res.steps == 7
+    for times in seen.values():
+        assert len(times) == len(set(times)) == 2 * res.steps + 1
+
+
+def test_forced_runs_do_not_share_forcing_values():
+    # run b starts at the time run a ends on: a forcing value kept past the
+    # end of a run would be handed to the next one at that time
+    g, dt, t1 = GridSpec(16), 2.0 ** -7, 2.0 ** -5
+    a = vspc.exact.manufactured(g, 0.02, "broadband")
+    b = vspc.exact.manufactured(g, 0.02, "taylor-green")
+
+    def run_a():
+        cfg = SolverConfig(g, nu=0.02, t_end=t1, dt_max=dt, forcing=a.forcing)
+        return simulate(cfg, a.initial)
+
+    def run_b():
+        cfg = SolverConfig(g, nu=0.02, t_end=2 * dt, dt_max=dt, forcing=b.forcing)
+        return simulate(cfg, b.analytic(t1))
+
+    alone_b = run_b()
+    alone_a = run_a()
+    back_to_back = (run_a(), run_b())
+    assert back_to_back[0].final_state.t == t1
+    for res, ref in zip(back_to_back, (alone_a, alone_b)):
+        for x, y in zip(_channel_data(res.final_state), _channel_data(ref.final_state)):
+            assert np.array_equal(x, y)
+
+
 @pytest.mark.parametrize("dt_max, t_end", [(5e-3, 0.0123), (1.0, 0.15)])
 def test_simulate_equals_a_chain_of_steps(dt_max, t_end):
     # the first case truncates its last step, the second is CFL-limited on
