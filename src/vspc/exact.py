@@ -379,11 +379,10 @@ def manufactured(grid: GridSpec, nu: float, case: str = "broadband") -> Manufact
     ident = np.zeros((4, grid.n, grid.n), dtype=np.complex128)
     ident[0, 0, 0] = 1.0
     ident[3, 0, 0] = 1.0
-    half = grid.half
-    A, G, I = np.zeros((3, 6, half.n, half.m), dtype=np.complex128)
-    A[:2], G[2:], I[2:] = u_d[..., :half.m], G_d[..., :half.m], ident[..., :half.m]
     work = _solver._Workspace(grid)
-    N_AI, N_GI, N_AG = (_solver._nonlinearity(work, half.to_samples(Z))
+    A, G, I = np.zeros((3,) + work.K.shape, dtype=np.complex128)
+    A[:2], G[2:], I[2:] = (x[..., :grid.half.band] for x in (u_d, G_d, ident))
+    N_AI, N_GI, N_AG = (_solver._nonlinearity(work, work.samples(Z))
                         for Z in (A + I, G + I, A + G))
     U, N_A = A[:2].copy(), N_AI[:2].copy()
     N_G = N_AG[:2] - N_A
@@ -392,7 +391,7 @@ def manufactured(grid: GridSpec, nu: float, case: str = "broadband") -> Manufact
 
     def g_u(t):
         lu, lF = lam_u(t), lam_F(t)
-        g = (dlam_u(t) + lu * nu * half.k_sq) * U - lu * lu * N_A - lF * lF * N_G - lF * C_GI
+        g = (dlam_u(t) + lu * nu * work.k_sq) * U - lu * lu * N_A - lF * lF * N_G - lF * C_GI
         return _solver._vectors(grid, g)[0]
 
     def g_F(t):

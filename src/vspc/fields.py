@@ -159,7 +159,7 @@ class GridSpec:
         return k1, k2, np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
 
     def project(self, c1, c2):
-        """Leray projection v̂ − k(k·v̂)/|k|² of a full or half spectrum pair.
+        """Leray projection v̂ − k(k·v̂)/|k|² of a full, half or band spectrum pair.
 
         Uses Nyquist-zeroed wavenumbers (the Nyquist mode maps to itself under
         k → −k, so projecting it would break conjugate symmetry); those modes
@@ -176,15 +176,19 @@ class HalfSpectrum:
 
     A real field is fixed by them (f̂(−k) = conj f̂(k)), so the solver keeps
     its state here and rebuilds full spectra only for the public field types.
-    The multipliers are GridSpec's restricted to these columns; `weight`
-    counts each column's mirror image, so Σ weight·|ĉ|² over the half is
-    Σ |ĉ|² over the full lattice.  GridSpec.project takes half spectra too.
+    A dealiased field fills only the first `band` = n/3 + 1 columns; the
+    transforms and `full` take such a band too.  The transforms are irfft2
+    and rfft2 as their two 1D passes, so that the k₁ pass runs on the given
+    columns only and both can write into a caller's buffers.  The multipliers
+    are GridSpec's restricted to the half; `weight` counts each column's
+    mirror image, so Σ weight·|ĉ|² over the half is Σ |ĉ|² over the full
+    lattice.  GridSpec.project takes half spectra too.
     """
 
     def __init__(self, grid: GridSpec):
         n = grid.n
         m = n // 2 + 1
-        self.n, self.m = n, m
+        self.n, self.m, self.band = n, m, grid.dealias_limit + 1
         self.ik1 = grid.ik1
         self.ik2 = grid.ik2[:, :m]
         self.k_sq = grid.k_sq[:, :m]
@@ -194,20 +198,26 @@ class HalfSpectrum:
         self._mirror_rows = -np.arange(n) % n
         self._mirror_cols = -np.arange(m) % n
 
-    def to_samples(self, coeffs):
-        """Real samples of half spectra, batched over leading axes."""
-        return np.fft.irfft2(coeffs, s=(self.n, self.n), norm="forward")
+    def to_samples(self, coeffs, out=None, tmp=None):
+        """Real samples of half spectra or a band, batched; tmp takes the k₁ pass."""
+        tmp = np.fft.ifft(coeffs, axis=-2, norm="forward", out=tmp)
+        return np.fft.irfft(tmp, n=self.n, axis=-1, norm="forward", out=out)
 
-    def to_coeffs(self, samples):
-        """Half spectra of real samples, batched over leading axes."""
-        return np.fft.rfft2(samples, norm="forward")
+    def to_coeffs(self, samples, out=None, tmp=None):
+        """Half spectra of real samples, batched; into out, only its first columns."""
+        tmp = np.fft.rfft(samples, axis=-1, norm="forward", out=tmp)
+        cols = self.m if out is None else out.shape[-1]
+        return np.fft.fft(tmp[..., :cols], axis=-2, norm="forward", out=out)
 
     def full(self, coeffs):
-        """Full spectra rebuilt from half spectra: ĉ(k₁, −k₂) = conj ĉ(−k₁, k₂)."""
-        n, m = self.n, self.m
+        """Full spectra rebuilt from half spectra or a narrower band b:
+        ĉ(k₁, −k₂) = conj ĉ(−k₁, k₂), and the columns b … n − b are zero."""
+        n, b = self.n, coeffs.shape[-1]
+        mirrored = min(b - 1, n - b)        # n/2 − 1 of a half, b − 1 of a band
         out = np.empty(coeffs.shape[:-1] + (n,), dtype=np.complex128)
-        out[..., :m] = coeffs
-        np.conjugate(coeffs[..., self._mirror_rows, n - m:0:-1], out=out[..., m:])
+        out[..., :b] = coeffs
+        out[..., b:n - mirrored] = 0.0
+        np.conjugate(coeffs[..., self._mirror_rows, mirrored:0:-1], out=out[..., n - mirrored:])
         return out
 
 

@@ -17,12 +17,13 @@ the momentum term is Leray projected, which subtracts exactly its gradient
 part ∇p.  The F increments are curls, divergence-free by construction, so
 every increment preserves the constraints and no step re-projects the state.
 
-The solver state is the six channels' rfft2 half spectra, packed as one
-(6, n, n//2+1) array in the order u₁, u₂, F₁₁, F₂₁, F₁₂, F₂₂.  One right-hand
-side is one batched inverse real transform of the six channels and one
-batched forward real transform of the five products.  Full complex spectra
-are rebuilt only where a State is handed out: diagnostics records, observer
-calls and the result.
+The solver state is the six channels' spectra in the order u₁, u₂, F₁₁,
+F₂₁, F₁₂, F₂₂, packed as one (6, n, n//3+1) array: the k₂ = 0 … n/3 columns
+of the rfft2 half spectrum, the only ones the 2/3 rule leaves non-zero.  One
+right-hand side is one batched inverse real transform of the six channels
+and one batched forward real transform of the five products; their k₁
+passes run on the band alone.  Full complex spectra are rebuilt only where
+a State is handed out: diagnostics records, observer calls and the result.
 
 Time stepping is the classical RK4 scheme with an integrating factor
 e^{−ν|k|²t} on the velocity block (the deformation block has no diffusion and
@@ -33,9 +34,10 @@ read from the same samples as the step's first stage.
 Each run owns one private workspace: the momentum multipliers (mask,
 divergence and Leray projection in one map; the stress trace is a gradient,
 so only the normal-stress difference and the shear stress enter), the masked
-curl multipliers, the stage buffers and the integrating factor, recomputed
-only when dt changes.  The transforms normalize themselves (norm="forward"),
-so no pass rescales, masks or projects.
+curl multipliers, the stage buffers, the buffers the transforms write
+into, and the integrating factor, recomputed only when dt changes.
+The transforms normalize themselves (norm="forward"), so no pass rescales,
+masks or projects, and a stage allocates no transform temporaries.
 
 All quadratic terms are formed pointwise in physical space from 2/3-rule
 dealiased inputs; retained modes therefore carry no aliasing error, and the
@@ -147,10 +149,10 @@ class SolverConfig:
             _diag._require_finite(name, getattr(self, name), positive=False)
         for name in ("dt_max", "gradu_ceiling"):
             _diag._require_finite(name, getattr(self, name), positive=True)
-        if self.diagnostics_interval < 1:
-            raise ValueError("diagnostics_interval must be >= 1")
-        if self.snapshot_interval < 0:
-            raise ValueError("snapshot_interval must be >= 0")
+        for name, least in (("diagnostics_interval", 1), ("snapshot_interval", 0)):
+            value = getattr(self, name)     # bool is an int, and a float would run
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -179,13 +181,14 @@ def _channels(state: State):
 
 
 def _pack(state: State) -> np.ndarray:
-    """Dealiased half spectra of the six channels as one (6, n, n//2+1) block."""
+    """Dealiased spectra of the six channels as one (6, n, n//3+1) band block."""
     half = state.grid.half
-    return np.stack([ensure_spectral(f)[:, :half.m] for f in _channels(state)]) * half.mask
+    c = half.band
+    return np.stack([ensure_spectral(f)[:, :c] for f in _channels(state)]) * half.mask[:, :c]
 
 
 def _vectors(grid: GridSpec, Z):
-    """Spectral vector fields of the row pairs (0, 1), (2, 3), … of half spectra Z."""
+    """Spectral vector fields of the row pairs (0, 1), (2, 3), … of band or half spectra Z."""
     full = grid.half.full(Z)
     full.flags.writeable = False        # the fields share its planes, uncopied
     return [VectorField((_adopt_spectrum(grid, full[i]), _adopt_spectrum(grid, full[i + 1])))
@@ -193,7 +196,7 @@ def _vectors(grid: GridSpec, Z):
 
 
 def _fields(grid: GridSpec, Z):
-    """(u, F) as spectral field objects, from a packed block of half spectra."""
+    """(u, F) as spectral field objects, from a packed block."""
     u, col1, col2 = _vectors(grid, Z)   # the packed order pairs u and F's columns
     return u, TensorField.from_columns(col1, col2)
 
@@ -224,17 +227,38 @@ def state_sup_distance(a: State, b: State) -> float:
 # right-hand side
 
 class _Workspace:
-    """A run's buffers; M maps (S₀ − S₂, S₁) to momentum, `curl` a_k to column k, dealiased."""
+    """A run's multipliers and buffers on the (n, n//3+1) band.
+
+    M maps (S₀ − S₂, S₁) to momentum, `curl` a_k to column k, dealiased; K, Y
+    are the RK4 stage buffers.  The transforms write into P (samples), R (the
+    products' k₂ pass) and B (the inverse's k₁ pass, then the products' band
+    spectra).  Buffers that are never live at once share bytes, so across a
+    diagnostics record a run holds little more than K and Y.  Once B holds a
+    stage's k₁ pass, its input in Y is spent, and the last slope in K was
+    spent before the stage began: P and then R live in the bytes of K and Y.
+    The products Q live in B's bytes, between its two uses.
+    """
 
     def __init__(self, grid: GridSpec, nu: float = 0.0):
         half = self.half = grid.half
+        n, c = half.n, half.band
         self.grid, self.nu, self.dt = grid, nu, None
+        ik1, ik2, mask = half.ik1, half.ik2[:, :c], half.mask[:, :c]
+        self.k_sq = half.k_sq[:, :c]
         d = np.eye(2)[:, :, None, None]         # d[s, j]: S_s of unit input j; S₂'s is −S₀'s
-        self.M = np.stack(grid.project(half.ik1 * d[0] + half.ik2 * d[1],
-                                       half.ik1 * d[1])) * half.mask
-        self.curl = (half.ik2 * half.mask, -half.ik1 * half.mask)
-        self.K, self.Y = np.empty((2, 6, half.n, half.m), dtype=np.complex128)
+        self.M = np.stack(grid.project(ik1 * d[0] + ik2 * d[1], ik1 * d[1])) * mask
+        self.curl = (ik2 * mask, -ik1 * mask)
+        self.K, self.Y = KY = np.empty((2, 6, n, c), dtype=np.complex128)
+        self.P = KY.reshape(-1).view(np.float64)[:6 * n * n].reshape(6, n, n)
+        self.R = KY.reshape(-1)[:5 * n * half.m].reshape(5, n, half.m)
+        BQ = np.empty(max(12 * n * c, 5 * n * n))
+        self.B = BQ[:12 * n * c].view(np.complex128).reshape(6, n, c)
+        self.Q = BQ[:5 * n * n].reshape(5, n, n)
         self.forced = {}
+
+    def samples(self, Z):
+        """The samples of a packed block, in P."""
+        return self.half.to_samples(Z, out=self.P, tmp=self.B)
 
     def forcing_at(self, forcing: ForcingSpec, t):
         """_forcing_terms of a run's one forcing at t.  The last two t are kept:
@@ -250,19 +274,19 @@ def _nonlinearity(work: _Workspace, P, out=None):
     """Nonlinear part of ∂ₜZ from the six channels' samples P (6, n, n).
 
     Momentum: the Leray projection of ∇·(FFᵀ − u⊗u); deformation column k:
-    (∂₂a_k, −∂₁a_k) with a_k = u₁F₂ₖ − u₂F₁ₖ.  Writes dealiased half spectra
-    (6, n, n//2+1) into out, a fresh array when out is None; the five products
-    are formed in its bytes first.
+    (∂₂a_k, −∂₁a_k) with a_k = u₁F₂ₖ − u₂F₁ₖ.  Writes the dealiased band
+    (6, n, n//3+1) into out, a fresh array when out is None; the five products
+    and their spectra pass through the workspace's Q, R and B.
     """
     u1, u2, F11, F21, F12, F22 = P
-    N = np.empty((6, work.half.n, work.half.m), dtype=np.complex128) if out is None else out
-    Q = N.reshape(-1).view(np.float64)[:5 * u1.size].reshape((5,) + u1.shape)
+    N = np.empty_like(work.K) if out is None else out
+    Q = work.Q
     Q[0] = F11 * F11 + F12 * F12 - u1 * u1
     Q[1] = F11 * F21 + F12 * F22 - u1 * u2
     Q[2] = F21 * F21 + F22 * F22 - u2 * u2
     Q[3] = u1 * F21 - u2 * F11
     Q[4] = u1 * F22 - u2 * F12
-    S = work.half.to_coeffs(Q)                  # Q, in N's bytes, is spent now
+    S = work.half.to_coeffs(Q, out=work.B[:5], tmp=work.R)
     S[0] -= S[2]                                # a trace part is a gradient, which Leray drops
     for r, M in zip((_U1, _U2), work.M):
         N[r] = M[0] * S[0] + M[1] * S[1]
@@ -273,26 +297,28 @@ def _nonlinearity(work: _Workspace, P, out=None):
 
 
 def _forcing_terms(grid, forcing: ForcingSpec, t):
-    """Dealiased half-spectrum forcing (6, n, n//2+1); g_u is Leray projected.
+    """Dealiased band forcing (6, n, n//3+1); g_u is Leray projected.
 
     Either channel may be None, meaning no forcing on that block.
     """
     half = grid.half
-    g = np.zeros((6, half.n, half.m), dtype=np.complex128)
+    c = half.band
+    mask = half.mask[:, :c]
+    g = np.zeros((6, half.n, c), dtype=np.complex128)
     if forcing.g_u is not None:
-        g1, g2 = (ensure_spectral(c)[:, :half.m] * half.mask for c in forcing.g_u(t).components)
+        g1, g2 = (ensure_spectral(f)[:, :c] * mask for f in forcing.g_u(t).components)
         g[_U1], g[_U2] = grid.project(g1, g2)
     if forcing.g_F is not None:
-        g[2:] = [ensure_spectral(c)[:, :half.m] for col in forcing.g_F(t).columns
-                 for c in col.components]     # the packed order of F's entries
-        g[2:] *= half.mask
+        g[2:] = [ensure_spectral(f)[:, :c] for col in forcing.g_F(t).columns
+                 for f in col.components]     # the packed order of F's entries
+        g[2:] *= mask
     return g
 
 
 def _transport(work, Z, t, forcing, out=None, P=None):
     """dZ/dt without the viscous term, into out; P, the samples of Z, is reused when given."""
     if P is None:
-        P = work.half.to_samples(Z)
+        P = work.samples(Z)
     if not np.all(np.isfinite(P)):
         raise BlowupError(t, "non-finite field values")
     dZ = _nonlinearity(work, P, out)
@@ -304,9 +330,10 @@ def _transport(work, Z, t, forcing, out=None, P=None):
 def rhs(state: State, cfg: SolverConfig) -> StateDerivative:
     """Instantaneous time derivative of a state, including the viscous term."""
     grid = state.grid
+    work = _Workspace(grid)
     Z = _pack(state)
-    dZ = _transport(_Workspace(grid), Z, state.t, cfg.forcing)
-    dZ[:2] -= cfg.nu * grid.half.k_sq * Z[:2]
+    dZ = _transport(work, Z, state.t, cfg.forcing)
+    dZ[:2] -= cfg.nu * work.k_sq * Z[:2]
     return StateDerivative(*_fields(grid, dZ))
 
 
@@ -323,7 +350,7 @@ def _step_packed(work, Z, t, dt, forcing, P=None):
     k₃)) + dt/6·k₄ is summed as the slopes arrive in work.K.
     """
     if dt != work.dt:
-        work.dt, work.E = dt, np.exp(-work.nu * work.half.k_sq * (0.5 * dt))
+        work.dt, work.E = dt, np.exp(-work.nu * work.k_sq * (0.5 * dt))
     E, K, Y, h = work.E, work.K, work.Y, 0.5 * dt
     _transport(work, Z, t, forcing, K, P)
     Znew = K * (dt / 6.0) + Z
@@ -448,7 +475,7 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     steps = 0
     while t < t_end - 1e-12:
         state = None                    # frees its spectral block before the step
-        P = grid.half.to_samples(Z)     # the first RK4 stage's samples set the CFL step
+        P = work.samples(Z)             # the first RK4 stage's samples set the CFL step
         dt = min(_cfl_dt(grid, P, cfg), t_end - t)
         try:
             Z = _step_packed(work, Z, t, dt, cfg.forcing, P)
@@ -458,7 +485,6 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
             break
         t += dt
         steps += 1
-        P = None                        # frees the step's samples before a record
 
         at_end = t >= t_end - 1e-12
         if steps % cfg.diagnostics_interval == 0 or at_end:

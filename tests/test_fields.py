@@ -180,11 +180,12 @@ def _fft_uses(tree):
     """(enclosing class, name) for each `….fft` in a module: the attribute
     taken from it, or None when it is used bare; fft imports count too."""
     uses = []
+    is_fft = lambda node: isinstance(node, ast.Attribute) and node.attr == "fft"
 
     def visit(node, parent, cls):
         if isinstance(node, ast.ClassDef):
             cls = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "fft":
+        if is_fft(node) and not is_fft(node.value):     # np.fft.fft is one use, of fft
             taken = parent.attr if isinstance(parent, ast.Attribute) else None
             uses.append((cls, taken))
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -199,15 +200,53 @@ def _fft_uses(tree):
 
 
 def test_single_transform_layer():
-    # np.fft in the package is fftfreq, plus rfft2/irfft2 inside HalfSpectrum
+    # np.fft in the package is fftfreq, plus the 1D passes inside HalfSpectrum
     bad = []
     for path in sorted(Path(vspc.__file__).parent.glob("*.py")):
         for cls, name in _fft_uses(ast.parse(path.read_text())):
-            if name != "fftfreq" and not (cls == "HalfSpectrum" and name in ("rfft2", "irfft2")):
+            if name != "fftfreq" and not (cls == "HalfSpectrum"
+                                          and name in ("rfft", "irfft", "fft", "ifft")):
                 bad.append(f"{path.name}: {cls or 'module'} uses fft.{name}")
     assert not bad, bad
-    fake = "class A:\n    def f(self, x):\n        return np.fft.fft2(x) + numpy.fft.rfft2(x)\n"
-    assert _fft_uses(ast.parse(fake)) == [("A", "fft2"), ("A", "rfft2")]
+    fake = "class A:\n    def f(self, x):\n        return np.fft.fft2(x) + numpy.fft.fft(x)\n"
+    assert _fft_uses(ast.parse(fake)) == [("A", "fft2"), ("A", "fft")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 32, 64, 128]),
+       banded=st.booleans(), buffered=st.booleans())
+def test_half_spectrum_passes_equal_the_2d_real_transforms(seed, n, banded, buffered):
+    # bit for bit: the band is the half spectrum with its other columns zero
+    half = GridSpec(n).half
+    cols = half.band if banded else half.m
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((3, n, half.m), dtype=np.complex128)
+    coeffs[..., :cols] = rng.standard_normal((3, n, cols)) + 1j * rng.standard_normal((3, n, cols))
+    samples = rng.standard_normal((3, n, n))
+    buffers = {}
+    if buffered:
+        buffers = dict(out=np.empty((3, n, n)), tmp=np.empty((3, n, cols), dtype=np.complex128))
+    got = half.to_samples(coeffs[..., :cols], **buffers)
+    assert np.array_equal(got, np.fft.irfft2(coeffs, s=(n, n), norm="forward"))
+    if buffered:
+        assert got is buffers["out"]
+        buffers = dict(out=np.empty((3, n, cols), dtype=np.complex128),
+                       tmp=np.empty((3, n, half.m), dtype=np.complex128))
+    got = half.to_coeffs(samples, **buffers)
+    want = np.fft.rfft2(samples, norm="forward")
+    assert np.array_equal(got, want[..., :got.shape[-1]])
+    assert got.shape[-1] == (cols if buffered else half.m)
+    if buffered:
+        assert got is buffers["out"]
+
+
+def test_full_spectrum_of_a_band_is_that_of_its_half_spectrum():
+    g = GridSpec(32)
+    half = g.half
+    rng = np.random.default_rng(3)
+    c = g.to_coeffs(rng.standard_normal((2, 32, 32))) * g.dealias_mask
+    assert np.array_equal(half.full(c[..., :half.band]), half.full(c[..., :half.m]))
+    assert np.array_equal(half.full(c[..., :half.m]), c)
 
 
 def test_dealias_mask():

@@ -121,6 +121,25 @@ def test_config_rejects_non_finite_or_out_of_range(name, value):
         SolverConfig(g, **{"nu": 0.0, "t_end": 1.0, name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("diagnostics_interval", math.nan), ("diagnostics_interval", 2.5),
+    ("diagnostics_interval", 2.0), ("diagnostics_interval", True), ("diagnostics_interval", "3"),
+    ("snapshot_interval", math.inf), ("snapshot_interval", 1.5), ("snapshot_interval", False),
+    ("diagnostics_interval", 0), ("snapshot_interval", -1),
+])
+def test_config_rejects_intervals_that_are_not_counts(name, value):
+    # a float interval would run: nan records the end points only, 2.5 every
+    # fifth step, an infinite snapshot interval observes the ends only
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(GridSpec(16), nu=0.0, t_end=1.0, **{name: value})
+
+
+def test_config_accepts_numpy_integer_intervals():
+    cfg = SolverConfig(GridSpec(16), nu=0.0, t_end=1.0, diagnostics_interval=np.int64(3),
+                       snapshot_interval=np.int32(0))
+    assert cfg.diagnostics_interval == 3
+
+
 def test_config_accepts_zero_tolerances():
     SolverConfig(GridSpec(16), nu=0.0, t_end=1.0, energy_tolerance=0.0, lp_tolerance=0.0,
                  divergence_tolerance=0.0)
@@ -552,18 +571,21 @@ def test_back_to_back_runs_match_runs_made_alone(tmp_path):
 def test_precomposed_multipliers_match_projected_divergence_and_curl(seed, n):
     g = GridSpec(n)
     half = g.half
+    c = half.band
+    mask = half.mask[:, :c]
     rng = np.random.default_rng(seed)
-    Z = (rng.standard_normal((6, n, half.m)) + 1j * rng.standard_normal((6, n, half.m))) * half.mask
+    Z = (rng.standard_normal((6, n, c)) + 1j * rng.standard_normal((6, n, c))) * mask
     P = half.to_samples(Z)
     u1, u2, F11, F21, F12, F22 = P
     S = half.to_coeffs(np.stack([F11 * F11 + F12 * F12 - u1 * u1, F11 * F21 + F12 * F22 - u1 * u2,
                                  F21 * F21 + F22 * F22 - u2 * u2, u1 * F21 - u2 * F11,
-                                 u1 * F22 - u2 * F12])) * half.mask
-    ik1, ik2 = half.ik1, half.ik2
+                                 u1 * F22 - u2 * F12]))[..., :c] * mask
+    ik1, ik2 = half.ik1, half.ik2[:, :c]
     want = np.stack([*g.project(ik1 * S[0] + ik2 * S[1], ik1 * S[1] + ik2 * S[2]),
                      ik2 * S[3], -ik1 * S[3], ik2 * S[4], -ik1 * S[4]])
     work = solver._Workspace(g)
     got = solver._nonlinearity(work, P)
+    assert got.shape == (6, n, c)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     # without an out buffer the result is fresh: a later call leaves it alone
     kept = got.copy()
@@ -573,7 +595,8 @@ def test_precomposed_multipliers_match_projected_divergence_and_curl(seed, n):
 
 def test_one_step_allocates_little_beyond_its_workspace():
     # transient numpy allocation of one warm step, the returned state
-    # included, in units of the packed state's bytes
+    # included, in units of the packed band's bytes: the transforms write
+    # into the workspace
     g = GridSpec(32)
     cfg = SolverConfig(g, nu=0.01, t_end=1.0)
     work = solver._Workspace(g, cfg.nu)
@@ -586,4 +609,110 @@ def test_one_step_allocates_little_beyond_its_workspace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - base <= 4 * Z.nbytes
+    assert Z.shape == (6, 32, 32 // 3 + 1)
+    assert peak - base <= 2.5 * Z.nbytes
+
+
+def _workspaces(monkeypatch):
+    """Every _Workspace made from now on, in the list returned."""
+    made = []
+
+    class Recorded(solver._Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(solver, "_Workspace", Recorded)
+    return made
+
+
+def _shares_a_buffer(arrays, work):
+    buffers = [b for b in vars(work).values() if isinstance(b, np.ndarray)]
+    buffers += [*work.curl, *work.forced.values()]
+    return any(np.shares_memory(a, b) for a in arrays for b in buffers)
+
+
+def test_results_share_no_bytes_with_the_workspace(monkeypatch):
+    # the workspace's transform and stage buffers are rewritten every stage:
+    # nothing handed out may live in them
+    made = _workspaces(monkeypatch)
+    g = GridSpec(16)
+    prob = vspc.exact.manufactured(g, 0.02, "broadband")
+    cfg = SolverConfig(g, nu=0.02, t_end=0.02, dt_max=2e-3, forcing=prob.forcing,
+                       snapshot_interval=1)
+    seen = []
+    res = simulate(cfg, prob.initial,
+                   observer=lambda s: seen.append((s, [a.copy() for a in _channel_data(s)])))
+    run = made[-1]
+    assert len(seen) == res.steps + 1 == 11
+    for state, at_call in seen:
+        assert not _shares_a_buffer(_channel_data(state), run)
+        assert all(np.array_equal(a, b) for a, b in zip(_channel_data(state), at_call))
+    assert not _shares_a_buffer(_channel_data(res.final_state), run)
+    derivative = rhs(seen[0][0], cfg)
+    results = [c.data for v in (derivative.du, *derivative.dF.columns) for c in v.components]
+    assert not _shares_a_buffer(results, made[-1])
+    stepped = step(seen[0][0], 2e-3, cfg)
+    assert not _shares_a_buffer(_channel_data(stepped), made[-1])
+    results += _channel_data(stepped)
+    kept = [a.copy() for a in results]
+    step(stepped, 2e-3, cfg)
+    rhs(stepped, cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(results, kept))
+
+
+def _full_half_reference_step(g, nu, Z, t, dt, forcing):
+    """Integrating-factor RK4, unfused, on full (6, n, n//2+1) half spectra
+    through the 2D real transforms; forcing as _forcing_terms has it."""
+    half, n = g.half, g.n
+    ik1, ik2, mask = half.ik1, half.ik2, half.mask
+
+    def slope(Z, t):
+        u1, u2, F11, F21, F12, F22 = np.fft.irfft2(Z, s=(n, n), norm="forward")
+        S = np.fft.rfft2(np.stack([F11 * F11 + F12 * F12 - u1 * u1, F11 * F21 + F12 * F22 - u1 * u2,
+                                   F21 * F21 + F22 * F22 - u2 * u2, u1 * F21 - u2 * F11,
+                                   u1 * F22 - u2 * F12]), norm="forward")
+        N = np.stack([*g.project(ik1 * S[0] + ik2 * S[1], ik1 * S[1] + ik2 * S[2]),
+                      ik2 * S[3], -ik1 * S[3], ik2 * S[4], -ik1 * S[4]]) * mask
+        if forcing is not None:
+            gu = [ensure_spectral(f)[:, :half.m] * mask for f in forcing.g_u(t).components]
+            gF = [ensure_spectral(f)[:, :half.m] * mask for col in forcing.g_F(t).columns
+                  for f in col.components]
+            N += np.stack([*g.project(*gu), *gF])
+        return N
+
+    h = 0.5 * dt
+    E = np.ones((6, n, half.m))
+    E[:2] = np.exp(-nu * half.k_sq * h)
+    k1 = slope(Z, t)
+    k2 = slope(E * (Z + h * k1), t + h)
+    k3 = slope(E * Z + h * k2, t + h)
+    k4 = slope(E * (E * Z + dt * k3), t + dt)
+    return E * (E * (Z + dt / 6.0 * k1) + dt / 3.0 * k2 + dt / 3.0 * k3) + dt / 6.0 * k4
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("n", [64, 128])
+def test_band_steps_match_steps_on_full_half_spectra(n, forced):
+    # 25 steps on the (6, n, n//3+1) band against an unfused step on the
+    # full half spectrum: the dropped columns stay zero there
+    g, nu, dt = GridSpec(n), 0.02, 2e-3
+    if forced:
+        prob = vspc.exact.manufactured(g, nu, "broadband")
+        initial, forcing = prob.initial, prob.forcing
+    else:
+        initial, forcing = perturbed_identity_state(g, 0.2), None
+    work = solver._Workspace(g, nu)
+    Z = solver._pack(initial)
+    ref = np.stack([ensure_spectral(f)[:, :g.half.m] for f in solver._channels(initial)])
+    ref *= g.half.mask
+    t = 0.0
+    for _ in range(25):
+        Z = solver._step_packed(work, Z, t, dt, forcing)
+        ref = _full_half_reference_step(g, nu, ref, t, dt, forcing)
+        t += dt
+    assert Z.shape == (6, n, n // 3 + 1)
+    assert not np.any(ref[..., Z.shape[-1]:])
+    got = np.fft.irfft2(Z, s=(n, n), norm="forward")
+    want = np.fft.irfft2(ref, s=(n, n), norm="forward")
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
