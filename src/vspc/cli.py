@@ -154,10 +154,7 @@ def cmd_run(args) -> int:
 
     def observer(state):
         snap_dir.mkdir(parents=True, exist_ok=True)
-        fields = [state.u.components[0], state.u.components[1],
-                  state.F.entry(0, 0), state.F.entry(1, 0),
-                  state.F.entry(0, 1), state.F.entry(1, 1)]
-        write_snapshot(snap_dir / f"state_{counter[0]:06d}.vspc", state.t, fields)
+        write_snapshot(snap_dir / f"state_{counter[0]:06d}.vspc", state.t, state.channels)
         counter[0] += 1
 
     started = time.perf_counter()

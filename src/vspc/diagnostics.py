@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import TAU, ensure_spectral
+from .fields import TAU, _half_columns
 
 __all__ = [
     "DiagnosticsRecord", "DiagnosticsEngine", "CertificateReport", "BkmReport",
@@ -133,9 +133,8 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
     grid = state.grid
     half = grid.half
     # half spectra of u₁, u₂ and of F₁₁, F₂₁, F₁₂, F₂₂
-    halves = lambda fields: np.stack([ensure_spectral(f)[:, :half.m] for f in fields])
-    hu = halves(state.u.components)
-    hF = halves(state.F.entry(i, k) for k in range(2) for i in range(2))
+    C = _half_columns(state.channels, half.m)
+    hu, hF = C[:2], C[2:]
 
     # Sobolev norms from one power spectrum per block
     ksq = half.k_sq
@@ -186,7 +185,8 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
         hs2_int = prior.hs2_gradu_int + 0.5 * dt * (prior.h2s_gradu ** 2 + h2s_gradu ** 2)
         e0 = prior.e0
         if prior_state is not None:
-            l2_ut = norm(_power(half, hu - halves(prior_state.u.components)), 1.0) / dt
+            du = hu - _half_columns(prior_state.u.components, half.m)
+            l2_ut = norm(_power(half, du), 1.0) / dt
         else:
             l2_ut = 0.0
 

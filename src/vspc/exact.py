@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import GridSpec, TensorField, VectorField, TAU
+from .fields import GridSpec, TensorField, TAU
 from . import solver as _solver
 from .diagnostics import DiagnosticsRecord
 
@@ -297,7 +297,10 @@ def _taylor_green_shapes(grid):
     return u, G
 
 
-def _broadband_shapes(grid, band=24, decay=0.28, amp_u=0.05, amp_F=0.03):
+_BAND, _DECAY, _AMP_U, _AMP_F = 24, 0.28, 0.05, 0.03     # of the broadband stream functions
+
+
+def _broadband_shapes(grid):
     """Fixed random-phase trig polynomials with geometric spectral decay.
 
     The band intentionally exceeds the dealias limit of coarse grids so the
@@ -307,10 +310,10 @@ def _broadband_shapes(grid, band=24, decay=0.28, amp_u=0.05, amp_F=0.03):
     rng = np.random.default_rng(774236011)
 
     def stream_modes(amp):
-        ks = np.array([(k1, k2) for k1 in range(-band, band + 1)
-                       for k2 in range(-band, band + 1)
+        ks = np.array([(k1, k2) for k1 in range(-_BAND, _BAND + 1)
+                       for k2 in range(-_BAND, _BAND + 1)
                        if (k2 > 0) or (k2 == 0 and k1 > 0)])
-        weights = amp * decay ** (np.abs(ks[:, 0]) + np.abs(ks[:, 1]))
+        weights = amp * _DECAY ** (np.abs(ks[:, 0]) + np.abs(ks[:, 1]))
         phases = rng.uniform(0.0, TAU, size=len(ks))
         return ks, 0.5 * weights * np.exp(1j * phases)
 
@@ -327,9 +330,9 @@ def _broadband_shapes(grid, band=24, decay=0.28, amp_u=0.05, amp_F=0.03):
             np.add.at(out[1], (kk[:, 0] % n, kk[:, 1] % n), comp2)
         return out
 
-    u = fold_perp_grad(*stream_modes(amp_u))
-    G = np.concatenate([fold_perp_grad(*stream_modes(amp_F)),
-                        fold_perp_grad(*stream_modes(amp_F))])
+    u = fold_perp_grad(*stream_modes(_AMP_U))
+    G = np.concatenate([fold_perp_grad(*stream_modes(_AMP_F)),
+                        fold_perp_grad(*stream_modes(_AMP_F))])
     return u, G
 
 
@@ -338,13 +341,6 @@ def _project_block(grid, block):
     for i in range(0, block.shape[0], 2):
         out[i], out[i + 1] = grid.project(block[i], block[i + 1])
     return out
-
-
-def _spectral_state(grid, t, U, Fblock):
-    u = VectorField.from_spectra(grid, U[0], U[1])
-    col1 = VectorField.from_spectra(grid, Fblock[0], Fblock[1])
-    col2 = VectorField.from_spectra(grid, Fblock[2], Fblock[3])
-    return _solver.State(float(t), u, TensorField.from_columns(col1, col2))
 
 
 def manufactured(grid: GridSpec, nu: float, case: str = "broadband") -> Manufactured:
@@ -373,15 +369,17 @@ def manufactured(grid: GridSpec, nu: float, case: str = "broadband") -> Manufact
     else:
         raise ValueError(f"unknown manufactured case {case!r}")
 
-    mask = grid.dealias_mask
-    u_d = _project_block(grid, ushape * mask)
-    G_d = _project_block(grid, Gshape * mask)
-    ident = np.zeros((4, grid.n, grid.n), dtype=np.complex128)
+    ushape, Gshape = (x[..., :grid.half.m] for x in (ushape, Gshape))    # half spectra
+    u_d = _project_block(grid, ushape * grid.half.mask)
+    G_d = _project_block(grid, Gshape * grid.half.mask)
+    ident = np.zeros((4, grid.n, grid.half.m), dtype=np.complex128)
     ident[0, 0, 0] = 1.0
     ident[3, 0, 0] = 1.0
     work = _solver._Workspace(grid)
     A, G, I = np.zeros((3,) + work.K.shape, dtype=np.complex128)
     A[:2], G[2:], I[2:] = (x[..., :grid.half.band] for x in (u_d, G_d, ident))
+    initial = _solver._unpack(grid, 0.0, np.concatenate(
+        [lam_u(0.0) * A[:2], I[2:] + lam_F(0.0) * G[2:]]))
     N_AI, N_GI, N_AG = (_solver._nonlinearity(work, work.samples(Z))
                         for Z in (A + I, G + I, A + G))
     U, N_A = A[:2].copy(), N_AI[:2].copy()
@@ -400,7 +398,7 @@ def manufactured(grid: GridSpec, nu: float, case: str = "broadband") -> Manufact
             *_solver._vectors(grid, dlam_F(t) * G - lu * lF * C_AG - lu * C_AI))
 
     def analytic(t):
-        return _spectral_state(grid, t, lam_u(t) * ushape, ident + lam_F(t) * Gshape)
+        return _solver._unpack(grid, float(t), np.concatenate(
+            [lam_u(t) * ushape, ident + lam_F(t) * Gshape]))
 
-    initial = _spectral_state(grid, 0.0, lam_u(0.0) * u_d, ident + lam_F(0.0) * G_d)
     return Manufactured(initial, _solver.ForcingSpec(g_u, g_F), analytic)

@@ -364,6 +364,13 @@ def ensure_spectral(f: ScalarField) -> np.ndarray:
     return f.data if f.is_spectral else f.grid.to_coeffs(f.data)
 
 
+def _half_columns(fields, width) -> np.ndarray:
+    """ensure_spectral(f)[:, :width] of scalar fields f, stacked, with no full spectrum built:
+    spectral data is sliced and samples go through HalfSpectrum.to_coeffs."""
+    return np.stack([f.data[:, :width] if f.is_spectral
+                     else f.grid.half.to_coeffs(f.data)[:, :width] for f in fields])
+
+
 def ensure_physical(f: ScalarField) -> np.ndarray:
     """Sample array of f, transforming (checked) if needed."""
     return f.data if f.is_physical else f.grid.to_samples(f.data)

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .fields import TAU, GridSpec, TensorField, VectorField, ensure_spectral
+from .fields import TAU, GridSpec, TensorField, VectorField, _half_columns
 
 __all__ = [
     "ParticleSet", "AnalyticFlow", "SnapshotSampler", "MissingDataError",
@@ -112,7 +112,7 @@ class AnalyticFlow:
 # point evaluation of spectral fields
 
 def _half_band(grid: GridSpec, coeffs):
-    """Half-band blocks (…, 2b+1, b+1), b = n//3, of full spectra (…, n, n).
+    """Half-band blocks (…, 2b+1, b+1), b = n//3, of spectra (…, n, ≥ b+1).
 
     Rows hold k₁ = 0…b, −b…−1 and columns k₂ = 0…b: the k₂ ≥ 0 half of the
     dealiased band.  Columns with k₂ > 0 are doubled to stand in for their
@@ -209,15 +209,13 @@ class SnapshotSampler:
             raise ValueError(f"snapshot time must be finite, got {t}")
         if self.times and t <= self.times[-1] + _TIME_EPS:
             raise ValueError("snapshots must be added with strictly increasing times")
-        c = np.stack([ensure_spectral(comp) for comp in u.components])
+        half = self.grid.half
         if self.method == "spectral":
-            self._data.append(_half_band(self.grid, c))
+            self._data.append(_half_band(self.grid, _half_columns(u.components, half.band)))
         else:
-            half = self.grid.half
-            c = c[..., :half.m] * half.mask
-            ik1, ik2 = half.ik1, half.ik2
+            c = _half_columns(u.components, half.m) * half.mask
             self._data.append(_spline_planes(self.grid, np.stack(
-                [c[0], c[1], ik1 * c[0], ik2 * c[0], ik1 * c[1], ik2 * c[1]])))
+                [*c, *(d * ci for ci in c for d in (half.ik1, half.ik2))])))
         self.times.append(t)
 
     def _blend(self, t):
@@ -282,12 +280,12 @@ def evolve_jacobian(particles: ParticleSet, sampler, dt: float) -> ParticleSet:
 def tensor_sampler(F: TensorField, method: str = "spectral"):
     """Point-evaluator for a tensor field: pts (N,2) → (N,2,2)."""
     grid = F.grid
-    coeffs = np.stack([ensure_spectral(F.entry(i, k)) for i in range(2) for k in range(2)])
+    coeffs = _half_columns([F.entry(i, k) for i in range(2) for k in range(2)], grid.half.m)
     if method == "spectral":
         block = _half_band(grid, coeffs)
         evaluate = lambda pts: _synthesize(block, pts)[0]
     elif method == "bicubic":
-        planes = _spline_planes(grid, coeffs[..., :grid.half.m] * grid.half.mask)
+        planes = _spline_planes(grid, coeffs * grid.half.mask)
         evaluate = lambda pts: _interpolate(grid, planes, pts)
     else:
         raise ValueError(f"unknown sampling method {method!r}")

@@ -26,6 +26,7 @@ from .fields import (
     TensorField,
     VectorField,
     ensure_spectral,
+    _half_columns,
 )
 
 __all__ = [
@@ -132,8 +133,7 @@ def pressure_gradient(u: VectorField, F) -> VectorField:
     to 1e-8; the result is always a mean-zero gradient field.
     """
     grid = u.grid
-    for name, vec in (("u", u), ("F column 1", F.columns[0]), ("F column 2", F.columns[1])):
-        drift = _div_max(vec)
+    for name, drift in zip(("u", "F column 1", "F column 2"), _div_max([u, *F.columns])):
         if drift > 1e-8:
             warnings.warn(f"{name} has divergence sup-norm {drift:.3e} > 1e-8", ConstraintWarning)
     adv = convective_term(u, u)
@@ -150,10 +150,11 @@ def pressure_gradient(u: VectorField, F) -> VectorField:
                         _wrap_like(u.components[1], n2 - p2)))
 
 
-def _div_max(v: VectorField) -> float:
-    grid = v.grid
-    c = grid.ik1 * ensure_spectral(v.components[0]) + grid.ik2 * ensure_spectral(v.components[1])
-    return float(np.max(np.abs(grid.to_samples(c))))
+def _div_max(vectors) -> np.ndarray:
+    """Grid sup-norms of ∇·v, one per vector field v, from half spectra."""
+    half = vectors[0].grid.half
+    C = _half_columns([c for v in vectors for c in v.components], half.m)
+    return np.max(np.abs(half.to_samples(half.ik1 * C[0::2] + half.ik2 * C[1::2])), axis=(1, 2))
 
 
 def lambda_s(f: ScalarField, s) -> ScalarField:
@@ -186,7 +187,7 @@ def sobolev_norm(f: ScalarField, s) -> float:
 # For band-limited f, g the commutator Λˢ(fg) − fΛˢg is evaluated exactly on a
 # padded 2n grid (products of n/3-band inputs stay below the padded Nyquist),
 # and compared against ‖∇f‖_∞‖Λ^{s−1}g‖₂ + ‖Λˢf‖₂‖g‖_∞.  The bands are copied
-# into the 2n half spectrum, so all of it runs on real transforms.
+# into a band of the 2n half spectrum, so all of it runs on real transforms.
 
 @dataclass(frozen=True)
 class CommutatorReport:
@@ -199,8 +200,8 @@ class CommutatorReport:
 
 
 def _l2(half, coeffs):
-    """L² norm on the torus of a half spectrum (Parseval, mirror columns counted)."""
-    return float(TAU * np.sqrt(np.sum(half.weight * np.abs(coeffs) ** 2)))
+    """L² norm on the torus of a half spectrum or band (Parseval, mirror columns counted)."""
+    return float(TAU * np.sqrt(np.sum(half.weight[:, :coeffs.shape[-1]] * np.abs(coeffs) ** 2)))
 
 
 def _require_band_limited(grid, coeffs, what):
@@ -214,11 +215,11 @@ def _require_band_limited(grid, coeffs, what):
 
 @lru_cache(maxsize=8)
 def _padded_layer(n, s):
-    """The 2n half-spectrum layer with |k|ˢ and |k|ˢ⁻¹ on it; shared per (n, s), so read-only."""
+    """The 2n half layer, |k|ˢ on it and on the n/3 band, |k|ˢ⁻¹ on the band; read-only."""
     big = GridSpec(2 * n).half
-    lam, lam_low = _k_power(big.k_sq, s), _k_power(big.k_sq, s - 1.0)
+    lam, lam_low = _k_power(big.k_sq, s), _k_power(big.k_sq[:, :n // 3 + 1], s - 1.0)
     lam.flags.writeable = lam_low.flags.writeable = False
-    return big, lam, lam_low
+    return big, lam, lam[:, :n // 3 + 1], lam_low
 
 
 def commutator_check(s, f: ScalarField, g: ScalarField) -> CommutatorReport:
@@ -237,18 +238,18 @@ def commutator_check(s, f: ScalarField, g: ScalarField) -> CommutatorReport:
     both = np.stack([cf, cg])
     grid.to_samples(both)                       # rejects spectra of non-real fields
 
-    big, lam, lam_low = _padded_layer(grid.n, order.s)
+    big, lam, lam_b, lam_low = _padded_layer(grid.n, order.s)
     b = grid.dealias_limit
     rows = np.r_[0:b + 1, -b:0]                 # k₁ = 0 … b, −b … −1 on either grid
-    pad = np.zeros((2, big.n, big.m), dtype=np.complex128)
-    pad[:, rows, :b + 1] = both[:, rows, :b + 1]
+    pad = np.zeros((2, big.n, b + 1), dtype=np.complex128)
+    pad[:, rows] = both[:, rows, :b + 1]
     pf, pg = pad
     fs, gs, lam_gs, d1f, d2f = big.to_samples(
-        np.stack([pf, pg, lam * pg, big.ik1 * pf, big.ik2 * pf]))
+        np.stack([pf, pg, lam_b * pg, big.ik1 * pf, big.ik2[:, :b + 1] * pf]))
     prod = big.to_coeffs(np.stack([fs * gs, fs * lam_gs]))
     lhs = _l2(big, lam * prod[0] - prod[1])
     rhs = (float(np.max(np.hypot(d1f, d2f))) * _l2(big, lam_low * pg)
-           + _l2(big, lam * pf) * float(np.max(np.abs(gs))))
+           + _l2(big, lam_b * pf) * float(np.max(np.abs(gs))))
 
     if rhs == 0.0:
         if lhs > 1e-10:

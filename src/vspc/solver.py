@@ -17,8 +17,8 @@ the momentum term is Leray projected, which subtracts exactly its gradient
 part ∇p.  The F increments are curls, divergence-free by construction, so
 every increment preserves the constraints and no step re-projects the state.
 
-The solver state is the six channels' spectra in the order u₁, u₂, F₁₁,
-F₂₁, F₁₂, F₂₂, packed as one (6, n, n//3+1) array: the k₂ = 0 … n/3 columns
+The solver state is the spectra of the six channels of State.channels, in
+that order, packed as one (6, n, n//3+1) array: the k₂ = 0 … n/3 columns
 of the rfft2 half spectrum, the only ones the 2/3 rule leaves non-zero.  One
 right-hand side is one batched inverse real transform of the six channels
 and one batched forward real transform of the five products; their k₁
@@ -58,10 +58,12 @@ from .fields import (
     TensorField,
     VectorField,
     ensure_physical,
-    ensure_spectral,
     _adopt_spectrum,
+    _half_columns,
+    _scalar_parts,
 )
 from . import diagnostics as _diag
+from .operators import _div_max
 
 __all__ = [
     "State", "StateDerivative", "ForcingSpec", "SolverConfig", "RunResult",
@@ -70,7 +72,7 @@ __all__ = [
     "state_from_arrays", "divergence_drift",
 ]
 
-# packed spectral layout: channel order u₁, u₂, F₁₁, F₂₁, F₁₂, F₂₂
+# rows of the packed layout, in State.channels order
 _U1, _U2, _F11, _F21, _F12, _F22 = range(6)
 _COLS = ((_F11, _F21), (_F12, _F22))
 
@@ -101,6 +103,11 @@ class State:
     @property
     def grid(self):
         return self.u.grid
+
+    @property
+    def channels(self):
+        """The six scalar fields in packed and snapshot order u₁, u₂, F₁₁, F₂₁, F₁₂, F₂₂."""
+        return _scalar_parts(self.u) + _scalar_parts(self.F)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,17 +181,10 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # packing helpers
 
-def _channels(state: State):
-    """The six scalar fields of a state in packed channel order."""
-    return (state.u.components[0], state.u.components[1],
-            state.F.entry(0, 0), state.F.entry(1, 0), state.F.entry(0, 1), state.F.entry(1, 1))
-
-
 def _pack(state: State) -> np.ndarray:
     """Dealiased spectra of the six channels as one (6, n, n//3+1) band block."""
     half = state.grid.half
-    c = half.band
-    return np.stack([ensure_spectral(f)[:, :c] for f in _channels(state)]) * half.mask[:, :c]
+    return _half_columns(state.channels, half.band) * half.mask[:, :half.band]
 
 
 def _vectors(grid: GridSpec, Z):
@@ -218,7 +218,7 @@ def state_sup_distance(a: State, b: State) -> float:
     if a.grid != b.grid:
         raise ValueError("states live on different grids")
     dist = 0.0
-    for fa, fb in zip(_channels(a), _channels(b)):
+    for fa, fb in zip(a.channels, b.channels):
         dist = max(dist, float(np.max(np.abs(ensure_physical(fa) - ensure_physical(fb)))))
     return dist
 
@@ -306,12 +306,9 @@ def _forcing_terms(grid, forcing: ForcingSpec, t):
     mask = half.mask[:, :c]
     g = np.zeros((6, half.n, c), dtype=np.complex128)
     if forcing.g_u is not None:
-        g1, g2 = (ensure_spectral(f)[:, :c] * mask for f in forcing.g_u(t).components)
-        g[_U1], g[_U2] = grid.project(g1, g2)
+        g[_U1], g[_U2] = grid.project(*_half_columns(forcing.g_u(t).components, c) * mask)
     if forcing.g_F is not None:
-        g[2:] = [ensure_spectral(f)[:, :c] for col in forcing.g_F(t).columns
-                 for f in col.components]     # the packed order of F's entries
-        g[2:] *= mask
+        np.multiply(_half_columns(_scalar_parts(forcing.g_F(t)), c), mask, out=g[2:])
     return g
 
 
@@ -404,11 +401,7 @@ def adaptive_dt(state: State, cfg: SolverConfig) -> float:
 
 def divergence_drift(state: State):
     """Sup-norm divergence of u and the worst F column (constraint monitors)."""
-    half = state.grid.half
-    C = [ensure_spectral(f)[:, :half.m] for f in _channels(state)]
-    div = half.to_samples(np.stack([half.ik1 * C[ci] + half.ik2 * C[cj]
-                                    for ci, cj in ((_U1, _U2),) + _COLS]))
-    sup = np.max(np.abs(div), axis=(1, 2))
+    sup = _div_max([state.u, *state.F.columns])
     return float(sup[0]), float(max(sup[1], sup[2]))
 
 
@@ -416,9 +409,9 @@ def _validate_initial(state: State, cfg: SolverConfig):
     if state.grid != cfg.grid:
         raise ValueError(f"initial state grid n={state.grid.n} does not match "
                          f"config grid n={cfg.grid.n}")
-    if not all(np.all(np.isfinite(f.data)) for f in _channels(state)):
+    if not all(np.all(np.isfinite(f.data)) for f in state.channels):
         raise ValueError("initial state contains non-finite values")
-    spectral = [f.data for f in _channels(state) if f.is_spectral]
+    spectral = [f.data for f in state.channels if f.is_spectral]
     if spectral:
         try:
             state.grid.to_samples(np.stack(spectral))
@@ -464,8 +457,6 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     engine = _diag.DiagnosticsEngine(nu=cfg.nu)
     state = _unpack(grid, t, Z)     # State of (t, Z), or None until one is needed
     records = [engine.observe(state)]
-    max_du = records[0].div_drift_u
-    max_dF = records[0].div_drift_F
     if observing:
         observer(state)
 
@@ -474,7 +465,7 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     violated = None
     steps = 0
     while t < t_end - 1e-12:
-        state = None                    # frees its spectral block before the step
+        state = None                    # frees an observed State unless the engine holds it
         P = work.samples(Z)             # the first RK4 stage's samples set the CFL step
         dt = min(_cfl_dt(grid, P, cfg), t_end - t)
         try:
@@ -491,8 +482,6 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
             state = _unpack(grid, t, Z)
             record = engine.observe(state)
             records.append(record)
-            max_du = max(max_du, record.div_drift_u)
-            max_dF = max(max_dF, record.div_drift_F)
             if record.linf_gradu > cfg.gradu_ceiling:
                 termination = "blowup-detected"
                 blowup_time = t
@@ -512,8 +501,8 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
         records=records,
         termination=termination,
         steps=steps,
-        max_div_drift_u=max_du,
-        max_div_drift_F=max_dF,
+        max_div_drift_u=max(r.div_drift_u for r in records),
+        max_div_drift_F=max(r.div_drift_F for r in records),
         blowup_time=blowup_time,
         violated_certificate=violated,
     )

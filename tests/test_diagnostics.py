@@ -218,6 +218,13 @@ def test_relative_difference():
     assert math.isclose(relative_difference(-3.0, 3.0), 2.0)
 
 
+def test_curl_report_of_taylor_green_with_identity_deformation():
+    # ∇×u = 2 sin x₁ sin x₂ peaks at the grid point (π/2, π/2); F = I has curl-free columns
+    curl_u, curl_F = vspc.curl_report(vspc.taylor_green_state(GridSpec(32)))
+    assert math.isclose(curl_u, 2.0, rel_tol=1e-13)
+    assert curl_F <= 1e-14
+
+
 def test_divergence_drift_fields_populated(run64_viscous):
     recs = run64_viscous.records
     assert all(r.div_drift_u < 1e-12 for r in recs)

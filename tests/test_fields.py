@@ -12,7 +12,7 @@ import vspc
 from vspc.fields import (
     TAU, GridSpec, ScalarField, VectorField, TensorField, ConjugateSymmetryError,
     to_spectral, to_physical, ensure_spectral, ensure_physical, dealias,
-    pointwise_product, l2_norm, max_abs, write_snapshot, read_snapshot,
+    pointwise_product, l2_norm, max_abs, write_snapshot, read_snapshot, _half_columns,
 )
 
 
@@ -210,6 +210,43 @@ def test_single_transform_layer():
     assert not bad, bad
     fake = "class A:\n    def f(self, x):\n        return np.fft.fft2(x) + numpy.fft.fft(x)\n"
     assert _fft_uses(ast.parse(fake)) == [("A", "fft2"), ("A", "fft")]
+
+
+def _calls_of(tree, name):
+    """Calls of `name`, bare or as an attribute, in a module."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_one_owner_of_the_channel_layout():
+    # full spectra are built only by the field and operator layers; every
+    # other module reads half spectra through fields._half_columns, and the
+    # six-channel order has one owner, State.channels
+    callers = {path.name for path in Path(vspc.__file__).parent.glob("*.py")
+               if _calls_of(ast.parse(path.read_text()), "ensure_spectral")}
+    assert callers <= {"fields.py", "operators.py"}, callers
+    fake = "import vspc\nc = vspc.fields.ensure_spectral(f)[:, :3]\nd = ensure_spectral(g)\n"
+    assert len(_calls_of(ast.parse(fake), "ensure_spectral")) == 2
+    assert not hasattr(vspc.solver, "_channels")
+    assert not hasattr(vspc.exact, "_spectral_state")
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 32, 64, 128]),
+       banded=st.booleans())
+def test_half_reader_is_ensure_spectral_cut_to_its_width(seed, n, banded):
+    # bit for bit, for sampled and spectral fields mixed in one call
+    g = GridSpec(n)
+    width = g.half.band if banded else g.half.m
+    rng = np.random.default_rng(seed)
+    sampled = ScalarField.from_samples(g, rng.standard_normal((n, n)))
+    spectral = ScalarField.from_spectrum(
+        g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    fields = [sampled, spectral, to_spectral(sampled)]
+    got = _half_columns(fields, width)
+    assert got.shape == (3, n, width)
+    for f, plane in zip(fields, got):
+        assert np.array_equal(plane, ensure_spectral(f)[:, :width])
 
 
 @settings(max_examples=25, deadline=None)

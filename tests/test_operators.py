@@ -128,6 +128,25 @@ def test_pressure_gradient_warns_on_divergent_velocity():
         pressure_gradient(bad, TensorField.identity(g))
 
 
+def test_pressure_gradient_warns_on_a_divergent_deformation_column():
+    g = GridSpec(32)
+    x1, _ = g.mesh()
+    zero = np.zeros_like(x1)
+    F = TensorField.from_columns(VectorField.from_samples(g, 1.0 + zero, zero),
+                                 VectorField.from_samples(g, np.sin(x1), 1.0 + zero))
+    with pytest.warns(ConstraintWarning, match="F column 2 has divergence sup-norm 1.000e"):
+        pressure_gradient(vspc.taylor_green_state(g).u, F)
+
+
+def test_pressure_gradient_rejects_spectra_of_non_real_fields():
+    g = GridSpec(32)
+    c1, c2 = np.zeros((2, 32, 32), dtype=complex)
+    c1[1, 2], c2[1, 2] = 2.0, -1.0      # k·ĉ = 0, and no mirror partner at (−1, −2)
+    u = VectorField.from_spectra(g, c1, c2)
+    with pytest.raises(vspc.ConjugateSymmetryError):
+        pressure_gradient(u, TensorField.identity(g))
+
+
 def test_sobolev_order_validation():
     SobolevOrder(0.0)
     SobolevOrder(2.5)

@@ -33,6 +33,28 @@ def test_state_requires_matching_grids():
         State(0.0, u, F)
 
 
+def test_state_channels_are_the_packed_and_snapshot_order():
+    st = perturbed_identity_state(GridSpec(16))
+    u, F = st.u, st.F
+    want = (u.components[0], u.components[1],
+            F.entry(0, 0), F.entry(1, 0), F.entry(0, 1), F.entry(1, 1))
+    assert len(st.channels) == 6
+    assert all(a is b for a, b in zip(st.channels, want))
+    half = st.grid.half
+    for row, f in zip(solver._pack(st), want):
+        assert np.array_equal(row, ensure_spectral(f)[:, :half.band] * half.mask[:, :half.band])
+
+
+def test_divergence_drift_matches_the_divergence_operator():
+    g = GridSpec(32)
+    x1, x2 = g.mesh()
+    col = VectorField.from_samples(g, np.sin(x1), 0.5 * np.cos(x2))   # ∇·col = cos x₁ − ½ sin x₂
+    st = State(0.0, taylor_green_state(g).u, TensorField.from_columns(col, col))
+    du, dF = divergence_drift(st)
+    assert du <= 1e-14
+    assert math.isclose(dF, vspc.max_abs(vspc.divergence(col)), rel_tol=1e-13)
+
+
 def test_initial_states_satisfy_constraints():
     g = GridSpec(64)
     for st in (taylor_green_state(g), steady_identity_state(g),
@@ -193,6 +215,8 @@ def test_gradient_forcing_of_F_shows_as_divergence_drift():
     assert res.termination == "completed"
     assert math.isclose(res.max_div_drift_F, 0.05, rel_tol=1e-12)
     assert res.max_div_drift_u < 1e-14
+    assert res.max_div_drift_F == max(r.div_drift_F for r in res.records)
+    assert res.max_div_drift_u == max(r.div_drift_u for r in res.records)
     bundle = vspc.diagnostics.certificate_bundle(res.records, forced=True)
     div = [c for c in bundle["certificates"] if c["name"] == "divergence-constraint"]
     assert not div[0]["satisfied"]
@@ -536,7 +560,7 @@ def test_simulate_equals_a_chain_of_steps(dt_max, t_end):
     chained = initial
     for dt in dts:
         chained = step(chained, dt, cfg)
-    scale = max(float(np.max(np.abs(ensure_physical(c)))) for c in solver._channels(chained))
+    scale = max(float(np.max(np.abs(ensure_physical(c)))) for c in chained.channels)
     assert state_sup_distance(res.final_state, chained) <= 1e-14 * scale
 
 
@@ -704,7 +728,7 @@ def test_band_steps_match_steps_on_full_half_spectra(n, forced):
         initial, forcing = perturbed_identity_state(g, 0.2), None
     work = solver._Workspace(g, nu)
     Z = solver._pack(initial)
-    ref = np.stack([ensure_spectral(f)[:, :g.half.m] for f in solver._channels(initial)])
+    ref = np.stack([ensure_spectral(f)[:, :g.half.m] for f in initial.channels])
     ref *= g.half.mask
     t = 0.0
     for _ in range(25):
