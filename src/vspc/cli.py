@@ -68,21 +68,20 @@ def parse_run_config(path) -> RunConfig:
     if not loaded:
         raise UsageError(f"cannot read config file {path}")
 
-    def need(section, key, getter="get"):
-        if not cp.has_option(section, key):
-            raise UsageError(f"config is missing [{section}] {key}")
+    def value(section, key, getter="get"):
         try:
             return getattr(cp, getter)(section, key)
         except ValueError as exc:
             raise UsageError(f"bad value for [{section}] {key}: {exc}") from None
 
-    def opt(section, key, default, getter="get"):
+    def need(section, key, getter="get"):
         if not cp.has_option(section, key):
-            return default
-        try:
-            return getattr(cp, getter)(section, key)
-        except ValueError as exc:
-            raise UsageError(f"bad value for [{section}] {key}: {exc}") from None
+            raise UsageError(f"config is missing [{section}] {key}")
+        return value(section, key, getter)
+
+    def given(section, getter, *keys):
+        """{key: value} of the keys the INI sets, so that unset keys keep their owner's default."""
+        return {key: value(section, key, getter) for key in keys if cp.has_option(section, key)}
 
     try:
         grid = GridSpec(need("grid", "n", "getint"))
@@ -92,7 +91,7 @@ def parse_run_config(path) -> RunConfig:
     nu = need("solver", "nu", "getfloat")
     t_end = need("solver", "t_end", "getfloat")
 
-    kind = opt("initial", "kind", "taylor-green")
+    kind = cp.get("initial", "kind", fallback="taylor-green")
     if kind not in _INITIAL_KINDS:
         raise UsageError(f"unknown initial kind {kind!r}; choose from {_INITIAL_KINDS}")
     forcing = None
@@ -101,17 +100,16 @@ def parse_run_config(path) -> RunConfig:
     elif kind == "steady-identity":
         initial = steady_identity_state(grid)
     elif kind == "perturbed-identity":
-        initial = perturbed_identity_state(grid, opt("initial", "amplitude", 0.1, "getfloat"))
+        initial = perturbed_identity_state(grid, **given("initial", "getfloat", "amplitude"))
     elif kind == "manufactured":
-        case = opt("initial", "case", "broadband")
         try:
-            problem = exact.manufactured(grid, nu, case)
+            problem = exact.manufactured(grid, nu, **given("initial", "get", "case"))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         initial = problem.initial
         forcing = problem.forcing
     else:
-        snap = opt("initial", "path", None)
+        snap = cp.get("initial", "path", fallback=None)
         if snap is None:
             raise UsageError("initial kind from-snapshot needs [initial] path")
         try:
@@ -124,32 +122,33 @@ def parse_run_config(path) -> RunConfig:
 
     try:
         solver_cfg = SolverConfig(
-            grid=grid,
-            nu=nu,
-            t_end=t_end,
-            cfl=opt("solver", "cfl", 0.4, "getfloat"),
-            dt_max=opt("solver", "dt_max", 5e-3, "getfloat"),
-            forcing=forcing,
-            snapshot_interval=opt("output", "snapshot_interval", 0, "getint"),
-            diagnostics_interval=opt("output", "diagnostics_interval", 1, "getint"),
-            gradu_ceiling=opt("certificates", "gradu_ceiling", 1e6, "getfloat"),
-            strict=opt("certificates", "strict", False, "getboolean"),
-            energy_tolerance=opt("certificates", "energy_tolerance", 1e-5, "getfloat"),
-            lp_tolerance=opt("certificates", "lp_tolerance", 1e-7, "getfloat"),
-            divergence_tolerance=opt("certificates", "divergence_tolerance", 1e-8, "getfloat"),
+            grid=grid, nu=nu, t_end=t_end, forcing=forcing,
+            **given("solver", "getfloat", "cfl", "dt_max"),
+            **given("output", "getint", "snapshot_interval", "diagnostics_interval"),
+            **given("certificates", "getfloat", "gradu_ceiling", "energy_tolerance",
+                    "lp_tolerance", "divergence_tolerance"),
+            **given("certificates", "getboolean", "strict"),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    out_dir = Path(opt("output", "dir", "vspc-run"))
+    out_dir = Path(cp.get("output", "dir", fallback="vspc-run"))
     echo = {section: dict(cp.items(section)) for section in cp.sections()}
     return RunConfig(solver_cfg, initial, out_dir, kind, echo)
+
+
+def _check_dir(path: Path):
+    """Raise UsageError unless path is a directory or mkdir(parents=True) can make it one."""
+    found = next(p for p in (path, *path.parents) if p.exists())   # "." and "/" exist
+    if not found.is_dir():
+        raise UsageError(f"output path {path}: {found} exists and is not a directory")
 
 
 def cmd_run(args) -> int:
     cfg = parse_run_config(args.config)
     out = cfg.out_dir           # created once simulate has accepted the initial state
     snap_dir = out / "snapshots"
+    _check_dir(snap_dir if cfg.solver.snapshot_interval > 0 else out)
     counter = [0]
 
     def observer(state):
@@ -166,13 +165,8 @@ def cmd_run(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     write_records_csv(out / "diagnostics.csv", result.records)
-    bundle = certificate_bundle(
-        result.records,
-        forced=cfg.solver.forcing is not None,
-        energy_tolerance=cfg.solver.energy_tolerance,
-        lp_tolerance=cfg.solver.lp_tolerance,
-        divergence_tolerance=cfg.solver.divergence_tolerance,
-    )
+    bundle = certificate_bundle(result.records, cfg.solver.forcing is not None,
+                                **{name: getattr(cfg.solver, name) for name in _TOLERANCES})
     (out / "certificates.json").write_text(json.dumps(bundle, indent=2) + "\n")
     metadata = {
         "version": __version__,
@@ -364,6 +358,9 @@ def _spatial_convergence() -> int:
 # ---------------------------------------------------------------------------
 # criterion-report
 
+_TOLERANCES = ("energy_tolerance", "lp_tolerance", "divergence_tolerance")
+
+
 def cmd_criterion_report(args) -> int:
     try:
         records = read_records_csv(args.csv)
@@ -371,14 +368,10 @@ def cmd_criterion_report(args) -> int:
         raise UsageError(f"cannot read diagnostics CSV: {exc}") from None
     if not records:
         raise UsageError("diagnostics CSV holds an empty history")
+    tolerances = {name: getattr(args, name) for name in _TOLERANCES
+                  if getattr(args, name) is not None}
     try:
-        bundle = certificate_bundle(
-            records,
-            forced=args.forced,
-            energy_tolerance=args.energy_tolerance,
-            lp_tolerance=args.lp_tolerance,
-            divergence_tolerance=args.divergence_tolerance,
-        )
+        bundle = certificate_bundle(records, args.forced, **tolerances)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     text = json.dumps(bundle, indent=2)
@@ -417,9 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--forced", action="store_true",
                        help="mark the energy identity not-applicable (forced run)")
     p_rep.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    p_rep.add_argument("--energy-tolerance", type=float, default=1e-5)
-    p_rep.add_argument("--lp-tolerance", type=float, default=1e-7)
-    p_rep.add_argument("--divergence-tolerance", type=float, default=1e-8)
+    for name in _TOLERANCES:    # unset flags leave certificate_bundle's defaults
+        p_rep.add_argument("--" + name.replace("_", "-"), dest=name, type=float)
     p_rep.set_defaults(func=cmd_criterion_report)
     return parser
 

@@ -5,7 +5,13 @@ the accumulated Beale–Kato–Majda integral ∫₀ᵗ ‖∇u‖_∞ ds, the v
 dissipation 2ν∫₀ᵗ ‖∇u‖₂² ds, curl monitors, and constraint drifts.  Records
 are plain rows of floats, round-trippable through CSV, and the certificate
 functions below consume only records — so verdicts can be recomputed offline
-from a diagnostics file and must agree with the in-run ones.
+from a diagnostics file.
+
+This module owns certificate policy: which certificates exist and in what
+order (certificate_reports), their default tolerances (*_TOLERANCE) and their
+verdicts.  A strict run halts on the first certificate that fails on [first
+record, latest record]; each verdict compares one record with the first, so
+strict, post-run and offline (criterion-report) verdicts agree.
 
 Conventions baked into the record fields:
 
@@ -35,8 +41,8 @@ from .fields import TAU, _half_columns
 __all__ = [
     "DiagnosticsRecord", "DiagnosticsEngine", "CertificateReport", "BkmReport",
     "record", "energy_certificate", "lp_growth_certificate",
-    "h1_growth_certificate", "bkm_report", "curl_report", "certificate_bundle",
-    "relative_difference", "write_records_csv", "read_records_csv",
+    "h1_growth_certificate", "bkm_report", "curl_report", "certificate_reports",
+    "certificate_bundle", "relative_difference", "write_records_csv", "read_records_csv",
     "CSV_FIELDS",
 ]
 
@@ -87,17 +93,15 @@ class DiagnosticsRecord:
 
 CSV_FIELDS = [f.name for f in dataclasses.fields(DiagnosticsRecord)]
 
+# default certificate tolerances, for a run (SolverConfig) and offline alike
+ENERGY_TOLERANCE = 1e-5
+LP_TOLERANCE = 1e-7
+DIVERGENCE_TOLERANCE = 1e-8
+
 
 def _lp_field(p, column):
-    if p == 2:
-        stem = "lp2_F"
-    elif p == 4:
-        stem = "lp4_F"
-    elif p == 6:
-        stem = "lp6_F"
-    elif p == math.inf or p == "inf":
-        stem = "lpinf_F"
-    else:
+    stem = {2: "lp2_F", 4: "lp4_F", 6: "lp6_F", math.inf: "lpinf_F", "inf": "lpinf_F"}.get(p)
+    if stem is None:
         raise ValueError(f"recorded Lᵖ norms cover p in {{2, 4, 6, inf}}, got {p!r}")
     return stem if column is None else f"{stem}_c{column}"
 
@@ -122,11 +126,13 @@ def _lp_norms(grid, sq):
 
 
 def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: float = 0.0,
-           nu: float = 0.0, prior_state=None) -> DiagnosticsRecord:
+           nu: float = 0.0, prior_state=None, *, prior_u=None) -> DiagnosticsRecord:
     """Condense a solver state into one diagnostics row.
 
     When prior is given, dt_since_prior must be the (positive) time elapsed
     since it; the accumulated integrals extend the prior's by one trapezoid.
+    l2_ut needs the prior velocity: prior_state, or prior_u, the
+    (2, n, n//2+1) half spectra of its u.
     """
     if prior is not None and dt_since_prior <= 0.0:
         raise ValueError("dt_since_prior must be positive when a prior record is given")
@@ -185,10 +191,8 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
         hs2_int = prior.hs2_gradu_int + 0.5 * dt * (prior.h2s_gradu ** 2 + h2s_gradu ** 2)
         e0 = prior.e0
         if prior_state is not None:
-            du = hu - _half_columns(prior_state.u.components, half.m)
-            l2_ut = norm(_power(half, du), 1.0) / dt
-        else:
-            l2_ut = 0.0
+            prior_u = _half_columns(prior_state.u.components, half.m)
+        l2_ut = 0.0 if prior_u is None else norm(_power(half, hu - prior_u), 1.0) / dt
 
     energy_now = l2_u ** 2 + l2_F ** 2
     energy_residual = abs(energy_now + visc - e0) / e0 if e0 > 0 else 0.0
@@ -208,19 +212,22 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
 
 
 class DiagnosticsEngine:
-    """Stateful wrapper around record() that threads accumulators through a run."""
+    """Stateful wrapper around record() that threads accumulators through a run.
+
+    It keeps the last record and a copy of its u half spectra, not its State.
+    """
 
     def __init__(self, nu: float):
         self.nu = float(nu)
         self._prior = None
-        self._prior_state = None
+        self._prior_u = None
 
     def observe(self, state) -> DiagnosticsRecord:
         dt = 0.0 if self._prior is None else state.t - self._prior.t
         rec = record(state, prior=self._prior, dt_since_prior=dt,
-                     nu=self.nu, prior_state=self._prior_state)
+                     nu=self.nu, prior_u=self._prior_u)
         self._prior = rec
-        self._prior_state = state
+        self._prior_u = _half_columns(state.u.components, state.grid.half.m)
         return rec
 
 
@@ -254,7 +261,7 @@ class BkmReport:
     window: int
 
 
-def energy_certificate(records: Sequence[DiagnosticsRecord], tolerance: float = 1e-5,
+def energy_certificate(records: Sequence[DiagnosticsRecord], tolerance: float = ENERGY_TOLERANCE,
                        applicable: bool = True) -> CertificateReport:
     """Check |‖u‖₂² + ‖F‖₂² + 2ν∫‖∇u‖₂² − E₀| / E₀ ≤ tolerance at every record.
 
@@ -265,19 +272,14 @@ def energy_certificate(records: Sequence[DiagnosticsRecord], tolerance: float = 
         raise ValueError("energy certificate needs at least one record")
     if not applicable:
         return CertificateReport("energy-identity", True, 0.0, records[0].t, applicable=False)
-    worst = -1.0
-    worst_t = records[0].t
-    for rec in records:
-        e_now = rec.l2_u ** 2 + rec.l2_F ** 2
-        resid = abs(e_now + rec.visc - rec.e0) / rec.e0 if rec.e0 > 0 else 0.0
-        if resid > worst:
-            worst = resid
-            worst_t = rec.t
-    return CertificateReport("energy-identity", worst <= tolerance, tolerance - worst, worst_t)
+    resid = lambda r: abs(r.l2_u ** 2 + r.l2_F ** 2 + r.visc - r.e0) / r.e0 if r.e0 > 0 else 0.0
+    worst = max(records, key=resid)     # the first of the largest
+    return CertificateReport("energy-identity", resid(worst) <= tolerance,
+                             tolerance - resid(worst), worst.t)
 
 
 def lp_growth_certificate(records: Sequence[DiagnosticsRecord], p,
-                          tolerance: float = 1e-7) -> CertificateReport:
+                          tolerance: float = LP_TOLERANCE) -> CertificateReport:
     """Column-wise transport bound log‖F(·,k)(t)‖_p − log‖F(·,k)(0)‖_p ≤ ∫₀ᵗ‖∇u‖_∞.
 
     The margin is the smallest log-slack over both columns and all records
@@ -373,13 +375,15 @@ def relative_difference(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-def certificate_bundle(records: Sequence[DiagnosticsRecord], forced: bool = False,
-                       energy_tolerance: float = 1e-5, lp_tolerance: float = 1e-7,
-                       divergence_tolerance: float = 1e-8) -> dict:
-    """All certificates plus the BKM report as one JSON-ready dictionary.
+def certificate_reports(records: Sequence[DiagnosticsRecord], forced: bool = False,
+                        energy_tolerance: float = ENERGY_TOLERANCE,
+                        lp_tolerance: float = LP_TOLERANCE,
+                        divergence_tolerance: float = DIVERGENCE_TOLERANCE) -> list:
+    """Every certificate's report, in order: energy, Lᵖ growth for p = 2, 4, 6, ∞,
+    H¹ Gronwall, divergence.
 
-    Consumes records only, so re-running it on a diagnostics CSV reproduces the
-    in-run verdicts exactly.  Each tolerance must be finite and >= 0.
+    forced marks the energy identity not-applicable.  Each tolerance must be
+    finite and >= 0.
     """
     for name, value in (("energy_tolerance", energy_tolerance), ("lp_tolerance", lp_tolerance),
                         ("divergence_tolerance", divergence_tolerance)):
@@ -388,22 +392,27 @@ def certificate_bundle(records: Sequence[DiagnosticsRecord], forced: bool = Fals
     for p in (2, 4, 6, math.inf):
         reports.append(lp_growth_certificate(records, p, lp_tolerance))
     reports.append(h1_growth_certificate(records))
-    worst_div = max(max(r.div_drift_u, r.div_drift_F) for r in records)
-    worst_div_t = max(records, key=lambda r: max(r.div_drift_u, r.div_drift_F)).t
+    drift = lambda r: max(r.div_drift_u, r.div_drift_F)
+    worst = max(records, key=drift)
     reports.append(CertificateReport("divergence-constraint",
-                                     worst_div <= divergence_tolerance,
-                                     divergence_tolerance - worst_div, worst_div_t))
-    if len(records) >= 3:
-        bkm = bkm_report(records)
-        bkm_dict = {"integral": bkm.integral, "t_star_estimate": bkm.t_star_estimate,
-                    "window": bkm.window}
-    else:
-        bkm_dict = {"integral": records[-1].bkm, "t_star_estimate": None,
-                    "window": len(records)}
-    return {
-        "certificates": [dataclasses.asdict(r) for r in reports],
-        "bkm": bkm_dict,
-    }
+                                     drift(worst) <= divergence_tolerance,
+                                     divergence_tolerance - drift(worst), worst.t))
+    return reports
+
+
+def certificate_bundle(records: Sequence[DiagnosticsRecord], forced: bool = False,
+                       **tolerances) -> dict:
+    """certificate_reports(records, forced, **tolerances) plus the BKM report, as one
+    JSON-ready dictionary.
+
+    Consumes records only, so re-running it on a diagnostics CSV reproduces the
+    in-run verdicts exactly.
+    """
+    reports = certificate_reports(records, forced, **tolerances)
+    bkm = (bkm_report(records) if len(records) >= 3
+           else BkmReport(records[-1].bkm, None, len(records)))
+    return {"certificates": [dataclasses.asdict(r) for r in reports],
+            "bkm": dataclasses.asdict(bkm)}
 
 
 # ---------------------------------------------------------------------------
@@ -435,5 +444,9 @@ def read_records_csv(path):
                 values = [float(v) for v in row]
             except ValueError as exc:
                 raise ValueError(f"diagnostics CSV has a non-numeric entry: {exc}") from None
+            bad = [name for name, v in zip(CSV_FIELDS, values) if not math.isfinite(v)]
+            if bad:     # a run's records are finite, and NaN passes every comparison
+                raise ValueError(f"diagnostics CSV has non-finite {', '.join(bad)} "
+                                 f"on line {reader.line_num}")
             records.append(DiagnosticsRecord(**dict(zip(CSV_FIELDS, values))))
     return records

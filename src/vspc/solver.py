@@ -77,8 +77,6 @@ _U1, _U2, _F11, _F21, _F12, _F22 = range(6)
 _COLS = ((_F11, _F21), (_F12, _F22))
 
 
-
-
 class BlowupError(RuntimeError):
     """Signals loss of regularity: non-finite fields or ‖∇u‖_∞ past the ceiling."""
 
@@ -145,9 +143,9 @@ class SolverConfig:
     diagnostics_interval: int = 1
     gradu_ceiling: float = 1.0e6
     strict: bool = False
-    energy_tolerance: float = 1.0e-5
-    lp_tolerance: float = 1.0e-7
-    divergence_tolerance: float = 1.0e-8
+    energy_tolerance: float = _diag.ENERGY_TOLERANCE
+    lp_tolerance: float = _diag.LP_TOLERANCE
+    divergence_tolerance: float = _diag.DIVERGENCE_TOLERANCE
 
     def __post_init__(self):
         if not 0 < self.cfl <= 1.0:
@@ -174,8 +172,6 @@ class RunResult:
     max_div_drift_F: float
     blowup_time: Optional[float] = None
     violated_certificate: Optional[str] = None
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -425,26 +421,15 @@ def _validate_initial(state: State, cfg: SolverConfig):
             f"|div u| = {du:.3e}, |div F| = {dF:.3e} > {tol:.1e}")
 
 
-def _strict_violation(record, first, cfg):
-    """Name of the first violated runtime certificate, or None."""
-    if cfg.forcing is None and record.energy_residual > cfg.energy_tolerance:
-        return "energy-identity"
-    if max(record.div_drift_u, record.div_drift_F) > cfg.divergence_tolerance:
-        return "divergence-constraint"
-    for prev_norm, now_norm in ((first.lpinf_F_c1, record.lpinf_F_c1),
-                                (first.lpinf_F_c2, record.lpinf_F_c2)):
-        if prev_norm > 0 and np.log(now_norm / prev_norm) > record.bkm + cfg.lp_tolerance:
-            return "lp-growth"
-    return None
-
-
 def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     """March the solution to t_end with CFL-adaptive steps.
 
     Diagnostics are recorded every diagnostics_interval steps (and always at
     the first and last instant); observer(state) is invoked at the same cadence
     of snapshot_interval when that is positive.  Blowup (non-finite values or
-    ‖∇u‖_∞ > gradu_ceiling) ends the run early with the last good state.
+    ‖∇u‖_∞ > gradu_ceiling) ends the run early with the last good state.  In
+    strict mode a record that fails a certificate of diagnostics.certificate_reports,
+    judged against the first record, halts the run and names the certificate.
     """
     _validate_initial(initial, cfg)
     grid = cfg.grid
@@ -465,7 +450,7 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     violated = None
     steps = 0
     while t < t_end - 1e-12:
-        state = None                    # frees an observed State unless the engine holds it
+        state = None                    # frees the last observed State
         P = work.samples(Z)             # the first RK4 stage's samples set the CFL step
         dt = min(_cfl_dt(grid, P, cfg), t_end - t)
         try:
@@ -487,7 +472,10 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
                 blowup_time = t
                 break
             if cfg.strict:
-                violated = _strict_violation(record, records[0], cfg)
+                reports = _diag.certificate_reports(
+                    [records[0], record], cfg.forcing is not None, cfg.energy_tolerance,
+                    cfg.lp_tolerance, cfg.divergence_tolerance)
+                violated = next((r.name for r in reports if not r.satisfied), None)
                 if violated is not None:
                     termination = "certificate-violation-halt"
                     break

@@ -1,12 +1,16 @@
 """Command-line behavior: config parsing, exit codes, and artifact layout."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import vspc.cli
 from vspc.cli import main, parse_run_config, UsageError
+from vspc.diagnostics import certificate_bundle, read_records_csv, write_records_csv
 from vspc.fields import GridSpec, ScalarField, write_snapshot
+from vspc.solver import SolverConfig
 
 
 def _write_config(path, **overrides):
@@ -123,6 +127,68 @@ def test_criterion_report_rejects_bad_tolerances(tmp_path, capsys, flag, value):
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
     assert not report.exists()
     assert main(["criterion-report", csv_path, flag, "0", "--out", str(report)]) == 0
+
+
+def test_required_keys_alone_give_the_solver_defaults(tmp_path):
+    ini = tmp_path / "min.ini"
+    ini.write_text("[grid]\nn = 16\n[solver]\nnu = 0.01\nt_end = 0.05\n")
+    parsed = parse_run_config(ini).solver
+    default = SolverConfig(GridSpec(16), 0.01, 0.05)
+    for field in dataclasses.fields(SolverConfig):
+        assert getattr(parsed, field.name) == getattr(default, field.name), field.name
+
+
+def test_criterion_report_defaults_are_the_bundle_defaults(tmp_path, capsys):
+    # tolerances set in the run's INI must not leak into the offline defaults
+    cfg = _write_config(tmp_path / "run.ini", certificates={"energy_tolerance": 1e-3})
+    assert main(["run", str(cfg)]) == 0
+    csv_path = tmp_path / "out" / "diagnostics.csv"
+    capsys.readouterr()
+    assert main(["criterion-report", str(csv_path)]) == 0
+    bundle = certificate_bundle(read_records_csv(csv_path))
+    assert capsys.readouterr().out == json.dumps(bundle, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_criterion_report_rejects_non_finite_values(tmp_path, capsys, value):
+    # NaN passes every `>` test, so a NaN record would read as seven PASS verdicts
+    cfg = _write_config(tmp_path / "run.ini")
+    assert main(["run", str(cfg)]) == 0
+    csv_path = tmp_path / "out" / "diagnostics.csv"
+    records = read_records_csv(csv_path)
+    records[1] = dataclasses.replace(records[1], l2_u=float(value), lpinf_F_c1=float(value),
+                                     h1_u=float(value), div_drift_u=float(value))
+    write_records_csv(csv_path, records)
+    capsys.readouterr()
+    assert main(["criterion-report", str(csv_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite l2_u, h1_u, lpinf_F_c1, div_drift_u" in err
+
+
+@pytest.mark.parametrize("snapshot_interval", [0, 1])
+@pytest.mark.parametrize("nested", [False, True])
+def test_output_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                    snapshot_interval, nested):
+    blocker = tmp_path / "out"
+    blocker.write_text("not a directory\n")
+    out = blocker / "run" if nested else blocker
+    cfg = _write_config(tmp_path / "run.ini",
+                        output={"dir": str(out), "snapshot_interval": snapshot_interval})
+    monkeypatch.setattr(vspc.cli, "simulate", None)     # the check precedes the run
+    assert main(["run", str(cfg)]) == 1
+    assert "is not a directory" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.ini"]
+
+
+def test_snapshot_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "snapshots").write_text("")
+    cfg = _write_config(tmp_path / "run.ini")
+    assert main(["run", str(cfg)]) == 1
+    assert "snapshots" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["snapshots"]
 
 
 def test_criterion_report_rejects_empty_history(tmp_path):

@@ -182,6 +182,14 @@ def test_csv_rejects_mangled_input(tmp_path):
         read_records_csv(bad_value)
 
 
+def test_csv_rejects_non_finite_values(tmp_path):
+    recs = vspc.zgh_synthetic_history(vspc.ZghParams(2.0, 1.0, 1.0), [0.0, 0.1, 0.2])
+    path = tmp_path / "diag.csv"
+    write_records_csv(path, recs[:1] + [dataclasses.replace(recs[1], bkm=math.inf)] + recs[2:])
+    with pytest.raises(ValueError, match="non-finite bkm on line 3"):
+        read_records_csv(path)
+
+
 def test_certificate_bundle_shape(run64_viscous):
     bundle = certificate_bundle(run64_viscous.records)
     names = [c["name"] for c in bundle["certificates"]]
@@ -289,6 +297,9 @@ def test_record_matches_full_lattice_reference(seed, n):
     prior = DiagnosticsEngine(nu=0.0).observe(prior_state)
     rec = vspc.diagnostics.record(state, prior=prior, dt_since_prior=0.25,
                                   prior_state=prior_state)
+    engine = DiagnosticsEngine(nu=0.0)
+    engine.observe(prior_state)
+    assert engine.observe(state) == rec      # the engine keeps u's half spectra, not the State
     # plain floats, so the CSV holds numbers that read back
     assert all(type(getattr(rec, name)) is float for name in CSV_FIELDS)
     for name, value in _full_lattice_reference(state, prior_state, 0.25).items():

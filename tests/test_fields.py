@@ -231,6 +231,13 @@ def test_one_owner_of_the_channel_layout():
     assert not hasattr(vspc.exact, "_spectral_state")
 
 
+def test_one_owner_of_certificate_verdicts():
+    # strict halts run diagnostics.certificate_reports; the solver keeps no copy
+    assert not hasattr(vspc.solver, "_strict_violation")
+    solver_tree = ast.parse(Path(vspc.solver.__file__).read_text())
+    assert _calls_of(solver_tree, "certificate_reports")
+
+
 @settings(max_examples=30)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 32, 64, 128]),
        banded=st.booleans())

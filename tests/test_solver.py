@@ -1,10 +1,12 @@
 """Time stepper, CFL control, conservation, and run-control behavior."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +258,71 @@ def test_strict_mode_halts_on_certificate():
     res = simulate(cfg, perturbed_identity_state(g, 0.1))
     assert res.termination == "certificate-violation-halt"
     assert res.violated_certificate == "energy-identity"
+
+
+def _forced_rest_state_case():
+    # F = I at rest, pushed by g_u = (sin x₂, 0): ‖∇u‖₂ + ‖∇F‖₂ grows from 0,
+    # so the H¹ Gronwall envelope has no finite constant
+    g = GridSpec(32)
+    _, x2 = g.mesh()
+    push = VectorField.from_samples(g, np.sin(x2), np.zeros_like(x2))
+    cfg = SolverConfig(g, nu=0.0, t_end=0.2, strict=True,
+                       forcing=ForcingSpec(lambda t: push, None))
+    return cfg, steady_identity_state(g)
+
+
+def test_strict_mode_halts_on_h1_gronwall_at_the_first_record():
+    cfg, initial = _forced_rest_state_case()
+    res = simulate(cfg, initial)
+    assert res.termination == "certificate-violation-halt"
+    assert res.violated_certificate == "h1-gronwall"
+    assert res.steps == 1 and len(res.records) == 2
+
+
+def _strict_case(halts_on):
+    """A strict run that halts on the named certificate, or completes (None)."""
+    if halts_on == "h1-gronwall":
+        return _forced_rest_state_case()
+    g = GridSpec(16)
+    tight = {"energy_tolerance": 1e-18} if halts_on == "energy-identity" else {}
+    return (SolverConfig(g, nu=0.1, t_end=0.1, strict=True, diagnostics_interval=2, **tight),
+            perturbed_identity_state(g, 0.1))
+
+
+@pytest.mark.parametrize("halts_on", ["h1-gronwall", "energy-identity", None])
+def test_strict_run_completes_iff_its_bundle_is_satisfied(halts_on):
+    cfg, initial = _strict_case(halts_on)
+    res = simulate(cfg, initial)
+    tolerances = dict(energy_tolerance=cfg.energy_tolerance, lp_tolerance=cfg.lp_tolerance,
+                      divergence_tolerance=cfg.divergence_tolerance)
+
+    def failed(records):
+        bundle = vspc.certificate_bundle(records, cfg.forcing is not None, **tolerances)
+        return [c["name"] for c in bundle["certificates"] if not c["satisfied"]]
+
+    assert res.violated_certificate == halts_on
+    assert (res.termination == "completed") == (not failed(res.records))
+    if halts_on is not None:
+        # the halt is at the first record where the whole-history bundle fails
+        assert not failed(res.records[:-1])
+        assert halts_on == failed(res.records)[0]
+
+
+def test_engine_frees_the_observed_states():
+    # records only at the ends: the step-0 State must not outlive the steps after it
+    g = GridSpec(16)
+    refs = []
+
+    def observer(state):
+        refs.append(weakref.ref(state))
+        if len(refs) == 3:
+            gc.collect()
+            assert refs[0]() is None
+
+    cfg = SolverConfig(g, nu=0.01, t_end=0.02, dt_max=5e-3, snapshot_interval=1,
+                       diagnostics_interval=10 ** 9)
+    res = simulate(cfg, perturbed_identity_state(g, 0.1), observer=observer)
+    assert len(refs) == 5 and len(res.records) == 2
 
 
 def test_observer_cadence():
