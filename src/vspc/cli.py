@@ -62,9 +62,15 @@ def _state_from_snapshot(path) -> State:
 
 
 def parse_run_config(path) -> RunConfig:
-    """Read an INI run configuration; raises UsageError on any defect."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    loaded = cp.read(path)
+    """Read an INI run configuration; raises UsageError on any defect.
+
+    Values are taken literally: a % in a path is a %, not an interpolation.
+    """
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    try:
+        loaded = cp.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot parse config file {path}: {exc}") from None
     if not loaded:
         raise UsageError(f"cannot read config file {path}")
 
@@ -149,6 +155,11 @@ def cmd_run(args) -> int:
     out = cfg.out_dir           # created once simulate has accepted the initial state
     snap_dir = out / "snapshots"
     _check_dir(snap_dir if cfg.solver.snapshot_interval > 0 else out)
+    artifacts = csv_path, cert_path, meta_path = [
+        out / name for name in ("diagnostics.csv", "certificates.json", "metadata.json")]
+    for path in artifacts:      # written after the run, so checked before it
+        if path.exists() and not path.is_file():
+            raise UsageError(f"output path {path} exists and is not a regular file")
     counter = [0]
 
     def observer(state):
@@ -164,10 +175,10 @@ def cmd_run(args) -> int:
     elapsed = time.perf_counter() - started
 
     out.mkdir(parents=True, exist_ok=True)
-    write_records_csv(out / "diagnostics.csv", result.records)
+    write_records_csv(csv_path, result.records)
     bundle = certificate_bundle(result.records, cfg.solver.forcing is not None,
                                 **{name: getattr(cfg.solver, name) for name in _TOLERANCES})
-    (out / "certificates.json").write_text(json.dumps(bundle, indent=2) + "\n")
+    cert_path.write_text(json.dumps(bundle, indent=2) + "\n")
     metadata = {
         "version": __version__,
         "config": cfg.echo,
@@ -185,7 +196,7 @@ def cmd_run(args) -> int:
             "runtime_seconds": elapsed,
         },
     }
-    (out / "metadata.json").write_text(json.dumps(metadata, indent=2) + "\n")
+    meta_path.write_text(json.dumps(metadata, indent=2) + "\n")
 
     print(f"{result.termination}: {result.steps} steps to t = {result.final_state.t:.6g}, "
           f"{len(result.records)} records -> {out}")

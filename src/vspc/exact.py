@@ -279,7 +279,7 @@ def zgh_synthetic_history(p: ZghParams, times: Sequence[float]):
 # a_k = u₁F₂ₖ − u₂F₁ₖ has only that, so N_A, N_G and C_GI live on the u rows,
 # C_AG and C_AI on the F rows (elsewhere they are round-off), and three calls
 # give all five: N(A+I) = (N_A, C_AI), N(A+G) = (N_A + N_G, C_AG) and
-# N(G+I) = (N_G + C_GI, 0).  g_u, g_F combine their own rows with no transform.
+# N(G+I) = (N_G + C_GI, 0).  band(t) combines them with no transform.
 
 @dataclass(frozen=True)
 class Manufactured:
@@ -336,6 +336,20 @@ def _broadband_shapes(grid):
     return u, G
 
 
+class _Polarized(_solver.ForcingSpec):
+    """A manufactured forcing: the solver takes band(t) as it is; g_u, g_F are its fields."""
+
+    def __init__(self, grid, band):
+        super().__init__(lambda t: _solver._vectors(grid, band(t)[:2])[0],
+                         lambda t: TensorField.from_columns(*_solver._vectors(grid, band(t)[2:])))
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_polarized", band)
+
+    def _band(self, grid, t):
+        _solver._same_grid(self._grid, grid)
+        return self._polarized(t)
+
+
 def _project_block(grid, block):
     out = block.copy()
     for i in range(0, block.shape[0], 2):
@@ -382,23 +396,19 @@ def manufactured(grid: GridSpec, nu: float, case: str = "broadband") -> Manufact
         [lam_u(0.0) * A[:2], I[2:] + lam_F(0.0) * G[2:]]))
     N_AI, N_GI, N_AG = (_solver._nonlinearity(work, work.samples(Z))
                         for Z in (A + I, G + I, A + G))
-    U, N_A = A[:2].copy(), N_AI[:2].copy()
+    U, N_A, k_sq = A[:2].copy(), N_AI[:2].copy(), work.k_sq
     N_G = N_AG[:2] - N_A
     C_GI = N_GI[:2] - N_G
     G, C_AG, C_AI = (B[2:].copy() for B in (G, N_AG, N_AI))
 
-    def g_u(t):
+    def band(t):
         lu, lF = lam_u(t), lam_F(t)
-        g = (dlam_u(t) + lu * nu * work.k_sq) * U - lu * lu * N_A - lF * lF * N_G - lF * C_GI
-        return _solver._vectors(grid, g)[0]
-
-    def g_F(t):
-        lu, lF = lam_u(t), lam_F(t)
-        return TensorField.from_columns(
-            *_solver._vectors(grid, dlam_F(t) * G - lu * lF * C_AG - lu * C_AI))
+        return np.concatenate([
+            (dlam_u(t) + lu * nu * k_sq) * U - lu * lu * N_A - lF * lF * N_G - lF * C_GI,
+            dlam_F(t) * G - lu * lF * C_AG - lu * C_AI])
 
     def analytic(t):
         return _solver._unpack(grid, float(t), np.concatenate(
             [lam_u(t) * ushape, ident + lam_F(t) * Gshape]))
 
-    return Manufactured(initial, _solver.ForcingSpec(g_u, g_F), analytic)
+    return Manufactured(initial, _Polarized(grid, band), analytic)

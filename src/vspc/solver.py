@@ -11,17 +11,18 @@ advanced in divergence form,
     −(u·∇)u + Σ_k (F(·,k)·∇) F(·,k) = ∇·(FFᵀ − u⊗u),
     ∂ₜF(·,k) = (∂₂a_k, −∂₁a_k),     a_k = u₁F₂ₖ − u₂F₁ₖ,
 
-so one right-hand side needs five pointwise products: the three entries of
-FFᵀ − u⊗u and one a_k per column.  The pressure never appears explicitly:
-the momentum term is Leray projected, which subtracts exactly its gradient
-part ∇p.  The F increments are curls, divergence-free by construction, so
-every increment preserves the constraints and no step re-projects the state.
+so one right-hand side needs four pointwise products: the normal-stress
+difference and the shear stress of FFᵀ − u⊗u (its trace part is a gradient)
+and one a_k per column.  The pressure never appears explicitly: the momentum
+term is Leray projected, which subtracts exactly its gradient part ∇p.  The F
+increments are curls, divergence-free by construction, so every increment
+preserves the constraints and no step re-projects the state.
 
 The solver state is the spectra of the six channels of State.channels, in
 that order, packed as one (6, n, n//3+1) array: the k₂ = 0 … n/3 columns
 of the rfft2 half spectrum, the only ones the 2/3 rule leaves non-zero.  One
 right-hand side is one batched inverse real transform of the six channels
-and one batched forward real transform of the five products; their k₁
+and one batched forward real transform of the four products; their k₁
 passes run on the band alone.  Full complex spectra are rebuilt only where
 a State is handed out: diagnostics records, observer calls and the result.
 
@@ -32,10 +33,10 @@ step size itself is CFL-limited by the transport and elastic-wave speeds,
 read from the same samples as the step's first stage.
 
 Each run owns one private workspace: the momentum multipliers (mask,
-divergence and Leray projection in one map; the stress trace is a gradient,
-so only the normal-stress difference and the shear stress enter), the masked
-curl multipliers, the stage buffers, the buffers the transforms write
-into, and the integrating factor, recomputed only when dt changes.
+divergence and Leray projection in one map, taking the normal-stress
+difference and the shear stress), the masked curl multipliers, the stage
+buffers, the buffers the transforms write into, and the integrating factor,
+recomputed only when dt changes.
 The transforms normalize themselves (norm="forward"), so no pass rescales,
 masks or projects, and a stage allocates no transform temporaries.
 
@@ -123,12 +124,28 @@ class ForcingSpec:
     g_u(t) is Leray-projected before use, so any gradient part it carries is
     discarded; g_F columns are taken as given, so a gradient part in them
     shows up as divergence drift.  Either may be None for an unforced block.
-    Both must be functions of t alone: a run evaluates each once per distinct
-    RK4 stage time, two per step (t + dt is the next step's start).
+    Both must be functions of t alone, on the run's grid.  The solver consumes
+    a forcing as its dealiased band (_band), once per distinct RK4 stage time,
+    two per step (t + dt is the next step's start).  exact.manufactured's
+    forcing hands over its band; one rebuilt from callables takes the generic
+    path, fields to band, mask, Leray projection of g_u.
     """
 
     g_u: Optional[Callable[[float], VectorField]]
     g_F: Optional[Callable[[float], TensorField]]
+
+    def _band(self, grid: GridSpec, t):
+        """The dealiased band forcing (6, n, n//3+1) at t; g_u is Leray projected."""
+        half = grid.half
+        mask = half.mask[:, :half.band]
+        g = np.zeros((6,) + mask.shape, dtype=np.complex128)
+        for rows, part in ((g[:2], self.g_u), (g[2:], self.g_F)):
+            if part is not None:
+                field = part(t)
+                _same_grid(field.grid, grid)
+                np.multiply(_half_columns(_scalar_parts(field), half.band), mask, out=rows)
+        g[_U1], g[_U2] = grid.project(g[_U1], g[_U2])
+        return g
 
 
 @dataclass(frozen=True)
@@ -183,6 +200,11 @@ def _pack(state: State) -> np.ndarray:
     return _half_columns(state.channels, half.band) * half.mask[:, :half.band]
 
 
+def _same_grid(found: GridSpec, grid: GridSpec):
+    if found != grid:
+        raise ValueError(f"the forcing lives on grid n={found.n}, the run on n={grid.n}")
+
+
 def _vectors(grid: GridSpec, Z):
     """Spectral vector fields of the row pairs (0, 1), (2, 3), … of band or half spectra Z."""
     full = grid.half.full(Z)
@@ -225,14 +247,15 @@ def state_sup_distance(a: State, b: State) -> float:
 class _Workspace:
     """A run's multipliers and buffers on the (n, n//3+1) band.
 
-    M maps (S₀ − S₂, S₁) to momentum, `curl` a_k to column k, dealiased; K, Y
-    are the RK4 stage buffers.  The transforms write into P (samples), R (the
-    products' k₂ pass) and B (the inverse's k₁ pass, then the products' band
-    spectra).  Buffers that are never live at once share bytes, so across a
-    diagnostics record a run holds little more than K and Y.  Once B holds a
-    stage's k₁ pass, its input in Y is spent, and the last slope in K was
-    spent before the stage began: P and then R live in the bytes of K and Y.
-    The products Q live in B's bytes, between its two uses.
+    M maps the spectra of σ₁₁ − σ₂₂ and σ₁₂ (σ = FFᵀ − u⊗u) to momentum,
+    `curl` a_k to column k, dealiased; K, Y are the RK4 stage buffers.  The
+    transforms write into P (samples), R (the products' k₂ pass) and B (the
+    inverse's k₁ pass, then the products' band spectra).  Buffers that are
+    never live at once share bytes, so across a diagnostics record a run holds
+    little more than K and Y.  Once B holds a stage's k₁ pass, its input in Y
+    is spent, and the last slope in K was spent before the stage began: P and
+    then R live in the bytes of K and Y.  The four products Q live in B's
+    bytes, between its two uses.
     """
 
     def __init__(self, grid: GridSpec, nu: float = 0.0):
@@ -241,15 +264,15 @@ class _Workspace:
         self.grid, self.nu, self.dt = grid, nu, None
         ik1, ik2, mask = half.ik1, half.ik2[:, :c], half.mask[:, :c]
         self.k_sq = half.k_sq[:, :c]
-        d = np.eye(2)[:, :, None, None]         # d[s, j]: S_s of unit input j; S₂'s is −S₀'s
+        d = np.eye(2)[:, :, None, None]         # d[s, j]: S_s of unit input j
         self.M = np.stack(grid.project(ik1 * d[0] + ik2 * d[1], ik1 * d[1])) * mask
         self.curl = (ik2 * mask, -ik1 * mask)
         self.K, self.Y = KY = np.empty((2, 6, n, c), dtype=np.complex128)
         self.P = KY.reshape(-1).view(np.float64)[:6 * n * n].reshape(6, n, n)
-        self.R = KY.reshape(-1)[:5 * n * half.m].reshape(5, n, half.m)
-        BQ = np.empty(max(12 * n * c, 5 * n * n))
+        self.R = KY.reshape(-1)[:4 * n * half.m].reshape(4, n, half.m)
+        BQ = np.empty(max(12 * n * c, 4 * n * n))
         self.B = BQ[:12 * n * c].view(np.complex128).reshape(6, n, c)
-        self.Q = BQ[:5 * n * n].reshape(5, n, n)
+        self.Q = BQ[:4 * n * n].reshape(4, n, n)
         self.forced = {}
 
     def samples(self, Z):
@@ -257,12 +280,12 @@ class _Workspace:
         return self.half.to_samples(Z, out=self.P, tmp=self.B)
 
     def forcing_at(self, forcing: ForcingSpec, t):
-        """_forcing_terms of a run's one forcing at t.  The last two t are kept:
+        """The band of a run's one forcing at t.  The last two t are kept:
         RK4 asks at t, t + h, t + h and t + dt, which is the next step's t."""
         if t not in self.forced:
             if len(self.forced) == 2:
                 del self.forced[next(iter(self.forced))]
-            self.forced[t] = _forcing_terms(self.grid, forcing, t)
+            self.forced[t] = forcing._band(self.grid, t)
         return self.forced[t]
 
 
@@ -271,41 +294,25 @@ def _nonlinearity(work: _Workspace, P, out=None):
 
     Momentum: the Leray projection of ∇·(FFᵀ − u⊗u); deformation column k:
     (∂₂a_k, −∂₁a_k) with a_k = u₁F₂ₖ − u₂F₁ₖ.  Writes the dealiased band
-    (6, n, n//3+1) into out, a fresh array when out is None; the five products
-    and their spectra pass through the workspace's Q, R and B.
+    (6, n, n//3+1) into out, a fresh array when out is None.  The four
+    pointwise products, σ₁₁ − σ₂₂ and σ₁₂ of σ = FFᵀ − u⊗u (its trace part is
+    a gradient, which Leray drops), a₁ and a₂, and their spectra pass through
+    the workspace's Q, R and B.
     """
     u1, u2, F11, F21, F12, F22 = P
     N = np.empty_like(work.K) if out is None else out
     Q = work.Q
-    Q[0] = F11 * F11 + F12 * F12 - u1 * u1
+    Q[0] = F11 * F11 + F12 * F12 - u1 * u1 - (F21 * F21 + F22 * F22 - u2 * u2)
     Q[1] = F11 * F21 + F12 * F22 - u1 * u2
-    Q[2] = F21 * F21 + F22 * F22 - u2 * u2
-    Q[3] = u1 * F21 - u2 * F11
-    Q[4] = u1 * F22 - u2 * F12
-    S = work.half.to_coeffs(Q, out=work.B[:5], tmp=work.R)
-    S[0] -= S[2]                                # a trace part is a gradient, which Leray drops
+    Q[2] = u1 * F21 - u2 * F11
+    Q[3] = u1 * F22 - u2 * F12
+    S = work.half.to_coeffs(Q, out=work.B[:4], tmp=work.R)
     for r, M in zip((_U1, _U2), work.M):
         N[r] = M[0] * S[0] + M[1] * S[1]
-    for (ci, cj), a in zip(_COLS, S[3:]):
+    for (ci, cj), a in zip(_COLS, S[2:]):
         np.multiply(work.curl[0], a, out=N[ci])
         np.multiply(work.curl[1], a, out=N[cj])
     return N
-
-
-def _forcing_terms(grid, forcing: ForcingSpec, t):
-    """Dealiased band forcing (6, n, n//3+1); g_u is Leray projected.
-
-    Either channel may be None, meaning no forcing on that block.
-    """
-    half = grid.half
-    c = half.band
-    mask = half.mask[:, :c]
-    g = np.zeros((6, half.n, c), dtype=np.complex128)
-    if forcing.g_u is not None:
-        g[_U1], g[_U2] = grid.project(*_half_columns(forcing.g_u(t).components, c) * mask)
-    if forcing.g_F is not None:
-        np.multiply(_half_columns(_scalar_parts(forcing.g_F(t)), c), mask, out=g[2:])
-    return g
 
 
 def _transport(work, Z, t, forcing, out=None, P=None):

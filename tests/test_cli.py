@@ -181,6 +181,43 @@ def test_output_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.ini"]
 
 
+@pytest.mark.parametrize("text", [
+    b"n = 16\n[solver]\nnu = 0.01\n",
+    b"[grid]\nn = 16\n[grid]\nn = 32\n",
+    b"[grid]\nn = 16\nn = 32\n",
+    b"\xff\xfe[\x00g\x00]\x00",
+], ids=["no-section-header", "repeated-section", "repeated-key", "not-text"])
+def test_unparsable_config_is_a_usage_error(tmp_path, capsys, monkeypatch, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(text)
+    monkeypatch.setattr(vspc.cli, "simulate", None)
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot parse config file")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
+
+
+def test_percent_in_a_config_value_is_taken_literally(tmp_path, capsys):
+    # no interpolation: "%y" was an InterpolationSyntaxError traceback
+    out = tmp_path / "out%y"
+    cfg = _write_config(tmp_path / "run.ini", output={"dir": str(out), "snapshot_interval": 0})
+    assert parse_run_config(cfg).out_dir == out
+    assert main(["run", str(cfg)]) == 0
+    assert (out / "diagnostics.csv").is_file()
+
+
+@pytest.mark.parametrize("name", ["diagnostics.csv", "certificates.json", "metadata.json"])
+def test_artifact_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch, name):
+    # the artifacts are written after the run: a blocked one must stop it before
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = _write_config(tmp_path / "run.ini")
+    monkeypatch.setattr(vspc.cli, "simulate", None)     # the check precedes the run
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and "not a regular file" in err
+    assert [p.name for p in out.iterdir()] == [name]
+
+
 def test_snapshot_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 import vspc
 from vspc import solver
 from vspc.fields import (
-    GridSpec, ScalarField, VectorField, TensorField, dealias, ensure_physical, ensure_spectral,
-    to_spectral,
+    GridSpec, HalfSpectrum, ScalarField, VectorField, TensorField, dealias, ensure_physical,
+    ensure_spectral, to_spectral,
 )
 from vspc.operators import convective_term, leray_project
 from vspc.solver import (
@@ -588,6 +588,49 @@ def test_forcing_is_evaluated_once_per_distinct_stage_time():
         assert len(times) == len(set(times)) == 2 * res.steps + 1
 
 
+def test_manufactured_band_is_evaluated_once_per_distinct_stage_time():
+    # the test above rewraps the callables, so it sees the generic path; this
+    # one counts the calls of the band the solver takes from the forcing
+    g = GridSpec(16)
+    prob = vspc.exact.manufactured(g, 0.02, "broadband")
+    band, seen = prob.forcing._polarized, []
+    object.__setattr__(prob.forcing, "_polarized", lambda t: seen.append(t) or band(t))
+    cfg = SolverConfig(g, nu=0.02, t_end=0.0123, dt_max=2e-3, forcing=prob.forcing)
+    res = simulate(cfg, prob.initial)
+    assert res.steps == 7
+    assert len(seen) == len(set(seen)) == 2 * res.steps + 1
+
+
+def test_manufactured_forced_step_builds_no_full_spectrum_and_projects_nothing(monkeypatch):
+    g, nu, dt = GridSpec(32), 0.02, 2e-3
+    prob = vspc.exact.manufactured(g, nu, "broadband")
+    Z = solver._pack(prob.initial)
+    want = solver._step_packed(solver._Workspace(g, nu), Z, 0.0, dt, prob.forcing)
+    work, generic = solver._Workspace(g, nu), solver._Workspace(g, nu)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full spectrum or a projection on the band path")
+
+    monkeypatch.setattr(HalfSpectrum, "full", refuse)
+    monkeypatch.setattr(GridSpec, "project", refuse)
+    assert np.array_equal(solver._step_packed(work, Z, 0.0, dt, prob.forcing), want)
+    rewrapped = ForcingSpec(prob.forcing.g_u, prob.forcing.g_F)
+    with pytest.raises(AssertionError, match="band path"):     # the generic path needs both
+        solver._step_packed(generic, Z, 0.0, dt, rewrapped)
+
+
+@pytest.mark.parametrize("part", ["band", "g_u", "g_F"])
+def test_forcing_on_another_grid_is_rejected(part):
+    f = vspc.exact.manufactured(GridSpec(32), 0.02, "broadband").forcing
+    forcing = {"band": f, "g_u": ForcingSpec(f.g_u, None), "g_F": ForcingSpec(None, f.g_F)}[part]
+    g = GridSpec(64)
+    cfg = SolverConfig(g, nu=0.02, t_end=0.01, forcing=forcing)
+    with pytest.raises(ValueError, match="grid n=32, the run on n=64"):
+        simulate(cfg, perturbed_identity_state(g, 0.1))
+    with pytest.raises(ValueError, match="grid n=32, the run on n=64"):
+        rhs(perturbed_identity_state(g, 0.1), cfg)
+
+
 def test_forced_runs_do_not_share_forcing_values():
     # run b starts at the time run a ends on: a forcing value kept past the
     # end of a run would be handed to the next one at that time
@@ -684,6 +727,19 @@ def test_precomposed_multipliers_match_projected_divergence_and_curl(seed, n):
     assert np.array_equal(got, kept)
 
 
+def test_nonlinearity_transforms_four_product_planes(monkeypatch):
+    # the normal-stress difference is formed pointwise, before the transform
+    g = GridSpec(32)
+    work = solver._Workspace(g)
+    P = g.half.to_samples(solver._pack(perturbed_identity_state(g, 0.1)))
+    to_coeffs, shapes = HalfSpectrum.to_coeffs, []
+    monkeypatch.setattr(HalfSpectrum, "to_coeffs",
+                        lambda self, s, **kw: shapes.append(s.shape) or to_coeffs(self, s, **kw))
+    solver._nonlinearity(work, P)
+    assert shapes == [(4, 32, 32)]
+    assert work.Q.shape == (4, 32, 32) and work.R.shape == (4, 32, 17)
+
+
 def test_one_step_allocates_little_beyond_its_workspace():
     # transient numpy allocation of one warm step, the returned state
     # included, in units of the packed band's bytes: the transforms write
@@ -754,7 +810,7 @@ def test_results_share_no_bytes_with_the_workspace(monkeypatch):
 
 def _full_half_reference_step(g, nu, Z, t, dt, forcing):
     """Integrating-factor RK4, unfused, on full (6, n, n//2+1) half spectra
-    through the 2D real transforms; forcing as _forcing_terms has it."""
+    through the 2D real transforms; forcing as the generic ForcingSpec._band has it."""
     half, n = g.half, g.n
     ik1, ik2, mask = half.ik1, half.ik2, half.mask
 
