@@ -157,8 +157,9 @@ def cmd_run(args) -> int:
     _check_dir(snap_dir if cfg.solver.snapshot_interval > 0 else out)
     artifacts = csv_path, cert_path, meta_path = [
         out / name for name in ("diagnostics.csv", "certificates.json", "metadata.json")]
-    for path in artifacts:      # written after the run, so checked before it
-        if path.exists() and not path.is_file():
+    snapshots = snap_dir.glob("state_*.vspc") if cfg.solver.snapshot_interval > 0 else ()
+    for path in (*artifacts, *sorted(snapshots)):   # written during and after the run,
+        if path.exists() and not path.is_file():    # so checked before it
             raise UsageError(f"output path {path} exists and is not a regular file")
     counter = [0]
 

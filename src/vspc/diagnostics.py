@@ -7,6 +7,12 @@ are plain rows of floats, round-trippable through CSV, and the certificate
 functions below consume only records — so verdicts can be recomputed offline
 from a diagnostics file.
 
+A record is computed one way, from a spectral block of the six channels and
+their samples: a public State is read as its half spectra, unmasked; the
+solver hands over its dealiased band and the samples its next step reuses,
+so a run builds no State for a record.  The 12 gradient planes are
+transformed and reduced four at a time, into a scratch the caller may lend.
+
 This module owns certificate policy: which certificates exist and in what
 order (certificate_reports), their default tolerances (*_TOLERANCE) and their
 verdicts.  A strict run halts on the first certificate that fails on [first
@@ -36,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import TAU, _half_columns
+from .fields import TAU, GridSpec, _half_columns
 
 __all__ = [
     "DiagnosticsRecord", "DiagnosticsEngine", "CertificateReport", "BkmReport",
@@ -113,16 +119,100 @@ def _require_finite(name, value, positive):
 
 
 def _power(half, coeffs):
-    """Parseval-weighted power spectrum Σ weight·|ĉ|² of a (…, n, n//2+1) stack."""
-    return half.weight * np.sum(coeffs.real ** 2 + coeffs.imag ** 2, axis=0)
+    """Parseval-weighted power spectrum Σ weight·|ĉ|² of a (…, n, w) stack of half spectra
+    or bands, on the whole (n, n//2+1) half: a band's missing columns are zero there, so
+    a norm sums the same terms in the same order for both."""
+    width = coeffs.shape[-1]
+    power = np.zeros((half.n, half.m))
+    power[:, :width] = half.weight[:, :width] * np.sum(coeffs.real ** 2 + coeffs.imag ** 2, axis=0)
+    return power
 
 
-def _lp_norms(grid, sq):
-    """(‖f‖₂, ‖f‖₄, ‖f‖₆, ‖f‖_∞) of the pointwise magnitude √sq, from sq = |f|²."""
+def _lp_norms(grid, sq, tmp):
+    """(‖f‖₂, ‖f‖₄, ‖f‖₆, ‖f‖_∞) of the pointwise magnitude √sq, from sq = |f|²; tmp is overwritten."""
     h2 = (TAU / grid.n) ** 2
-    sq2 = sq * sq
-    return (math.sqrt(h2 * float(np.sum(sq))), (h2 * float(np.sum(sq2))) ** 0.25,
-            (h2 * float(np.sum(sq2 * sq))) ** (1.0 / 6.0), math.sqrt(float(np.max(sq))))
+    sq2 = np.multiply(sq, sq, out=tmp)
+    sum4 = float(np.sum(sq2))
+    return (math.sqrt(h2 * float(np.sum(sq))), (h2 * sum4) ** 0.25,
+            (h2 * float(np.sum(np.multiply(sq2, sq, out=tmp)))) ** (1.0 / 6.0),
+            math.sqrt(float(np.max(sq))))
+
+
+def _sup(plane) -> float:
+    """max |plane|, with no temporary."""
+    return max(float(np.max(plane)), -float(np.min(plane)))
+
+
+def _square_sum(x, y):
+    """x² + y², into x; y is overwritten."""
+    x *= x
+    return np.add(x, np.multiply(y, y, out=y), out=x)
+
+
+@dataclass(frozen=True, eq=False)
+class _Packed:
+    """A state as record() reads it: at time t, the spectral block Z (6, n, w) of
+    State.channels, the samples P (6, n, n) of the same channels, and a float
+    scratch (4, n, n) that the record overwrites.  The solver hands over its
+    (6, n, n//3+1) band and the samples its next step reuses."""
+
+    grid: GridSpec
+    t: float
+    Z: np.ndarray
+    P: np.ndarray
+    scratch: np.ndarray
+
+
+def _packed(state) -> _Packed:
+    """A State as its (6, n, n//2+1) half spectra, unmasked, and their samples; a _Packed as it is."""
+    if isinstance(state, _Packed):
+        return state
+    half = state.grid.half
+    Z = _half_columns(state.channels, half.m)
+    return _Packed(state.grid, float(state.t), Z, half.to_samples(Z), np.empty((4, half.n, half.n)))
+
+
+def _gradient_sups(grid, Z, scratch):
+    """(linf_gradu, linf_curl_u, div_drift_u, l6_gradF, linf_curl_F, div_drift_F) of a
+    spectral block Z (6, n, w), from its 12 gradient planes, transformed four at a
+    time into scratch (4, n, n): ∇u, then each column of ∇F."""
+    half = grid.half
+    n = half.n
+    D = np.empty((2, 2, n, Z.shape[-1]), dtype=np.complex128)
+    T = np.empty((2, n, n))
+
+    def gradients(rows):
+        """∂₁r, ∂₂r of each of two spectral rows r, in that order; D holds the
+        multiplied rows and then the transform's k₁ pass."""
+        np.multiply(half.ik1, rows, out=D[:, 0])
+        np.multiply(half.ik2[:, :rows.shape[-1]], rows, out=D[:, 1])
+        flat = D.reshape(4, n, -1)
+        return half.to_samples(flat, out=scratch, tmp=flat)
+
+    # sup of the Jacobian operator norm.  For [[a, b], [c, d]] = ∇u (∂ⱼuᵢ),
+    # σ_max = (|(a+d, c−b)| + |(a−d, b+c)|)/2; unlike the root of
+    # (T + √(T² − 4 det²))/2 it stays accurate where both singular values meet
+    # (there the inner root turns roundoff of order ε into an error of √ε).
+    # |(x, y)| is √(x² + y²), a few times faster than np.hypot and within an
+    # ulp or two of it; x² overflows only past 1e154, far beyond gradu_ceiling
+    a, b, c, d = gradients(Z[:2])
+    div, curl = np.add(a, d, out=T[0]), np.subtract(c, b, out=T[1])
+    div_drift_u, linf_curl_u = _sup(div), _sup(curl)
+    sigma = np.sqrt(_square_sum(div, curl), out=div)
+    sigma += np.sqrt(_square_sum(np.subtract(a, d, out=a), np.add(b, c, out=b)), out=a)
+    linf_gradu = 0.5 * float(np.max(sigma))
+
+    # per column k: ∂₁F₁ₖ, ∂₂F₁ₖ, ∂₁F₂ₖ, ∂₂F₂ₖ; |∇F|² summed over both columns
+    gradF_sq, curl_F, div_F = T[0], [], []
+    gradF_sq[...] = 0.0
+    for rows in (Z[2:4], Z[4:6]):
+        p, q, r, s = gradients(rows)
+        curl_F.append(_sup(np.subtract(r, q, out=T[1])))
+        div_F.append(_sup(np.add(p, s, out=T[1])))
+        gradF_sq += _square_sum(p, q)       # (∂₁F_ik)² + (∂₂F_ik)², i = 1, 2
+        gradF_sq += _square_sum(r, s)
+    l6_gradF = _lp_norms(grid, gradF_sq, T[1])[2]
+    return linf_gradu, linf_curl_u, div_drift_u, l6_gradF, max(curl_F), max(div_F)
 
 
 def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: float = 0.0,
@@ -131,52 +221,38 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
 
     When prior is given, dt_since_prior must be the (positive) time elapsed
     since it; the accumulated integrals extend the prior's by one trapezoid.
-    l2_ut needs the prior velocity: prior_state, or prior_u, the
-    (2, n, n//2+1) half spectra of its u.
+    l2_ut needs the prior velocity: prior_state, or prior_u, the spectra of
+    its u as (2, n, n//2+1) half spectra or the solver's (2, n, n//3+1) band.
+
+    A State is read as its half spectra, not masked to the dealiased band, so
+    a state that is not dealiased is condensed as it is.
     """
     if prior is not None and dt_since_prior <= 0.0:
         raise ValueError("dt_since_prior must be positive when a prior record is given")
-    grid = state.grid
+    view = _packed(state)
+    grid, Z, scratch = view.grid, view.Z, view.scratch
     half = grid.half
-    # half spectra of u₁, u₂ and of F₁₁, F₂₁, F₁₂, F₂₂
-    C = _half_columns(state.channels, half.m)
-    hu, hF = C[:2], C[2:]
+    n, width = half.n, Z.shape[-1]
+    hu = Z[:2]
 
     # Sobolev norms from one power spectrum per block
     ksq = half.k_sq
-    pu, pF = _power(half, hu), _power(half, hF)
+    pu, pF = _power(half, hu), _power(half, Z[2:])
     norm = lambda power, w: TAU * math.sqrt(float(np.sum(power * w)))
     l2_u, h1_u, h2_u = (norm(pu, w) for w in (1.0, ksq, ksq * ksq))
     l2_F, h1_F, h2_F = (norm(pF, w) for w in (1.0, ksq, ksq * ksq))
     h2s_gradu = norm(pu, (1.0 + ksq) ** 2 * ksq)
 
-    # physical-space quantities, one inverse real transform per plane:
-    # G[i][j] = ∂ⱼuᵢ, Fp[k][i] = F_ik, dF[k][i] = (∂₁F_ik, ∂₂F_ik)
-    grad = lambda cs: [d * c for c in cs for d in (half.ik1, half.ik2)]
-    S = [half.to_samples(c) for c in grad(hu) + list(hF) + grad(hF)]
-    G = [S[0:2], S[2:4]]
-    Fp = [S[4:6], S[6:8]]
-    dF = [[S[8:10], S[10:12]], [S[12:14], S[14:16]]]
+    # Lᵖ norms of F, whole and by column, from its samples F₁₁, F₂₁, F₁₂, F₂₂
+    c1, c2, total, tmp = scratch
+    F11, F21, F12, F22 = view.P[2:]
+    np.add(np.multiply(F11, F11, out=c1), np.multiply(F21, F21, out=tmp), out=c1)
+    np.add(np.multiply(F12, F12, out=c2), np.multiply(F22, F22, out=tmp), out=c2)
+    lp = _lp_norms(grid, np.add(c1, c2, out=total), tmp)
+    lp_c = [_lp_norms(grid, c, tmp) for c in (c1, c2)]
 
-    col_sq = [Fp[k][0] ** 2 + Fp[k][1] ** 2 for k in range(2)]
-    lp = _lp_norms(grid, col_sq[0] + col_sq[1])
-    lp_c = [_lp_norms(grid, s) for s in col_sq]
-    gradF_sq = sum(d[0] ** 2 + d[1] ** 2 for k in range(2) for d in (dF[k][0], dF[k][1]))
-    l6_gradF = _lp_norms(grid, gradF_sq)[2]
-
-    # sup of the Jacobian operator norm.  For [[a, b], [c, d]],
-    # σ_max = (|(a+d, c−b)| + |(a−d, b+c)|)/2; unlike the root of
-    # (T + √(T² − 4 det²))/2 it stays accurate where both singular values meet
-    # (there the inner root turns roundoff of order ε into an error of √ε)
-    (a, b), (c, d) = G
-    linf_gradu = float(np.max(0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))))
-
-    linf_curl_u = float(np.max(np.abs(G[1][0] - G[0][1])))
-    linf_curl_F = max(
-        float(np.max(np.abs(dF[k][1][0] - dF[k][0][1]))) for k in range(2))
-    div_drift_u = float(np.max(np.abs(G[0][0] + G[1][1])))
-    div_drift_F = max(
-        float(np.max(np.abs(dF[k][0][0] + dF[k][1][1]))) for k in range(2))
+    (linf_gradu, linf_curl_u, div_drift_u,
+     l6_gradF, linf_curl_F, div_drift_F) = _gradient_sups(grid, Z, scratch)
 
     if prior is None:
         bkm = 0.0
@@ -192,13 +268,18 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
         e0 = prior.e0
         if prior_state is not None:
             prior_u = _half_columns(prior_state.u.components, half.m)
-        l2_ut = 0.0 if prior_u is None else norm(_power(half, hu - prior_u), 1.0) / dt
+        l2_ut = 0.0
+        if prior_u is not None:     # u − prior u; a band's missing columns are zero
+            diff = np.zeros((2, n, half.m), dtype=np.complex128)
+            diff[..., :width] += hu
+            diff[..., :prior_u.shape[-1]] -= prior_u
+            l2_ut = norm(_power(half, diff), 1.0) / dt
 
     energy_now = l2_u ** 2 + l2_F ** 2
     energy_residual = abs(energy_now + visc - e0) / e0 if e0 > 0 else 0.0
 
     return DiagnosticsRecord(
-        t=float(state.t), l2_u=l2_u, l2_F=l2_F, h1_u=h1_u, h1_F=h1_F,
+        t=view.t, l2_u=l2_u, l2_F=l2_F, h1_u=h1_u, h1_F=h1_F,
         h2_u=h2_u, h2_F=h2_F, h2s_gradu=h2s_gradu,
         lp2_F=lp[0], lp4_F=lp[1], lp6_F=lp[2], lpinf_F=lp[3],
         lp2_F_c1=lp_c[0][0], lp4_F_c1=lp_c[0][1], lp6_F_c1=lp_c[0][2], lpinf_F_c1=lp_c[0][3],
@@ -214,7 +295,9 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
 class DiagnosticsEngine:
     """Stateful wrapper around record() that threads accumulators through a run.
 
-    It keeps the last record and a copy of its u half spectra, not its State.
+    It keeps the last record and a copy of its u spectra, not its State: the
+    half spectra of an observed State, or the (2, n, n//3+1) band of a
+    solver's state.
     """
 
     def __init__(self, nu: float):
@@ -223,11 +306,12 @@ class DiagnosticsEngine:
         self._prior_u = None
 
     def observe(self, state) -> DiagnosticsRecord:
-        dt = 0.0 if self._prior is None else state.t - self._prior.t
-        rec = record(state, prior=self._prior, dt_since_prior=dt,
+        view = _packed(state)
+        dt = 0.0 if self._prior is None else view.t - self._prior.t
+        rec = record(view, prior=self._prior, dt_since_prior=dt,
                      nu=self.nu, prior_u=self._prior_u)
         self._prior = rec
-        self._prior_u = _half_columns(state.u.components, state.grid.half.m)
+        self._prior_u = view.Z[:2].copy()
         return rec
 
 

@@ -23,8 +23,9 @@ that order, packed as one (6, n, n//3+1) array: the k₂ = 0 … n/3 columns
 of the rfft2 half spectrum, the only ones the 2/3 rule leaves non-zero.  One
 right-hand side is one batched inverse real transform of the six channels
 and one batched forward real transform of the four products; their k₁
-passes run on the band alone.  Full complex spectra are rebuilt only where
-a State is handed out: diagnostics records, observer calls and the result.
+passes run on the band alone.  Diagnostics records are taken from the band
+and the samples the next step reuses; full complex spectra are rebuilt only
+where a State is handed out, to an observer and as the result.
 
 Time stepping is the classical RK4 scheme with an integrating factor
 e^{−ν|k|²t} on the velocity block (the deformation block has no diffusion and
@@ -251,11 +252,11 @@ class _Workspace:
     `curl` a_k to column k, dealiased; K, Y are the RK4 stage buffers.  The
     transforms write into P (samples), R (the products' k₂ pass) and B (the
     inverse's k₁ pass, then the products' band spectra).  Buffers that are
-    never live at once share bytes, so across a diagnostics record a run holds
-    little more than K and Y.  Once B holds a stage's k₁ pass, its input in Y
-    is spent, and the last slope in K was spent before the stage began: P and
-    then R live in the bytes of K and Y.  The four products Q live in B's
-    bytes, between its two uses.
+    never live at once share bytes.  Once B holds a stage's k₁ pass, its input
+    in Y is spent, and the last slope in K was spent before the stage began: P
+    and then R live in the bytes of K and Y.  The four products Q live in B's
+    bytes, between its two uses; between steps Q is a diagnostics record's
+    scratch, while P holds the samples the record and the next step share.
     """
 
     def __init__(self, grid: GridSpec, nu: float = 0.0):
@@ -447,8 +448,9 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     observing = observer is not None and cfg.snapshot_interval > 0
 
     engine = _diag.DiagnosticsEngine(nu=cfg.nu)
-    state = _unpack(grid, t, Z)     # State of (t, Z), or None until one is needed
-    records = [engine.observe(state)]
+    P = work.samples(Z)     # samples of (t, Z): the record's, then the next step's first stage's
+    records = [engine.observe(_diag._Packed(grid, t, Z, P, work.Q))]
+    state = _unpack(grid, t, Z) if observing else None     # a State only for the observer
     if observing:
         observer(state)
 
@@ -458,21 +460,23 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     steps = 0
     while t < t_end - 1e-12:
         state = None                    # frees the last observed State
-        P = work.samples(Z)             # the first RK4 stage's samples set the CFL step
-        dt = min(_cfl_dt(grid, P, cfg), t_end - t)
+        if P is None:
+            P = work.samples(Z)
+        dt = min(_cfl_dt(grid, P, cfg), t_end - t)    # the samples set the CFL step
         try:
             Z = _step_packed(work, Z, t, dt, cfg.forcing, P)
         except BlowupError as exc:
             termination = "blowup-detected"
             blowup_time = exc.t
             break
+        P = None                        # its bytes were the step's stage buffers
         t += dt
         steps += 1
 
         at_end = t >= t_end - 1e-12
         if steps % cfg.diagnostics_interval == 0 or at_end:
-            state = _unpack(grid, t, Z)
-            record = engine.observe(state)
+            P = work.samples(Z)
+            record = engine.observe(_diag._Packed(grid, t, Z, P, work.Q))
             records.append(record)
             if record.linf_gradu > cfg.gradu_ceiling:
                 termination = "blowup-detected"
@@ -487,8 +491,7 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
                     termination = "certificate-violation-halt"
                     break
         if observing and (steps % cfg.snapshot_interval == 0 or at_end):
-            if state is None:
-                state = _unpack(grid, t, Z)
+            state = _unpack(grid, t, Z)
             observer(state)
 
     return RunResult(

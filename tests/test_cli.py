@@ -218,6 +218,29 @@ def test_artifact_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys, mo
     assert [p.name for p in out.iterdir()] == [name]
 
 
+def test_snapshot_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # snapshots are written during the run: a blocked one stopped it mid-way
+    # in an IsADirectoryError traceback, after state_000000.vspc was written
+    snaps = tmp_path / "out" / "snapshots"
+    (snaps / "state_000001.vspc").mkdir(parents=True)
+    cfg = _write_config(tmp_path / "run.ini")      # n = 16, snapshot_interval = 5
+    monkeypatch.setattr(vspc.cli, "simulate", None)     # the check precedes the run
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "state_000001.vspc" in err
+    assert "not a regular file" in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["snapshots"]
+    assert [p.name for p in snaps.iterdir()] == ["state_000001.vspc"]
+
+
+def test_existing_snapshot_files_do_not_block_a_run(tmp_path):
+    snaps = tmp_path / "out" / "snapshots"
+    snaps.mkdir(parents=True)
+    (snaps / "state_000001.vspc").write_bytes(b"stale")
+    assert main(["run", str(_write_config(tmp_path / "run.ini"))]) == 0
+    assert (snaps / "state_000001.vspc").stat().st_size > 5    # overwritten
+
+
 def test_snapshot_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

@@ -304,3 +304,77 @@ def test_record_matches_full_lattice_reference(seed, n):
     assert all(type(getattr(rec, name)) is float for name in CSV_FIELDS)
     for name, value in _full_lattice_reference(state, prior_state, 0.25).items():
         assert math.isclose(getattr(rec, name), value, rel_tol=1e-12), name
+
+
+# ---------------------------------------------------------------------------
+# the solver's band record against the public record of the same state
+
+def _band(g, rng):
+    """A random dealiased (6, n, n//3+1) band, as the solver packs a state."""
+    half = g.half
+    Z = half.to_coeffs(rng.standard_normal((6, g.n, g.n)))[..., :half.band]
+    return Z * half.mask[:, :half.band]
+
+
+def _view(g, t, Z):
+    return vspc.diagnostics._Packed(g, t, Z, g.half.to_samples(Z), np.full((4, g.n, g.n), np.nan))
+
+
+def _assert_same_record(got, want, rel=1e-13):
+    for name in CSV_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is float and relative_difference(a, b) <= rel, (name, a, b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 32, 64]))
+def test_band_record_matches_the_record_of_its_state(seed, n):
+    g = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    Z0, Z1 = _band(g, rng), _band(g, rng)
+    s0, s1 = vspc.solver._unpack(g, 0.0, Z0), vspc.solver._unpack(g, 0.25, Z1)
+    prior = vspc.diagnostics.record(s0)
+    _assert_same_record(vspc.diagnostics.record(_view(g, 0.0, Z0)), prior)
+    want = vspc.diagnostics.record(s1, prior=prior, dt_since_prior=0.25, nu=0.3,
+                                   prior_state=s0)
+    view = _view(g, 0.25, Z1)
+    kept = view.Z.copy(), view.P.copy()
+    for prior_u in (Z0[:2], vspc.fields._half_columns(s0.u.components, g.half.m)):
+        got = vspc.diagnostics.record(view, prior=prior, dt_since_prior=0.25, nu=0.3,
+                                      prior_u=prior_u)
+        _assert_same_record(got, want)
+    # the record writes only into its scratch: the solver reuses Z and P
+    assert np.array_equal(view.Z, kept[0]) and np.array_equal(view.P, kept[1])
+    # the engine keeps the band of u, and threads the same accumulators
+    on_band, on_states = DiagnosticsEngine(nu=0.3), DiagnosticsEngine(nu=0.3)
+    for t, Z, state in ((0.0, Z0, s0), (0.25, Z1, s1)):
+        _assert_same_record(on_band.observe(_view(g, t, Z)), on_states.observe(state))
+    assert on_band._prior_u.shape == (2, n, g.half.band)
+    assert on_states._prior_u.shape == (2, n, g.half.m)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 32, 64]))
+def test_record_of_a_state_that_is_not_dealiased_is_not_masked(seed, n):
+    # the public path reads all n//2+1 columns of the half spectra, unmasked
+    g = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    state = _random_state(g, rng, 0.5)
+    half = vspc.fields._half_columns(state.channels, g.half.m)
+    rec = vspc.diagnostics.record(state)
+    _assert_same_record(rec, vspc.diagnostics.record(_view(g, 0.5, half)))
+    masked = vspc.diagnostics.record(_view(g, 0.5, vspc.solver._pack(state)))
+    assert masked.l2_u < rec.l2_u and masked.h1_F < rec.h1_F
+
+
+def test_curl_report_and_observe_agree_with_the_record_they_wrap():
+    g = GridSpec(32)
+    s0 = vspc.perturbed_identity_state(g, 0.2)
+    s1 = vspc.step(s0, 0.01, vspc.SolverConfig(g, nu=0.05, t_end=1.0))
+    first = vspc.diagnostics.record(s0)
+    assert vspc.diagnostics.curl_report(s1) == (
+        vspc.diagnostics.record(s1).linf_curl_u, vspc.diagnostics.record(s1).linf_curl_F)
+    engine = DiagnosticsEngine(nu=0.05)
+    assert engine.observe(s0) == first
+    assert engine.observe(s1) == vspc.diagnostics.record(
+        s1, prior=first, dt_since_prior=s1.t - s0.t, nu=0.05, prior_state=s0)

@@ -760,6 +760,85 @@ def test_one_step_allocates_little_beyond_its_workspace():
     assert peak - base <= 2.5 * Z.nbytes
 
 
+def _counted(monkeypatch, owner, name):
+    """Count the calls of owner.name from now on; returns the list of their arguments."""
+    calls, original = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("interval", [1, 3])
+def test_a_run_samples_each_state_once_and_unpacks_only_its_result(monkeypatch, interval):
+    # a record reads the band and the samples the next step reuses: no State
+    # is built for it, and no state is transformed twice
+    g = GridSpec(16)
+    unpacked = _counted(monkeypatch, solver, "_unpack")
+    sampled = _counted(monkeypatch, solver._Workspace, "samples")
+    recorded = _counted(monkeypatch, vspc.diagnostics, "record")
+    cfg = SolverConfig(g, nu=0.01, t_end=0.05, dt_max=5e-3, diagnostics_interval=interval)
+    res = simulate(cfg, perturbed_identity_state(g, 0.1))
+    assert res.steps == 10 and len(res.records) == 1 + math.ceil(10 / interval)
+    assert len(unpacked) == 1                   # the result
+    states = [Z for work, Z in sampled if Z is not work.Y]
+    assert len(states) == res.steps + 1         # t₀ … t₁₀, each once
+    assert len(sampled) == len(states) + 3 * res.steps      # and RK4 stages 2-4
+    assert len(recorded) == len(res.records)    # module attribute: a tracer counts every record
+
+
+def test_an_observed_run_unpacks_once_per_observation(monkeypatch):
+    g = GridSpec(16)
+    unpacked = _counted(monkeypatch, solver, "_unpack")
+    seen = []
+    cfg = SolverConfig(g, nu=0.01, t_end=0.05, dt_max=5e-3, snapshot_interval=4)
+    res = simulate(cfg, perturbed_identity_state(g, 0.1), observer=seen.append)
+    assert [round(s.t / 5e-3) for s in seen] == [0, 4, 8, 10]
+    assert len(unpacked) == len(seen) and res.final_state is seen[-1]
+
+
+def test_records_leave_the_trajectory_bit_identical():
+    g = GridSpec(32)
+    runs = [simulate(SolverConfig(g, nu=0.01, t_end=0.05, dt_max=5e-3, diagnostics_interval=k),
+                     perturbed_identity_state(g, 0.2)) for k in (1, 10 ** 9)]
+    assert [len(r.records) for r in runs] == [11, 2]
+    assert np.array_equal(solver._pack(runs[0].final_state), solver._pack(runs[1].final_state))
+    assert runs[0].records[-1].linf_gradu == runs[1].records[-1].linf_gradu
+
+
+def test_a_record_allocates_no_more_than_a_step(monkeypatch):
+    # peak transient allocation inside a run: a record condenses the band in
+    # four-plane chunks through the workspace, a step allocates its result
+    g = GridSpec(128)
+    peaks = {"observe": [], "_step_packed": []}
+
+    def peak_of(owner, name):
+        original = getattr(owner, name)
+
+        def traced(*args, **kwargs):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = original(*args, **kwargs)
+            peaks[name].append(tracemalloc.get_traced_memory()[1] - base)
+            return result
+
+        monkeypatch.setattr(owner, name, traced)
+
+    peak_of(vspc.diagnostics.DiagnosticsEngine, "observe")
+    peak_of(solver, "_step_packed")
+    cfg = SolverConfig(g, nu=0.01, t_end=0.01, dt_max=2.5e-3, diagnostics_interval=2)
+    tracemalloc.start()
+    try:
+        simulate(cfg, perturbed_identity_state(g, 0.1))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks["observe"]) == 3 and len(peaks["_step_packed"]) == 4
+    assert max(peaks["observe"]) <= max(peaks["_step_packed"])
+
+
 def _workspaces(monkeypatch):
     """Every _Workspace made from now on, in the list returned."""
     made = []
