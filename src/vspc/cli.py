@@ -262,15 +262,19 @@ def cmd_verify_exact(args) -> int:
     checks.append(("corrected residual sweep (100 draws, scaled)", worst <= 1e-12,
                    f"max relative residual {worst:.2e}"))
 
-    res0 = exact.zgh_residual(params, 0.2, [[1.0, -0.5]])
+    # both checks run before the pole: t = 0.2 and t* - 0.05 where they fit
+    t_res = 0.2 if params.t_star > 0.2 else 0.5 * params.t_star
+    t_stop = max(params.t_star - 0.05, 0.5 * params.t_star) if params.blows_up else 1.0
+
+    res0 = exact.zgh_residual(params, t_res, [[1.0, -0.5]])
     worst0 = max(np.abs(res0.momentum).max(), np.abs(res0.deformation).max(),
                  abs(res0.div_u))
     checks.append((f"corrected residual at alpha={args.alpha}, beta={args.beta}",
                    worst0 <= 1e-12, f"max residual {worst0:.2e}"))
 
     # the printed display is *expected* to fail incompressibility: div u = 2a
-    a_amp = exact.zgh_amplitude(params)(0.2)
-    res_p = exact.zgh_residual(params, 0.2, [[1.0, -0.5]], fidelity="printed")
+    a_amp = exact.zgh_amplitude(params)(t_res)
+    res_p = exact.zgh_residual(params, t_res, [[1.0, -0.5]], fidelity="printed")
     printed_defect = abs(res_p.div_u - 2.0 * a_amp) <= 1e-12 and abs(res_p.div_u) > 0.1
     checks.append(("printed fidelity shows div u = 2a (documented defect)",
                    printed_defect, f"div u = {res_p.div_u:.6g}, 2a = {2 * a_amp:.6g}"))
@@ -279,8 +283,7 @@ def cmd_verify_exact(args) -> int:
                    f"residual {res_p.deformation[1, 1]:.6g}"))
 
     # RK4 on the ODE reduction against the closed form
-    t_stop = (params.t_star - 0.05) if params.blows_up else 1.0
-    steps = max(1, round(t_stop / 1e-4))
+    steps = max(1, round(t_stop / min(1e-4, 1e-3 * params.t_star)))
     dt = t_stop / steps
     state = exact.LinearProfileState(np.diag([params.f0, -params.f0]), np.eye(2), 0.0)
     amp = exact.zgh_amplitude(params)
@@ -388,7 +391,10 @@ def cmd_criterion_report(args) -> int:
         raise UsageError(str(exc)) from None
     text = json.dumps(bundle, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write report {args.out}: {exc}") from None
     else:
         print(text)
     return 0

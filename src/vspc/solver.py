@@ -413,6 +413,12 @@ def _validate_initial(state: State, cfg: SolverConfig):
     if state.grid != cfg.grid:
         raise ValueError(f"initial state grid n={state.grid.n} does not match "
                          f"config grid n={cfg.grid.n}")
+    t = float(state.t)
+    if not np.isfinite(t):
+        raise ValueError(f"initial time must be finite, got t = {t}")
+    if t + cfg.dt_max == t:         # the clock would never advance
+        raise ValueError(f"initial time t = {t:.6g} is too large for a step of "
+                         f"dt_max = {cfg.dt_max:.3g} to advance it")
     if not all(np.all(np.isfinite(f.data)) for f in state.channels):
         raise ValueError("initial state contains non-finite values")
     spectral = [f.data for f in state.channels if f.is_spectral]
@@ -430,14 +436,16 @@ def _validate_initial(state: State, cfg: SolverConfig):
 
 
 def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
-    """March the solution to t_end with CFL-adaptive steps.
+    """March the solution from initial.t for a duration t_end, with CFL-adaptive steps.
 
-    Diagnostics are recorded every diagnostics_interval steps (and always at
-    the first and last instant); observer(state) is invoked at the same cadence
-    of snapshot_interval when that is positive.  Blowup (non-finite values or
-    ‖∇u‖_∞ > gradu_ceiling) ends the run early with the last good state.  In
-    strict mode a record that fails a certificate of diagnostics.certificate_reports,
-    judged against the first record, halts the run and names the certificate.
+    One loop takes the initial state as step 0: it records diagnostics every
+    diagnostics_interval steps (and always at step 0 and at the end) and calls
+    observer(state) at the same cadence of snapshot_interval when that is
+    positive.  Every record, the first included, is judged: blowup (non-finite
+    values or ‖∇u‖_∞ > gradu_ceiling) ends the run early with the last good
+    state, and in strict mode a record that fails a certificate of
+    diagnostics.certificate_reports, judged against the first record, halts the
+    run and names the certificate.
     """
     _validate_initial(initial, cfg)
     grid = cfg.grid
@@ -446,33 +454,15 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     t = float(initial.t)
     t_end = t + cfg.t_end
     observing = observer is not None and cfg.snapshot_interval > 0
-
     engine = _diag.DiagnosticsEngine(nu=cfg.nu)
-    P = work.samples(Z)     # samples of (t, Z): the record's, then the next step's first stage's
-    records = [engine.observe(_diag._Packed(grid, t, Z, P, work.Q))]
-    state = _unpack(grid, t, Z) if observing else None     # a State only for the observer
-    if observing:
-        observer(state)
-
+    records = []
     termination = "completed"
     blowup_time = None
     violated = None
     steps = 0
-    while t < t_end - 1e-12:
-        state = None                    # frees the last observed State
-        if P is None:
-            P = work.samples(Z)
-        dt = min(_cfl_dt(grid, P, cfg), t_end - t)    # the samples set the CFL step
-        try:
-            Z = _step_packed(work, Z, t, dt, cfg.forcing, P)
-        except BlowupError as exc:
-            termination = "blowup-detected"
-            blowup_time = exc.t
-            break
-        P = None                        # its bytes were the step's stage buffers
-        t += dt
-        steps += 1
-
+    P = None                # samples of (t, Z): a record's, then the next step's first stage's
+    state = None            # a State only for the observer and the result
+    while True:
         at_end = t >= t_end - 1e-12
         if steps % cfg.diagnostics_interval == 0 or at_end:
             P = work.samples(Z)
@@ -493,6 +483,20 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
         if observing and (steps % cfg.snapshot_interval == 0 or at_end):
             state = _unpack(grid, t, Z)
             observer(state)
+        if at_end:
+            break
+        state = None                    # frees the last observed State
+        P = work.samples(Z) if P is None else P
+        dt = min(_cfl_dt(grid, P, cfg), t_end - t)    # the samples set the CFL step
+        try:
+            Z = _step_packed(work, Z, t, dt, cfg.forcing, P)
+        except BlowupError as exc:
+            termination = "blowup-detected"
+            blowup_time = exc.t
+            break
+        P = None                        # its bytes were the step's stage buffers
+        t += dt
+        steps += 1
 
     return RunResult(
         final_state=state if state is not None else _unpack(grid, t, Z),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import vspc.cli
 from vspc.cli import main, parse_run_config, UsageError
 from vspc.diagnostics import certificate_bundle, read_records_csv, write_records_csv
 from vspc.fields import GridSpec, ScalarField, write_snapshot
-from vspc.solver import SolverConfig
+from vspc.solver import SolverConfig, perturbed_identity_state
 
 
 def _write_config(path, **overrides):
@@ -251,6 +252,17 @@ def test_snapshot_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["snapshots"]
 
 
+@pytest.mark.parametrize("target", ["a-directory", "missing/report.json"])
+def test_criterion_report_into_an_unwritable_path_is_a_usage_error(tmp_path, capsys, target):
+    cfg = _write_config(tmp_path / "run.ini")
+    assert main(["run", str(cfg)]) == 0
+    (tmp_path / "a-directory").mkdir()
+    capsys.readouterr()
+    csv_path = str(tmp_path / "out" / "diagnostics.csv")
+    assert main(["criterion-report", csv_path, "--out", str(tmp_path / target)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write report")
+
+
 def test_criterion_report_rejects_empty_history(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -297,6 +309,17 @@ def test_rejected_initial_state_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("t0", [math.nan, math.inf])
+def test_run_from_a_snapshot_at_a_non_finite_time_writes_nothing(tmp_path, capsys, t0):
+    g = GridSpec(16)
+    snap = tmp_path / "state.vspc"
+    write_snapshot(snap, t0, perturbed_identity_state(g, 0.1).channels)
+    cfg = _write_config(tmp_path / "bad.ini", initial={"kind": "from-snapshot", "path": str(snap)})
+    assert main(["run", str(cfg)]) == 1
+    assert "error: initial time must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_horizon_run(tmp_path):
     cfg = _write_config(tmp_path / "zero.ini", solver={"t_end": 0.0})
     assert main(["run", str(cfg)]) == 0
@@ -323,6 +346,21 @@ def test_verify_exact_default_passes(capsys):
     assert main(["verify-exact"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("f0", ["4", "10", "1e6"])
+def test_verify_exact_checks_an_early_pole_before_it(capsys, f0):
+    # t* = 1/12, 1/30 and 3.3e-7 lie before the default residual time t = 0.2;
+    # at 3.3e-7 the ODE cross-check needs steps of t*/1000, not one step
+    assert main(["verify-exact", "--f0", f0]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
+def test_verify_exact_default_times_are_kept(capsys):
+    assert main(["verify-exact"]) == 0
+    out = capsys.readouterr().out
+    assert "div u = 5, 2a = 5" in out       # the amplitude at t = 0.2
+    assert "at t = 0.2833" in out           # t* - 0.05
 
 
 def test_verify_exact_rejects_equal_parameters(capsys):

@@ -238,6 +238,16 @@ def test_one_owner_of_certificate_verdicts():
     assert _calls_of(solver_tree, "certificate_reports")
 
 
+def test_one_run_loop():
+    # simulate records, observes and steps at one site each, so the first
+    # record is judged like every other
+    tree = ast.parse(Path(vspc.solver.__file__).read_text())
+    simulate = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "simulate")
+    for name in ("observe", "observer", "_step_packed"):
+        assert len(_calls_of(simulate, name)) == 1, name
+
+
 @settings(max_examples=30)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 32, 64, 128]),
        banded=st.booleans())

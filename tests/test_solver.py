@@ -251,6 +251,40 @@ def test_gradu_ceiling_triggers_blowup_path():
     assert np.all(np.isfinite([res.final_state.t]))
 
 
+@pytest.mark.parametrize("interval", [1, 10 ** 9])
+def test_the_first_record_meets_the_ceiling(interval):
+    # Taylor–Green has ‖∇u‖_∞ = 1 at t = 0: past a ceiling of 0.5 before any
+    # step, whatever the record cadence
+    g = GridSpec(16)
+    cfg = SolverConfig(g, nu=0.0, t_end=0.1, gradu_ceiling=0.5, diagnostics_interval=interval)
+    res = simulate(cfg, taylor_green_state(g))
+    assert res.termination == "blowup-detected"
+    assert res.steps == 0 and res.blowup_time == 0.0
+    assert len(res.records) == 1 and res.records[0].linf_gradu > 0.5
+    assert res.final_state.t == 0.0
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf, 1e15])
+def test_an_initial_time_the_clock_cannot_leave_is_rejected(monkeypatch, t0):
+    # at t = 1e15 a step of dt_max = 0.005 leaves t unchanged; the bounded
+    # stepper turns a run that never ends into a failure
+    calls = []
+    stepper = solver._step_packed
+
+    def bounded(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 50:
+            raise AssertionError("the clock does not advance")
+        return stepper(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_step_packed", bounded)
+    g = GridSpec(16)
+    base = perturbed_identity_state(g, 0.1)
+    with pytest.raises(ValueError, match="initial time"):
+        simulate(SolverConfig(g, nu=0.0, t_end=1.0), State(t0, base.u, base.F))
+    assert not calls
+
+
 def test_strict_mode_halts_on_certificate():
     g = GridSpec(16)
     cfg = SolverConfig(g, nu=0.1, t_end=0.5, strict=True, energy_tolerance=1e-18,
