@@ -164,7 +164,8 @@ def cmd_run(args) -> int:
     counter = [0]
 
     def observer(state):
-        snap_dir.mkdir(parents=True, exist_ok=True)
+        if counter[0] == 0:
+            snap_dir.mkdir(parents=True, exist_ok=True)
         write_snapshot(snap_dir / f"state_{counter[0]:06d}.vspc", state.t, state.channels)
         counter[0] += 1
 
@@ -225,6 +226,9 @@ def _check_table(checks) -> int:
     return 0 if ok else 3
 
 
+_ODE_STEPS = 10_000      # the most RK4 steps of verify-exact's ODE cross-check
+
+
 def cmd_verify_exact(args) -> int:
     from scipy.integrate import quad
 
@@ -282,13 +286,22 @@ def cmd_verify_exact(args) -> int:
                    abs(res_p.deformation[1, 1]) > 1e-3,
                    f"residual {res_p.deformation[1, 1]:.6g}"))
 
-    # RK4 on the ODE reduction against the closed form
+    # RK4 on the ODE reduction against the closed form, in steps of
+    # min(1e-4, 1e-3 t*); where that takes more than _ODE_STEPS, a far pole, in
+    # _ODE_STEPS whose distance to t* shrinks geometrically, as 1/a(t) does,
+    # each step ending on its grid time so that rounding of t does not pile up
     steps = max(1, round(t_stop / min(1e-4, 1e-3 * params.t_star)))
-    dt = t_stop / steps
     state = exact.LinearProfileState(np.diag([params.f0, -params.f0]), np.eye(2), 0.0)
     amp = exact.zgh_amplitude(params)
-    for _ in range(steps):
-        state = exact.ode_reduce_step(state, amp, dt)
+    if steps <= _ODE_STEPS or not params.blows_up:
+        for _ in range(steps):
+            state = exact.ode_reduce_step(state, amp, t_stop / steps)
+    else:
+        ends = params.t_star - params.t_star * (1.0 - t_stop / params.t_star) ** np.linspace(
+            0.0, 1.0, _ODE_STEPS + 1)[1:]
+        ends[-1] = t_stop
+        for end in ends:
+            state = exact.ode_reduce_step(state, amp, float(end) - state.t)
     F_exact = exact.zgh_fields(params, t_stop).F
     ode_err = float(np.max(np.abs(state.F - F_exact)))
     checks.append(("ODE reduction matches closed-form F", ode_err <= 1e-8,

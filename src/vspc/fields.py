@@ -10,7 +10,10 @@ integers in FFT layout; axis 0 of every data array is x₁ and axis 1 is x₂.
 
 Field objects are immutable value types: every operation returns a new field
 and the wrapped arrays are marked read-only, so fields can be shared freely
-across threads.
+across threads.  A field the solver hands out keeps its read-only row of the
+solver's packed band and builds its full spectrum `data` on first read; that
+spectrum is deterministic and read-only, so two threads racing to build it
+are harmless.
 """
 
 from __future__ import annotations
@@ -133,24 +136,7 @@ class GridSpec:
         half = self.half
         h = coeffs[..., :half.m]
         d = h - np.conj(coeffs[..., half._mirror_rows[:, None], half._mirror_cols])
-        planes = (-2, -1)
-        scale = np.max(np.abs(coeffs), axis=planes)
-        violation = np.max(np.abs(d), axis=planes)
-        bad = np.flatnonzero(violation > 1e-10 * scale + 1e-14)
-        if bad.size:
-            raise ConjugateSymmetryError(
-                f"conjugate symmetry violated: residual {violation.flat[bad[0]]:.3e} "
-                f"against scale {scale.flat[bad[0]]:.3e}")
-        w = half.to_samples(h)
-        limit = 1e-10 * np.maximum(np.max(np.abs(w), axis=planes), 1.0)
-        loose = 0.5 * np.sum(half.weight * np.abs(d), axis=planes) > limit
-        if np.any(loose):
-            resid = np.max(np.abs(half.to_samples(d[loose] / 2j)), axis=planes)
-            bad = np.flatnonzero(resid > limit[loose])
-            if bad.size:
-                raise ConjugateSymmetryError(
-                    f"imaginary residue {resid[bad[0]]:.3e} left after inverse transform")
-        return w
+        return half._checked(h, d, coeffs)
 
     @cached_property
     def _leray(self):
@@ -175,7 +161,8 @@ class HalfSpectrum:
     """The k₂ = 0 … n/2 columns of the FFT layout, as np.fft.rfft2 returns them.
 
     A real field is fixed by them (f̂(−k) = conj f̂(k)), so the solver keeps
-    its state here and rebuilds full spectra only for the public field types.
+    its state here, and the fields it hands out build full spectra only when
+    their `data` is read.
     A dealiased field fills only the first `band` = n/3 + 1 columns; the
     transforms and `full` take such a band too.  The transforms are irfft2
     and rfft2 as their two 1D passes, so that the k₁ pass runs on the given
@@ -208,6 +195,49 @@ class HalfSpectrum:
         tmp = np.fft.rfft(samples, axis=-1, norm="forward", out=tmp)
         cols = self.m if out is None else out.shape[-1]
         return np.fft.fft(tmp[..., :cols], axis=-2, norm="forward", out=out)
+
+    def _checked_samples(self, rows):
+        """Real samples of band or half spectra, batched; checked as
+        GridSpec.to_samples checks self.full(rows).
+
+        Of full(rows), only the columns that are their own mirror image can
+        fail the mirror test: k₂ = 0, and k₂ = n/2 of a half spectrum.  Its
+        mirror residual is exactly 0 elsewhere and max|full(rows)| is
+        max|rows|, so the two tests cost O(n) per plane.
+        """
+        n, c = self.n, rows.shape[-1]
+        cols = (0,) if c <= n // 2 else (0, n // 2)
+        d = np.zeros(rows.shape[:-1] + (cols[-1] + 1,), dtype=np.complex128)
+        for j in cols:
+            d[..., j] = rows[..., j] - np.conj(rows[..., self._mirror_rows, j])
+        return self._checked(rows, d, rows)
+
+    def _checked(self, h, d, spectra):
+        """Samples of spectra h (see GridSpec.to_samples) once d, the first columns
+        of their mirror residual, passes the mirror and residue tests; max|ĉ| is
+        that of `spectra`.  The tests read max|ĉ| and max|w| only where d could
+        fail them: where max|d| > 1e-14 and ½Σ|d| > 1e-10."""
+        planes = (-2, -1)
+        violation = np.max(np.abs(d), axis=planes)
+        if np.any(violation > 1e-14):
+            scale = np.max(np.abs(spectra), axis=planes)
+            bad = np.flatnonzero(violation > 1e-10 * scale + 1e-14)
+            if bad.size:
+                raise ConjugateSymmetryError(
+                    f"conjugate symmetry violated: residual {violation.flat[bad[0]]:.3e} "
+                    f"against scale {scale.flat[bad[0]]:.3e}")
+        w = self.to_samples(h)
+        bound = 0.5 * np.sum(self.weight[:, :d.shape[-1]] * np.abs(d), axis=planes)
+        if np.any(bound > 1e-10):
+            limit = 1e-10 * np.maximum(np.max(np.abs(w), axis=planes), 1.0)
+            loose = bound > limit
+            if np.any(loose):
+                resid = np.max(np.abs(self.to_samples(d[loose] / 2j)), axis=planes)
+                bad = np.flatnonzero(resid > limit[loose])
+                if bad.size:
+                    raise ConjugateSymmetryError(
+                        f"imaginary residue {resid[bad[0]]:.3e} left after inverse transform")
+        return w
 
     def full(self, coeffs):
         """Full spectra rebuilt from half spectra or a narrower band b:
@@ -261,16 +291,23 @@ class ScalarField:
         return self.rep == SPECTRAL
 
 
-def _adopt_spectrum(grid, coeffs) -> ScalarField:
-    """Spectral field over coeffs itself, without the constructor's copy.
+class _BandField(ScalarField):
+    """Spectral field over one read-only (n, w) row of band or half spectra.
 
-    Only for a fresh, read-only (n, n) complex array of which the caller
-    keeps no writable reference, so the field stays immutable.
+    Only for a row of which no writable reference is kept, so the field
+    stays immutable.  The readers of half spectra take the row; the full
+    spectrum `data` is built on first read, as HalfSpectrum.full(row).
     """
-    f = object.__new__(ScalarField)
-    for name, value in (("grid", grid), ("data", coeffs), ("rep", SPECTRAL)):
-        object.__setattr__(f, name, value)
-    return f
+
+    def __init__(self, grid, row):
+        for name, value in (("grid", grid), ("rep", SPECTRAL), ("row", row)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def data(self):
+        full = self.grid.half.full(self.row)
+        full.flags.writeable = False
+        return full
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,7 +393,7 @@ def to_physical(f: ScalarField) -> ScalarField:
     """Checked inverse transform (GridSpec.to_samples)."""
     if not f.is_spectral:
         raise ValueError("to_physical expects a spectral-representation field")
-    return ScalarField.from_samples(f.grid, f.grid.to_samples(f.data))
+    return ScalarField.from_samples(f.grid, _spectral_samples([f])[0])
 
 
 def ensure_spectral(f: ScalarField) -> np.ndarray:
@@ -365,15 +402,31 @@ def ensure_spectral(f: ScalarField) -> np.ndarray:
 
 
 def _half_columns(fields, width) -> np.ndarray:
-    """ensure_spectral(f)[:, :width] of scalar fields f, stacked, with no full spectrum built:
+    """ensure_spectral(f)[:, :width] of scalar fields f, stacked, width ≤ n//2 + 1, with
+    no full spectrum built: a band-backed row is sliced or zero-padded, other
     spectral data is sliced and samples go through HalfSpectrum.to_coeffs."""
-    return np.stack([f.data[:, :width] if f.is_spectral
-                     else f.grid.half.to_coeffs(f.data)[:, :width] for f in fields])
+    out = np.zeros((len(fields), fields[0].grid.n, width), dtype=np.complex128)
+    for f, plane in zip(fields, out):
+        cols = f.row[:, :width] if isinstance(f, _BandField) else (
+            f.data if f.is_spectral else f.grid.half.to_coeffs(f.data))[:, :width]
+        plane[:, :cols.shape[-1]] = cols
+    return out
+
+
+def _spectral_samples(fields) -> np.ndarray:
+    """Checked samples of spectral fields on one grid, stacked.  Band-backed
+    fields go through the pruned inverse (HalfSpectrum._checked_samples), any
+    other field sends them all through GridSpec.to_samples."""
+    grid = fields[0].grid
+    if all(isinstance(f, _BandField) for f in fields):
+        width = max(f.row.shape[-1] for f in fields)
+        return grid.half._checked_samples(_half_columns(fields, width))
+    return grid.to_samples(np.stack([f.data for f in fields]))
 
 
 def ensure_physical(f: ScalarField) -> np.ndarray:
     """Sample array of f, transforming (checked) if needed."""
-    return f.data if f.is_physical else f.grid.to_samples(f.data)
+    return f.data if f.is_physical else _spectral_samples([f])[0]
 
 
 def dealias(f: ScalarField) -> ScalarField:
@@ -443,13 +496,13 @@ def write_snapshot(path, time, fields: Sequence[ScalarField]):
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("snapshot fields live on different grids")
-    spectral = [f.data for f in fields if f.is_spectral]
-    samples = iter(grid.to_samples(np.stack(spectral)) if spectral else ())
+    spectral = [f for f in fields if f.is_spectral]
+    samples = iter(_spectral_samples(spectral) if spectral else ())
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.n, len(fields), float(time)))
         for f in fields:
             values = f.data if f.is_physical else next(samples)
-            fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
 def read_snapshot(path):

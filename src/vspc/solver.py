@@ -24,8 +24,9 @@ of the rfft2 half spectrum, the only ones the 2/3 rule leaves non-zero.  One
 right-hand side is one batched inverse real transform of the six channels
 and one batched forward real transform of the four products; their k₁
 passes run on the band alone.  Diagnostics records are taken from the band
-and the samples the next step reuses; full complex spectra are rebuilt only
-where a State is handed out, to an observer and as the result.
+and the samples the next step reuses.  A State handed out, to an observer
+and as the result, keeps rows of the band; a field's full complex spectrum
+is built only when its `data` is read.
 
 Time stepping is the classical RK4 scheme with an integrating factor
 e^{−ν|k|²t} on the velocity block (the deformation block has no diffusion and
@@ -60,9 +61,10 @@ from .fields import (
     TensorField,
     VectorField,
     ensure_physical,
-    _adopt_spectrum,
+    _BandField,
     _half_columns,
     _scalar_parts,
+    _spectral_samples,
 )
 from . import diagnostics as _diag
 from .operators import _div_max
@@ -207,11 +209,14 @@ def _same_grid(found: GridSpec, grid: GridSpec):
 
 
 def _vectors(grid: GridSpec, Z):
-    """Spectral vector fields of the row pairs (0, 1), (2, 3), … of band or half spectra Z."""
-    full = grid.half.full(Z)
-    full.flags.writeable = False        # the fields share its planes, uncopied
-    return [VectorField((_adopt_spectrum(grid, full[i]), _adopt_spectrum(grid, full[i + 1])))
-            for i in range(0, len(full), 2)]
+    """Spectral vector fields of the row pairs (0, 1), (2, 3), … of band or half spectra Z.
+
+    Z is frozen, not copied: the fields keep its rows, so a caller hands over
+    a fresh block that it never writes again.
+    """
+    Z.flags.writeable = False
+    return [VectorField((_BandField(grid, Z[i]), _BandField(grid, Z[i + 1])))
+            for i in range(0, len(Z), 2)]
 
 
 def _fields(grid: GridSpec, Z):
@@ -419,12 +424,13 @@ def _validate_initial(state: State, cfg: SolverConfig):
     if t + cfg.dt_max == t:         # the clock would never advance
         raise ValueError(f"initial time t = {t:.6g} is too large for a step of "
                          f"dt_max = {cfg.dt_max:.3g} to advance it")
-    if not all(np.all(np.isfinite(f.data)) for f in state.channels):
+    values = (f.row if isinstance(f, _BandField) else f.data for f in state.channels)
+    if not all(np.all(np.isfinite(v)) for v in values):
         raise ValueError("initial state contains non-finite values")
-    spectral = [f.data for f in state.channels if f.is_spectral]
+    spectral = [f for f in state.channels if f.is_spectral]
     if spectral:
         try:
-            state.grid.to_samples(np.stack(spectral))
+            _spectral_samples(spectral)
         except ConjugateSymmetryError as exc:
             raise ValueError(f"initial state is not a real field: {exc}") from None
     du, dF = divergence_drift(state)
@@ -441,7 +447,8 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     One loop takes the initial state as step 0: it records diagnostics every
     diagnostics_interval steps (and always at step 0 and at the end) and calls
     observer(state) at the same cadence of snapshot_interval when that is
-    positive.  Every record, the first included, is judged: blowup (non-finite
+    positive.  A step too small to advance t raises ValueError before it is
+    taken.  Every record, the first included, is judged: blowup (non-finite
     values or ‖∇u‖_∞ > gradu_ceiling) ends the run early with the last good
     state, and in strict mode a record that fails a certificate of
     diagnostics.certificate_reports, judged against the first record, halts the
@@ -488,6 +495,9 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
         state = None                    # frees the last observed State
         P = work.samples(Z) if P is None else P
         dt = min(_cfl_dt(grid, P, cfg), t_end - t)    # the samples set the CFL step
+        if t + dt == t:
+            raise ValueError(f"the clock stalls at t = {t:.17g}: a step of dt = {dt:.3g} "
+                             f"does not advance it")
         try:
             Z = _step_packed(work, Z, t, dt, cfg.forcing, P)
         except BlowupError as exc:

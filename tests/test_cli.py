@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vspc
 import vspc.cli
 from vspc.cli import main, parse_run_config, UsageError
 from vspc.diagnostics import certificate_bundle, read_records_csv, write_records_csv
@@ -320,6 +323,77 @@ def test_run_from_a_snapshot_at_a_non_finite_time_writes_nothing(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_run_whose_clock_stalls_is_a_usage_error(tmp_path, capsys):
+    # a CFL step of 1.5e-7 does not advance t = 1e10
+    g = GridSpec(16)
+    snap = tmp_path / "late.vspc"
+    write_snapshot(snap, 1e10, perturbed_identity_state(g, 0.1).channels)
+    cfg = _write_config(tmp_path / "late.ini", solver={"cfl": 1e-6},
+                        initial={"kind": "from-snapshot", "path": str(snap)},
+                        output={"snapshot_interval": 0})
+    assert main(["run", str(cfg)]) == 1
+    assert "error: the clock stalls at t = 10000000000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_snapshots_take_the_pruned_inverse(tmp_path, monkeypatch):
+    # no checked full-lattice inverse and no full spectrum during the run, and
+    # the same bytes as GridSpec.to_samples of each observed state's full spectra
+    cfg = _write_config(tmp_path / "snap.ini", output={"snapshot_interval": 1},
+                        certificates={"strict": "true"})
+    parsed = parse_run_config(cfg)
+    fields = vspc.fields
+    want = []
+
+    def full_lattice_snapshot(state):
+        samples = state.grid.to_samples(np.stack([f.data for f in state.channels]))
+        header = fields._HEADER.pack(fields.SNAPSHOT_MAGIC, fields.SNAPSHOT_VERSION,
+                                     state.grid.n, 6, state.t)
+        want.append(header + samples.astype("<f8").tobytes())
+
+    vspc.solver.simulate(parsed.solver, parsed.initial, observer=full_lattice_snapshot)
+    running, calls = [False], []
+    for owner, name in ((GridSpec, "to_samples"), (fields.HalfSpectrum, "full")):
+        original = getattr(owner, name)
+
+        def counting(*args, _original=original, _name=name):
+            if running[0]:
+                calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    simulate = vspc.cli.simulate
+
+    def run(*args, **kwargs):
+        running[0] = True
+        try:
+            return simulate(*args, **kwargs)
+        finally:
+            running[0] = False
+
+    monkeypatch.setattr(vspc.cli, "simulate", run)
+    assert main(["run", str(cfg)]) == 0
+    assert calls == []
+    written = sorted((tmp_path / "out" / "snapshots").glob("state_*.vspc"))
+    assert len(written) == 11 and [p.read_bytes() for p in written] == want
+
+
+def test_run_makes_the_snapshot_dir_once(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path / "snap.ini", output={"snapshot_interval": 1})
+    (tmp_path / "out" / "snapshots").mkdir(parents=True)    # so each mkdir is one call
+    made = []
+    mkdir = Path.mkdir
+
+    def counting(self, *args, **kwargs):
+        made.append(self.name)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting)
+    assert main(["run", str(cfg)]) == 0
+    assert len(list((tmp_path / "out" / "snapshots").iterdir())) == 11
+    assert made.count("snapshots") == 1
+
+
 def test_zero_horizon_run(tmp_path):
     cfg = _write_config(tmp_path / "zero.ini", solver={"t_end": 0.0})
     assert main(["run", str(cfg)]) == 0
@@ -361,6 +435,22 @@ def test_verify_exact_default_times_are_kept(capsys):
     out = capsys.readouterr().out
     assert "div u = 5, 2a = 5" in out       # the amplitude at t = 0.2
     assert "at t = 0.2833" in out           # t* - 0.05
+
+
+@pytest.mark.parametrize("f0, steps", [("1.0", 2833), ("1e-3", vspc.cli._ODE_STEPS)])
+def test_verify_exact_bounds_the_ode_steps(capsys, monkeypatch, f0, steps):
+    # t* = 1/3 keeps its 2833 steps of 1e-4; t* = 333 would take 3.3 million
+    calls = []
+    stepper = vspc.exact.ode_reduce_step
+
+    def counting(*args):
+        calls.append(args[2])
+        return stepper(*args)
+
+    monkeypatch.setattr(vspc.exact, "ode_reduce_step", counting)
+    main(["verify-exact", "--f0", f0])
+    assert len(calls) == steps
+    assert re.search(r"ODE reduction matches closed-form F +PASS", capsys.readouterr().out)
 
 
 def test_verify_exact_rejects_equal_parameters(capsys):

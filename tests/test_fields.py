@@ -394,3 +394,83 @@ def test_snapshot_empty_and_mixed_grids(tmp_path):
     b = ScalarField.from_samples(GridSpec(32), np.zeros((32, 32)))
     with pytest.raises(ValueError):
         write_snapshot(tmp_path / "m.vspc", 0.0, [a, b])
+
+
+# ---------------------------------------------------------------------------
+# band-backed fields: the rows of the solver's packed band, as it hands them out
+
+def _band_fields(g, samples, banded):
+    """The fields vspc.solver hands out over the band (or half) spectra of real samples (2k, n, n)."""
+    half = g.half
+    rows = half.to_coeffs(samples)[..., :half.band if banded else half.m]
+    return [f for v in vspc.solver._vectors(g, rows) for f in v.components]
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 32, 64, 128]),
+       banded=st.booleans())
+def test_band_backed_fields_read_their_rows_bit_for_bit(tmp_path_factory, seed, n, banded):
+    # samples, snapshots and half spectra equal those of the full spectrum
+    # `data`, which is built on first read, read-only, as half.full(row)
+    g = GridSpec(n)
+    fields = _band_fields(g, np.random.default_rng(seed).standard_normal((6, n, n)), banded)
+    for f in fields:
+        assert f.is_spectral and not f.row.flags.writeable
+        assert "data" not in vars(f)            # nothing built yet
+        assert np.array_equal(ensure_physical(f), g.to_samples(f.data))
+        assert np.array_equal(to_physical(f).data, g.to_samples(f.data))
+        assert f.data.shape == (n, n) and f.data.dtype == np.complex128
+        assert not f.data.flags.writeable and f.data is f.data
+        assert np.array_equal(f.data, g.half.full(f.row))
+    for width in (g.half.band, g.half.m):
+        want = [ensure_spectral(f)[:, :width] for f in fields]
+        assert np.array_equal(_half_columns(fields, width), np.stack(want))
+    path = tmp_path_factory.mktemp("band") / "state.vspc"
+    write_snapshot(path, 0.5, fields)
+    samples = g.to_samples(np.stack([f.data for f in fields]))
+    header = vspc.fields._HEADER.pack(vspc.fields.SNAPSHOT_MAGIC, vspc.fields.SNAPSHOT_VERSION,
+                                      n, len(fields), 0.5)
+    assert path.read_bytes() == header + samples.astype("<f8").tobytes()
+
+
+def _verdict(read, *args):
+    try:
+        read(*args)
+    except ConjugateSymmetryError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 32, 64, 128]),
+       banded=st.booleans(), nyquist=st.booleans(),
+       test=st.sampled_from(["mirror", "residue"]), side=st.sampled_from([0.5, 0.99, 1.01, 2.0]))
+def test_band_check_rejects_exactly_what_the_full_lattice_check_rejects(seed, n, banded, nyquist,
+                                                                         test, side):
+    # i·ε on column k₂ = 0 (or k₂ = n/2 of a half spectrum, the other column
+    # that is its own mirror image), with ε on either side of a test's
+    # threshold: one mode against the mirror test, every mode of the column
+    # against the residue test (it passes the mirror test and adds n·ε at x₁ = 0)
+    g = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    x1, x2 = g.mesh()
+    a = rng.uniform(0.5, 2.0, size=2)
+    p = rng.uniform(0.0, TAU, size=2)
+    samples = a[0] * np.cos(x1 + p[0]) + a[1] * np.cos(x2 + 2.0 * x1 + p[1])
+    (f, _) = _band_fields(g, np.stack([samples, samples]), banded)
+    row = f.row.copy()
+    col = n // 2 if nyquist and not banded else 0
+    if test == "mirror":
+        k1 = int(rng.integers(n))
+        twice = 2.0 if k1 in (0, n // 2) else 1.0    # a mode that is its own mirror image
+        row[k1, col] += 1j * side * (1e-10 * float(np.max(np.abs(row))) + 1e-14) / twice
+    else:
+        limit = 1e-10 * max(float(np.max(np.abs(g.half.to_samples(row)))), 1.0)
+        row[:, col] += 1j * side * limit / n
+    (f, _) = vspc.solver._vectors(g, np.stack([row, row]))[0].components
+    full = _verdict(g.to_samples, g.half.full(row))
+    assert _verdict(ensure_physical, f) == full
+    if side < 1:
+        assert full is None
+    else:
+        assert full.startswith("conjugate symmetry" if test == "mirror" else "imaginary residue")

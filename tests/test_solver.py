@@ -264,10 +264,9 @@ def test_the_first_record_meets_the_ceiling(interval):
     assert res.final_state.t == 0.0
 
 
-@pytest.mark.parametrize("t0", [math.nan, math.inf, 1e15])
-def test_an_initial_time_the_clock_cannot_leave_is_rejected(monkeypatch, t0):
-    # at t = 1e15 a step of dt_max = 0.005 leaves t unchanged; the bounded
-    # stepper turns a run that never ends into a failure
+def _bounded_stepper(monkeypatch):
+    """Make the 51st step of a run fail, turning a run that never ends into a
+    failure; returns the list of steps taken."""
     calls = []
     stepper = solver._step_packed
 
@@ -278,10 +277,30 @@ def test_an_initial_time_the_clock_cannot_leave_is_rejected(monkeypatch, t0):
         return stepper(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_step_packed", bounded)
+    return calls
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf, 1e15])
+def test_an_initial_time_the_clock_cannot_leave_is_rejected(monkeypatch, t0):
+    # at t = 1e15 a step of dt_max = 0.005 leaves t unchanged
+    calls = _bounded_stepper(monkeypatch)
     g = GridSpec(16)
     base = perturbed_identity_state(g, 0.1)
     with pytest.raises(ValueError, match="initial time"):
         simulate(SolverConfig(g, nu=0.0, t_end=1.0), State(t0, base.u, base.F))
+    assert not calls
+
+
+@pytest.mark.parametrize("interval", [1, 10 ** 9])
+def test_a_cfl_step_the_clock_cannot_take_is_rejected(monkeypatch, interval):
+    # at t = 1e10 a step of dt_max = 0.005 advances t, but the CFL step of
+    # 1.5e-7 is below half its float spacing: the run stops before it
+    calls = _bounded_stepper(monkeypatch)
+    g = GridSpec(16)
+    base = perturbed_identity_state(g, 0.1)
+    cfg = SolverConfig(g, nu=0.0, t_end=1.0, cfl=1e-6, diagnostics_interval=interval)
+    with pytest.raises(ValueError, match=r"clock stalls at t = 10000000000: a step of dt = 1\.53e-07"):
+        simulate(cfg, State(1e10, base.u, base.F))
     assert not calls
 
 
@@ -822,6 +841,20 @@ def test_a_run_samples_each_state_once_and_unpacks_only_its_result(monkeypatch, 
     assert len(states) == res.steps + 1         # t₀ … t₁₀, each once
     assert len(sampled) == len(states) + 3 * res.steps      # and RK4 stages 2-4
     assert len(recorded) == len(res.records)    # module attribute: a tracer counts every record
+
+
+def test_an_observed_run_builds_no_full_spectrum(monkeypatch):
+    # every observed State keeps rows of the band; an observer that reads
+    # only the clock makes no full spectrum, and neither does the run
+    g = GridSpec(16)
+    initial = perturbed_identity_state(g, 0.1)
+    built = _counted(monkeypatch, HalfSpectrum, "full")
+    seen = []
+    cfg = SolverConfig(g, nu=0.01, t_end=0.05, dt_max=5e-3, snapshot_interval=1)
+    res = simulate(cfg, initial, observer=lambda s: seen.append(s.t))
+    assert len(seen) == res.steps + 1 == 11
+    assert not built
+    assert res.final_state.u.components[0].data.shape == (16, 16) and len(built) == 1
 
 
 def test_an_observed_run_unpacks_once_per_observation(monkeypatch):
