@@ -1,0 +1,8 @@
+"""`python -m vspc`: the vspc command line, runnable from a source checkout."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

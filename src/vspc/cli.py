@@ -161,18 +161,23 @@ def cmd_run(args) -> int:
     for path in (*artifacts, *sorted(snapshots)):   # written during and after the run,
         if path.exists() and not path.is_file():    # so checked before it
             raise UsageError(f"output path {path} exists and is not a regular file")
-    counter = [0]
+    written, made = [], []      # snapshots, and the directories made for them
 
     def observer(state):
-        if counter[0] == 0:
+        if not written:
+            made.extend(p for p in (snap_dir, *snap_dir.parents) if not p.exists())
             snap_dir.mkdir(parents=True, exist_ok=True)
-        write_snapshot(snap_dir / f"state_{counter[0]:06d}.vspc", state.t, state.channels)
-        counter[0] += 1
+        written.append(snap_dir / f"state_{len(written):06d}.vspc")
+        write_snapshot(written[-1], state.t, state.channels)
 
     started = time.perf_counter()
     try:
         result = simulate(cfg.solver, cfg.initial, observer=observer)
-    except ValueError as exc:
+    except ValueError as exc:   # a usage error leaves nothing behind
+        for path in written:
+            path.unlink(missing_ok=True)
+        for path in made:       # deepest first
+            path.rmdir()
         raise UsageError(str(exc)) from None
     elapsed = time.perf_counter() - started
 
@@ -190,7 +195,7 @@ def cmd_run(args) -> int:
             "steps": result.steps,
             "final_time": result.final_state.t,
             "records": len(result.records),
-            "snapshots_written": counter[0],
+            "snapshots_written": len(written),
             "max_div_drift_u": result.max_div_drift_u,
             "max_div_drift_F": result.max_div_drift_F,
             "blowup_time": result.blowup_time,
@@ -276,14 +281,18 @@ def cmd_verify_exact(args) -> int:
     checks.append((f"corrected residual at alpha={args.alpha}, beta={args.beta}",
                    worst0 <= 1e-12, f"max residual {worst0:.2e}"))
 
-    # the printed display is *expected* to fail incompressibility: div u = 2a
+    # the printed display is *expected* to fail incompressibility: div u = 2a;
+    # both defects are judged against the terms they break, so that they show
+    # at any amplitude: |div u| = 2|a|, and the F22 residual is -(1 + c²)·a·F22
     a_amp = exact.zgh_amplitude(params)(t_res)
     res_p = exact.zgh_residual(params, t_res, [[1.0, -0.5]], fidelity="printed")
-    printed_defect = abs(res_p.div_u - 2.0 * a_amp) <= 1e-12 and abs(res_p.div_u) > 0.1
+    F22 = exact.zgh_fields(params, t_res, fidelity="printed").F[1, 1]
+    printed_defect = (abs(res_p.div_u - 2.0 * a_amp) <= 1e-12
+                      and abs(res_p.div_u) > abs(a_amp))
     checks.append(("printed fidelity shows div u = 2a (documented defect)",
                    printed_defect, f"div u = {res_p.div_u:.6g}, 2a = {2 * a_amp:.6g}"))
     checks.append(("printed fidelity breaks F22 transport",
-                   abs(res_p.deformation[1, 1]) > 1e-3,
+                   abs(res_p.deformation[1, 1]) > 0.5 * abs(a_amp * F22),
                    f"residual {res_p.deformation[1, 1]:.6g}"))
 
     # RK4 on the ODE reduction against the closed form, in steps of

@@ -21,6 +21,9 @@ the k₂ > 0 columns doubled.  It factors e^{ik·x} into per-axis phases, taken
 as powers of one e^{ix} per point and axis (negative k₁ by conjugation), so
 the values and ∂₁ of every field come from one matrix product per chunk of
 points and ∂₂ from weighting the x₂ phases by ik₂.
+
+scipy is imported by `_interpolate` on the first bicubic evaluation, not with
+the module, so `import vspc` loads numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .fields import TAU, GridSpec, TensorField, VectorField, _half_columns
 
@@ -173,6 +175,8 @@ def _spline_planes(grid: GridSpec, coeffs):
 
 def _interpolate(grid: GridSpec, planes, pts):
     """Bicubic values (N, R) of R spline-coefficient planes at wrapped points."""
+    from scipy import ndimage
+
     coords = (pts / grid.spacing).T
     return np.stack([
         ndimage.map_coordinates(p, coords, order=3, mode="grid-wrap", prefilter=False)

@@ -3,7 +3,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -324,16 +327,22 @@ def test_run_from_a_snapshot_at_a_non_finite_time_writes_nothing(tmp_path, capsy
 
 
 def test_run_whose_clock_stalls_is_a_usage_error(tmp_path, capsys):
-    # a CFL step of 1.5e-7 does not advance t = 1e10
+    # a CFL step of 1.5e-7 does not advance t = 1e10; with a snapshot every
+    # step, the stall comes after the step-0 snapshot, which is removed again
+    # with the directories made for it, and no others
     g = GridSpec(16)
     snap = tmp_path / "late.vspc"
     write_snapshot(snap, 1e10, perturbed_identity_state(g, 0.1).channels)
-    cfg = _write_config(tmp_path / "late.ini", solver={"cfl": 1e-6},
-                        initial={"kind": "from-snapshot", "path": str(snap)},
-                        output={"snapshot_interval": 0})
+    for interval in (0, 1):
+        cfg = _write_config(tmp_path / "late.ini", solver={"cfl": 1e-6},
+                            initial={"kind": "from-snapshot", "path": str(snap)},
+                            output={"snapshot_interval": interval})
+        assert main(["run", str(cfg)]) == 1
+        assert "error: the clock stalls at t = 10000000000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    (tmp_path / "out").mkdir()
     assert main(["run", str(cfg)]) == 1
-    assert "error: the clock stalls at t = 10000000000" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_run_snapshots_take_the_pruned_inverse(tmp_path, monkeypatch):
@@ -430,6 +439,21 @@ def test_verify_exact_checks_an_early_pole_before_it(capsys, f0):
     assert "all checks passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("f0", ["1e-2", "1e-3"])
+def test_verify_exact_passes_at_small_amplitude(capsys, f0):
+    # the printed display's defects are judged against a(t), not in absolute terms
+    assert main(["verify-exact", "--f0", f0]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"printed fidelity shows div u = 2a \(documented defect\) +PASS", out)
+    assert re.search(r"printed fidelity breaks F22 transport +PASS", out)
+
+
+def test_verify_exact_without_amplitude_shows_no_defect(capsys):
+    # f0 = 0 is u = 0, F = I: the printed display has nothing to show
+    assert main(["verify-exact", "--f0", "0"]) == 3
+    assert "FAIL  div u = 0, 2a = 0" in capsys.readouterr().out
+
+
 def test_verify_exact_default_times_are_kept(capsys):
     assert main(["verify-exact"]) == 0
     out = capsys.readouterr().out
@@ -465,3 +489,18 @@ def test_temporal_convergence_passes(capsys):
 def test_convergence_mode_is_required():
     assert main(["convergence"]) == 1
     assert main(["convergence", "--mode", "sideways"]) == 1
+
+
+def test_python_m_vspc_run_loads_no_scipy(tmp_path):
+    # -X importtime lists every module a fresh process imports: `vspc.cli` and
+    # a run with a snapshot every step, started by `python -m vspc`, take no scipy
+    cfg = _write_config(tmp_path / "tiny.ini", output={"snapshot_interval": 1})
+    env = dict(os.environ, PYTHONPATH=str(Path(vspc.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "vspc", "run", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert done.stdout.startswith("completed: 10 steps") and "vspc.cli" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+    assert len(list((tmp_path / "out" / "snapshots").iterdir())) == 11

@@ -212,6 +212,40 @@ def test_single_transform_layer():
     assert _fft_uses(ast.parse(fake)) == [("A", "fft2"), ("A", "fft")]
 
 
+def _scipy_imports(tree):
+    """Name of the function around each scipy import in a module, None at module level."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_scipy_is_imported_only_where_it_is_called():
+    # `import vspc` loads numpy and the standard library only: scipy is taken
+    # by the bicubic sampler and by verify-exact's quadrature when they run
+    where = {(path.name, func) for path in Path(vspc.__file__).parent.glob("*.py")
+             for func in _scipy_imports(ast.parse(path.read_text()))}
+    assert where == {("flowmap.py", "_interpolate"), ("cli.py", "cmd_verify_exact")}, where
+    fake = ("import scipy.fft\nfrom scipy import ndimage\nimport numpy\n"
+            "def f():\n    from scipy.integrate import quad\n"
+            "class A:\n    def g(self):\n        import scipy as sp\n")
+    assert _scipy_imports(ast.parse(fake)) == [None, None, "f", "g"]
+
+
 def _calls_of(tree, name):
     """Calls of `name`, bare or as an attribute, in a module."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)

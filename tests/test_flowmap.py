@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,3 +324,33 @@ def test_sampler_output_shapes(method):
         vel, grad = sam.sample(0.0, pts, with_gradient=True)
         assert vel.shape == (count, 2) and grad.shape == (count, 2, 2)
         assert tensor_sampler(F, method)(pts).shape == (count, 2, 2)
+
+
+# the bicubic SnapshotSampler (add, then sample with gradient) and tensor_sampler
+_BICUBIC_CALLS = """
+import numpy as np
+import vspc
+g = vspc.GridSpec(32)
+sam = vspc.SnapshotSampler(g, method="bicubic")
+sam.add(0.0, vspc.taylor_green_state(g).u)
+sam.add(1.0, vspc.perturbed_identity_state(g, 0.3).u)
+pts = np.random.default_rng(31).uniform(0.0, 2.0 * np.pi, size=(64, 2))
+vel, grad = sam.sample(0.4, pts, with_gradient=True)
+F = vspc.tensor_sampler(vspc.perturbed_identity_state(g, 0.3).F, "bicubic")(pts)
+"""
+
+
+def test_bicubic_samplers_import_scipy_on_first_use(tmp_path):
+    # in a fresh process `import vspc` loads no scipy; the samplers' first
+    # calls import it and give the same bits as here, where it is loaded
+    out = tmp_path / "bicubic.npz"
+    script = ("import sys\nimport vspc\n"
+              "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+              + _BICUBIC_CALLS + "np.savez(sys.argv[1], vel=vel, grad=grad, F=F)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(vspc.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=120)
+    here = {}
+    exec(_BICUBIC_CALLS, here)
+    fresh = np.load(out)
+    for name in ("vel", "grad", "F"):
+        assert np.array_equal(fresh[name], here[name]), name
