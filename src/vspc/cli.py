@@ -241,6 +241,8 @@ def cmd_verify_exact(args) -> int:
         params = exact.ZghParams(args.alpha, args.beta, args.f0)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if params.f0 == 0.0:
+        raise UsageError("--f0 0 gives u = 0, F = I: the family has no amplitude to verify")
 
     rng = np.random.default_rng(20260814)
     checks = []

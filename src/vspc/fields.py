@@ -10,10 +10,11 @@ integers in FFT layout; axis 0 of every data array is x₁ and axis 1 is x₂.
 
 Field objects are immutable value types: every operation returns a new field
 and the wrapped arrays are marked read-only, so fields can be shared freely
-across threads.  A field the solver hands out keeps its read-only row of the
-solver's packed band and builds its full spectrum `data` on first read; that
-spectrum is deterministic and read-only, so two threads racing to build it
-are harmless.
+across threads.  Inside vspc a spectral field is its half spectrum (see
+HalfSpectrum): a field vspc builds keeps its read-only row and builds its full
+spectrum `data` on first read, and a user's full spectrum is checked once, on
+the first read of its half.  Both are deterministic, so two threads racing to
+build them are harmless.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ SPECTRAL = "spectral"
 
 class ConjugateSymmetryError(RuntimeError):
     """Spectral coefficients no longer describe a real-valued field."""
+
+
+class _NonFiniteSpectrum(ConjugateSymmetryError):
+    """A spectrum with non-finite coefficients (a blowup, in a forcing)."""
 
 
 @dataclass(frozen=True)
@@ -87,15 +92,13 @@ class GridSpec:
     @cached_property
     def ik1(self):
         """∂/∂x₁ multiplier; the Nyquist column is zeroed so real fields stay real."""
-        kd = self.k.astype(np.float64).copy()
+        kd = self.k.astype(np.float64)
         kd[self.n // 2] = 0.0
         return 1j * kd[:, None]
 
     @cached_property
     def ik2(self):
-        kd = self.k.astype(np.float64).copy()
-        kd[self.n // 2] = 0.0
-        return 1j * kd[None, :]
+        return self.ik1.T
 
     @property
     def dealias_limit(self):
@@ -124,7 +127,8 @@ class GridSpec:
         """Real samples of full spectra, batched over leading axes; checked.
 
         A plane that does not describe a real field raises
-        ConjugateSymmetryError.  With d(k) = ĉ(k) − conj ĉ(−k) it must pass
+        ConjugateSymmetryError.  Its coefficients must be finite and, with
+        d(k) = ĉ(k) − conj ĉ(−k), it must pass
           - the mirror test, max|d| ≤ 1e-10·max|ĉ| + 1e-14, and
           - the residue test: the imaginary part Σ_k d(k)/2·e^{ik·x} that a
             complex inverse would leave is at most 1e-10·max(max|w|, 1),
@@ -133,10 +137,39 @@ class GridSpec:
         peaks at n²ε in the second.  The residue is bounded by ½Σ|d| and
         transformed, as the Hermitian d/(2i), only where that is too loose.
         """
-        half = self.half
+        h, w = self._accepted(coeffs)
+        return self.half.to_samples(h) if w is None else w
+
+    def _accepted(self, coeffs):
+        """(h, w): the half spectra h = coeffs[..., :n//2 + 1] of full spectra that
+        pass the tests of to_samples, and their samples w where the tests took
+        them, else None.  The tests read max|ĉ| and max|w| only where d could
+        fail them: where max|d| > 1e-14 and ½Σ|d| > 1e-10."""
+        half, planes = self.half, (-2, -1)
+        if not np.all(np.isfinite(coeffs)):
+            raise _NonFiniteSpectrum("spectrum has non-finite coefficients")
         h = coeffs[..., :half.m]
         d = h - np.conj(coeffs[..., half._mirror_rows[:, None], half._mirror_cols])
-        return half._checked(h, d, coeffs)
+        violation = np.max(np.abs(d), axis=planes)
+        if np.any(violation > 1e-14):
+            scale = np.max(np.abs(coeffs), axis=planes)
+            bad = np.flatnonzero(violation > 1e-10 * scale + 1e-14)
+            if bad.size:
+                raise ConjugateSymmetryError(
+                    f"conjugate symmetry violated: residual {violation.flat[bad[0]]:.3e} "
+                    f"against scale {scale.flat[bad[0]]:.3e}")
+        bound, w = 0.5 * np.sum(half.weight * np.abs(d), axis=planes), None
+        if np.any(bound > 1e-10):
+            w = half.to_samples(h)
+            limit = 1e-10 * np.maximum(np.max(np.abs(w), axis=planes), 1.0)
+            loose = bound > limit
+            if np.any(loose):
+                resid = np.max(np.abs(half.to_samples(d[loose] / 2j)), axis=planes)
+                bad = np.flatnonzero(resid > limit[loose])
+                if bad.size:
+                    raise ConjugateSymmetryError(
+                        f"imaginary residue {resid[bad[0]]:.3e} left after inverse transform")
+        return h, w
 
     @cached_property
     def _leray(self):
@@ -160,9 +193,10 @@ class GridSpec:
 class HalfSpectrum:
     """The k₂ = 0 … n/2 columns of the FFT layout, as np.fft.rfft2 returns them.
 
-    A real field is fixed by them (f̂(−k) = conj f̂(k)), so the solver keeps
-    its state here, and the fields it hands out build full spectra only when
-    their `data` is read.
+    A real field is fixed by them (f̂(−k) = conj f̂(k)), so they are vspc's one
+    internal representation of a spectral field: the solver keeps its state
+    here, the operators work here, and the fields vspc builds make full
+    spectra only when their `data` is read.
     A dealiased field fills only the first `band` = n/3 + 1 columns; the
     transforms and `full` take such a band too.  The transforms are irfft2
     and rfft2 as their two 1D passes, so that the k₁ pass runs on the given
@@ -195,49 +229,6 @@ class HalfSpectrum:
         tmp = np.fft.rfft(samples, axis=-1, norm="forward", out=tmp)
         cols = self.m if out is None else out.shape[-1]
         return np.fft.fft(tmp[..., :cols], axis=-2, norm="forward", out=out)
-
-    def _checked_samples(self, rows):
-        """Real samples of band or half spectra, batched; checked as
-        GridSpec.to_samples checks self.full(rows).
-
-        Of full(rows), only the columns that are their own mirror image can
-        fail the mirror test: k₂ = 0, and k₂ = n/2 of a half spectrum.  Its
-        mirror residual is exactly 0 elsewhere and max|full(rows)| is
-        max|rows|, so the two tests cost O(n) per plane.
-        """
-        n, c = self.n, rows.shape[-1]
-        cols = (0,) if c <= n // 2 else (0, n // 2)
-        d = np.zeros(rows.shape[:-1] + (cols[-1] + 1,), dtype=np.complex128)
-        for j in cols:
-            d[..., j] = rows[..., j] - np.conj(rows[..., self._mirror_rows, j])
-        return self._checked(rows, d, rows)
-
-    def _checked(self, h, d, spectra):
-        """Samples of spectra h (see GridSpec.to_samples) once d, the first columns
-        of their mirror residual, passes the mirror and residue tests; max|ĉ| is
-        that of `spectra`.  The tests read max|ĉ| and max|w| only where d could
-        fail them: where max|d| > 1e-14 and ½Σ|d| > 1e-10."""
-        planes = (-2, -1)
-        violation = np.max(np.abs(d), axis=planes)
-        if np.any(violation > 1e-14):
-            scale = np.max(np.abs(spectra), axis=planes)
-            bad = np.flatnonzero(violation > 1e-10 * scale + 1e-14)
-            if bad.size:
-                raise ConjugateSymmetryError(
-                    f"conjugate symmetry violated: residual {violation.flat[bad[0]]:.3e} "
-                    f"against scale {scale.flat[bad[0]]:.3e}")
-        w = self.to_samples(h)
-        bound = 0.5 * np.sum(self.weight[:, :d.shape[-1]] * np.abs(d), axis=planes)
-        if np.any(bound > 1e-10):
-            limit = 1e-10 * np.maximum(np.max(np.abs(w), axis=planes), 1.0)
-            loose = bound > limit
-            if np.any(loose):
-                resid = np.max(np.abs(self.to_samples(d[loose] / 2j)), axis=planes)
-                bad = np.flatnonzero(resid > limit[loose])
-                if bad.size:
-                    raise ConjugateSymmetryError(
-                        f"imaginary residue {resid[bad[0]]:.3e} left after inverse transform")
-        return w
 
     def full(self, coeffs):
         """Full spectra rebuilt from half spectra or a narrower band b:
@@ -290,17 +281,33 @@ class ScalarField:
     def is_spectral(self):
         return self.rep == SPECTRAL
 
+    def _columns(self):
+        """This field's half spectrum (its first columns, for a band): of its
+        samples, or cut from a user's `data` once GridSpec.to_samples accepts it."""
+        if self.is_physical:
+            return self.grid.half.to_coeffs(self.data)
+        return self._accepted[0]
+
+    @cached_property
+    def _accepted(self):
+        """(h, w) of GridSpec._accepted(data), checked on first read; the verdict
+        is kept, and so are the samples w where the check took them, read-only."""
+        h, w = self.grid._accepted(self.data)
+        return h, None if w is None else _frozen_array(w, np.float64)
+
 
 class _BandField(ScalarField):
-    """Spectral field over one read-only (n, w) row of band or half spectra.
+    """Spectral field that vspc built over one (n, w) row of band or half spectra.
 
-    Only for a row of which no writable reference is kept, so the field
-    stays immutable.  The readers of half spectra take the row; the full
-    spectrum `data` is built on first read, as HalfSpectrum.full(row).
+    Only for a row of which no writable reference is kept; the row is made
+    read-only.  Its columns are the row, unchecked (see operators), and the
+    full spectrum `data` is built on first read, as HalfSpectrum.full(row).
     """
 
     def __init__(self, grid, row):
-        for name, value in (("grid", grid), ("rep", SPECTRAL), ("row", row)):
+        row.flags.writeable = False
+        for name, value in (("grid", grid), ("rep", SPECTRAL), ("row", row),
+                            ("_accepted", (row, None))):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -386,14 +393,14 @@ def to_spectral(f: ScalarField) -> ScalarField:
     """Forward transform; mean-normalized so f̂(0) is the field average."""
     if not f.is_physical:
         raise ValueError("to_spectral expects a physical-representation field")
-    return ScalarField.from_spectrum(f.grid, f.grid.to_coeffs(f.data))
+    return _BandField(f.grid, f.grid.half.to_coeffs(f.data))
 
 
 def to_physical(f: ScalarField) -> ScalarField:
-    """Checked inverse transform (GridSpec.to_samples)."""
+    """Inverse transform; a user's full spectrum is checked as GridSpec.to_samples checks it."""
     if not f.is_spectral:
         raise ValueError("to_physical expects a spectral-representation field")
-    return ScalarField.from_samples(f.grid, _spectral_samples([f])[0])
+    return ScalarField.from_samples(f.grid, ensure_physical(f))
 
 
 def ensure_spectral(f: ScalarField) -> np.ndarray:
@@ -402,38 +409,31 @@ def ensure_spectral(f: ScalarField) -> np.ndarray:
 
 
 def _half_columns(fields, width) -> np.ndarray:
-    """ensure_spectral(f)[:, :width] of scalar fields f, stacked, width ≤ n//2 + 1, with
-    no full spectrum built: a band-backed row is sliced or zero-padded, other
-    spectral data is sliced and samples go through HalfSpectrum.to_coeffs."""
+    """The first `width` ≤ n//2 + 1 columns of the half spectra of scalar fields,
+    stacked, each field's columns zero-padded to the width; no full spectrum
+    is built."""
     out = np.zeros((len(fields), fields[0].grid.n, width), dtype=np.complex128)
     for f, plane in zip(fields, out):
-        cols = f.row[:, :width] if isinstance(f, _BandField) else (
-            f.data if f.is_spectral else f.grid.half.to_coeffs(f.data))[:, :width]
+        cols = f._columns()[:, :width]
         plane[:, :cols.shape[-1]] = cols
     return out
 
 
-def _spectral_samples(fields) -> np.ndarray:
-    """Checked samples of spectral fields on one grid, stacked.  Band-backed
-    fields go through the pruned inverse (HalfSpectrum._checked_samples), any
-    other field sends them all through GridSpec.to_samples."""
-    grid = fields[0].grid
-    if all(isinstance(f, _BandField) for f in fields):
-        width = max(f.row.shape[-1] for f in fields)
-        return grid.half._checked_samples(_half_columns(fields, width))
-    return grid.to_samples(np.stack([f.data for f in fields]))
-
-
 def ensure_physical(f: ScalarField) -> np.ndarray:
-    """Sample array of f, transforming (checked) if needed."""
-    return f.data if f.is_physical else _spectral_samples([f])[0]
+    """Sample array of f, transforming if needed: one inverse of its half
+    spectrum, or none where the check of a user's spectrum took the samples."""
+    if f.is_physical:
+        return f.data
+    h, w = f._accepted
+    return f.grid.half.to_samples(h) if w is None else w
 
 
 def dealias(f: ScalarField) -> ScalarField:
     """Zero every coefficient with max(|k₁|, |k₂|) > n/3 (2/3-rule truncation)."""
     if not f.is_spectral:
         raise ValueError("dealias expects a spectral-representation field")
-    return ScalarField.from_spectrum(f.grid, f.data * f.grid.dealias_mask)
+    half = f.grid.half
+    return _BandField(f.grid, _half_columns([f], half.band)[0] * half.mask[:, :half.band])
 
 
 def pointwise_product(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -455,6 +455,11 @@ def _scalar_parts(f):
     raise TypeError(f"expected a field, got {type(f).__name__}")
 
 
+def _l2(half, coeffs) -> float:
+    """L² norm on the torus of a half spectrum or band (Parseval, mirror columns counted)."""
+    return float(TAU * np.sqrt(np.sum(half.weight[:, :coeffs.shape[-1]] * np.abs(coeffs) ** 2)))
+
+
 def max_abs(f) -> float:
     """Grid sup-norm max_j |f(x_j)|, maximized over components."""
     worst = 0.0
@@ -471,7 +476,7 @@ def l2_norm(f) -> float:
     total = 0.0
     for part in _scalar_parts(f):
         if part.is_spectral:
-            total += TAU ** 2 * float(np.sum(np.abs(part.data) ** 2))
+            total += _l2(part.grid.half, part._columns()) ** 2
         else:
             total += (TAU / part.grid.n) ** 2 * float(np.sum(part.data ** 2))
     return math.sqrt(total)
@@ -496,8 +501,9 @@ def write_snapshot(path, time, fields: Sequence[ScalarField]):
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("snapshot fields live on different grids")
-    spectral = [f for f in fields if f.is_spectral]
-    samples = iter(_spectral_samples(spectral) if spectral else ())
+    spectral = [f for f in fields if f.is_spectral]     # one inverse of their half spectra
+    width = max((f._columns().shape[-1] for f in spectral), default=0)
+    samples = iter(grid.half.to_samples(_half_columns(spectral, width)) if spectral else ())
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.n, len(fields), float(time)))
         for f in fields:

@@ -1,5 +1,10 @@
 """Spectral differential and singular-integral operators on the torus.
 
+Operators read the half spectra of their inputs and apply GridSpec.half's
+multipliers m, with m(−k) = conj m(k) (Nyquist zeroed where needed), so the
+result is real and is not checked: samples for a physical input, else a field
+over the half spectrum whose full `data` is built when read.
+
 Derivatives are exact Fourier multipliers ik (Nyquist column zeroed).  The
 Leray projection P = I − ∇Δ⁻¹∇· acts mode-wise as v̂ − k(k·v̂)/|k|² and leaves
 the k = 0 mode untouched, so mean flow passes through.  Λˢ denotes the
@@ -20,13 +25,13 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import (
-    TAU,
     GridSpec,
     ScalarField,
     TensorField,
     VectorField,
-    ensure_spectral,
+    _BandField,
     _half_columns,
+    _l2,
 )
 
 __all__ = [
@@ -61,12 +66,17 @@ def _order(s) -> SobolevOrder:
     return s if isinstance(s, SobolevOrder) else SobolevOrder(float(s))
 
 
+def _halves(*fields) -> np.ndarray:
+    """The (n, n//2 + 1) half spectra of scalar fields, stacked."""
+    return _half_columns(fields, fields[0].grid.half.m)
+
+
 def _wrap_like(template: ScalarField, coeffs) -> ScalarField:
-    """Return coeffs as a field in the same representation as template."""
+    """Return a fresh half spectrum as a field in the same representation as template."""
     grid = template.grid
     if template.is_physical:
-        return ScalarField.from_samples(grid, grid.to_samples(coeffs))
-    return ScalarField.from_spectrum(grid, coeffs)
+        return ScalarField.from_samples(grid, grid.half.to_samples(coeffs))
+    return _BandField(grid, coeffs)
 
 
 def gradient(f):
@@ -78,39 +88,41 @@ def gradient(f):
         rows = [gradient(c) for c in f.components]
         col = lambda j: VectorField((rows[0].components[j], rows[1].components[j]))
         return TensorField.from_columns(col(0), col(1))
-    grid = f.grid
-    c = ensure_spectral(f)
-    return VectorField((_wrap_like(f, grid.ik1 * c), _wrap_like(f, grid.ik2 * c)))
+    half = f.grid.half
+    c = _halves(f)[0]
+    return VectorField((_wrap_like(f, half.ik1 * c), _wrap_like(f, half.ik2 * c)))
 
 
 def divergence(v: VectorField) -> ScalarField:
     """∇·v; the result matches the input representation."""
-    grid = v.grid
-    c1 = ensure_spectral(v.components[0])
-    c2 = ensure_spectral(v.components[1])
-    return _wrap_like(v.components[0], grid.ik1 * c1 + grid.ik2 * c2)
+    half = v.grid.half
+    c1, c2 = _halves(*v.components)
+    return _wrap_like(v.components[0], half.ik1 * c1 + half.ik2 * c2)
 
 
 def curl(v: VectorField) -> ScalarField:
     """Scalar curl ∂₁v₂ − ∂₂v₁ of a planar vector field."""
-    grid = v.grid
-    c1 = ensure_spectral(v.components[0])
-    c2 = ensure_spectral(v.components[1])
-    return _wrap_like(v.components[0], grid.ik1 * c2 - grid.ik2 * c1)
+    half = v.grid.half
+    c1, c2 = _halves(*v.components)
+    return _wrap_like(v.components[0], half.ik1 * c2 - half.ik2 * c1)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
     """Δf via the −|k|² multiplier."""
-    return _wrap_like(f, -f.grid.k_sq * ensure_spectral(f))
+    return _wrap_like(f, -f.grid.half.k_sq * _halves(f)[0])
 
 
 def leray_project(v: VectorField) -> VectorField:
     """P v = v − ∇Δ⁻¹(∇·v); idempotent, self-adjoint, keeps the mean mode."""
-    grid = v.grid
-    c1 = ensure_spectral(v.components[0])
-    c2 = ensure_spectral(v.components[1])
-    p1, p2 = grid.project(c1, c2)
+    p1, p2 = v.grid.project(*_halves(*v.components))
     return VectorField((_wrap_like(v.components[0], p1), _wrap_like(v.components[1], p2)))
+
+
+def _convection(half, V, W) -> np.ndarray:
+    """Half spectra of (v·∇)w from those of v and w, (2, n, n//2 + 1) each."""
+    vs, ws = V * half.mask, W * half.mask
+    P = half.to_samples(np.concatenate([vs, half.ik1 * ws, half.ik2 * ws]))
+    return half.to_coeffs(P[0] * P[2:4] + P[1] * P[4:6]) * half.mask
 
 
 def convective_term(v: VectorField, w: VectorField) -> VectorField:
@@ -118,12 +130,8 @@ def convective_term(v: VectorField, w: VectorField) -> VectorField:
     if v.grid != w.grid:
         raise ValueError("convective term of fields on different grids")
     grid = v.grid
-    mask = grid.dealias_mask
-    vs = np.stack([ensure_spectral(c) for c in v.components]) * mask
-    ws = np.stack([ensure_spectral(c) for c in w.components]) * mask
-    P = grid.to_samples(np.concatenate([vs, grid.ik1 * ws, grid.ik2 * ws]))
-    out = grid.to_coeffs(P[0] * P[2:4] + P[1] * P[4:6]) * mask
-    return VectorField.from_spectra(grid, out[0], out[1])
+    out = _convection(grid.half, _halves(*v.components), _halves(*w.components))
+    return VectorField((_BandField(grid, out[0]), _BandField(grid, out[1])))
 
 
 def pressure_gradient(u: VectorField, F) -> VectorField:
@@ -133,40 +141,30 @@ def pressure_gradient(u: VectorField, F) -> VectorField:
     to 1e-8; the result is always a mean-zero gradient field.
     """
     grid = u.grid
-    for name, drift in zip(("u", "F column 1", "F column 2"), _div_max([u, *F.columns])):
+    C = _halves(*u.components, *F.columns[0].components, *F.columns[1].components)
+    for name, drift in zip(("u", "F column 1", "F column 2"), _div_max(grid, C)):
         if drift > 1e-8:
             warnings.warn(f"{name} has divergence sup-norm {drift:.3e} > 1e-8", ConstraintWarning)
-    adv = convective_term(u, u)
-    n1 = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    n2 = np.zeros_like(n1)
-    for col in F.columns:
-        el = convective_term(col, col)
-        n1 += ensure_spectral(el.components[0])
-        n2 += ensure_spectral(el.components[1])
-    n1 -= ensure_spectral(adv.components[0])
-    n2 -= ensure_spectral(adv.components[1])
-    p1, p2 = grid.project(n1, n2)
-    return VectorField((_wrap_like(u.components[0], n1 - p1),
-                        _wrap_like(u.components[1], n2 - p2)))
+    half = grid.half
+    N = (_convection(half, C[2:4], C[2:4]) + _convection(half, C[4:6], C[4:6])
+         - _convection(half, C[:2], C[:2]))
+    p1, p2 = grid.project(*N)
+    return VectorField((_wrap_like(u.components[0], N[0] - p1),
+                        _wrap_like(u.components[1], N[1] - p2)))
 
 
-def _div_max(vectors) -> np.ndarray:
-    """Grid sup-norms of ∇·v, one per vector field v, from half spectra."""
-    half = vectors[0].grid.half
-    C = _half_columns([c for v in vectors for c in v.components], half.m)
+def _div_max(grid, C) -> np.ndarray:
+    """Grid sup-norms of ∇·v, one per vector field v, from its half spectra, row
+    pairs (0, 1), (2, 3), … of C."""
+    half = grid.half
     return np.max(np.abs(half.to_samples(half.ik1 * C[0::2] + half.ik2 * C[1::2])), axis=(1, 2))
 
 
 def lambda_s(f: ScalarField, s) -> ScalarField:
     """Λˢ f = |k|ˢ f̂ (zero at k = 0), or (1+|k|²)^{s/2} f̂ for the inhomogeneous order."""
-    order = _order(s)
-    grid = f.grid
-    c = ensure_spectral(f)
-    if order.inhomogeneous:
-        mult = (1.0 + grid.k_sq) ** (order.s / 2.0)
-    else:
-        mult = _k_power(grid.k_sq, order.s)
-    return _wrap_like(f, mult * c)
+    order, k_sq = _order(s), f.grid.half.k_sq
+    mult = (1.0 + k_sq) ** (order.s / 2.0) if order.inhomogeneous else _k_power(k_sq, order.s)
+    return _wrap_like(f, mult * _halves(f)[0])
 
 
 def _k_power(k_sq, s):
@@ -175,10 +173,9 @@ def _k_power(k_sq, s):
 
 
 def sobolev_norm(f: ScalarField, s) -> float:
-    """Inhomogeneous Sobolev norm ((2π)² Σ_k (1+|k|²)ˢ |f̂(k)|²)^{1/2}."""
-    order = _order(s)
-    c = ensure_spectral(f)
-    return float(TAU * np.sqrt(np.sum((1.0 + f.grid.k_sq) ** order.s * np.abs(c) ** 2)))
+    """Inhomogeneous Sobolev norm ((2π)² Σ_k (1+|k|²)ˢ |f̂(k)|²)^{1/2} = ‖Jˢf‖₂."""
+    half = f.grid.half
+    return _l2(half, (1.0 + half.k_sq) ** (_order(s).s / 2.0) * _halves(f)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +183,9 @@ def sobolev_norm(f: ScalarField, s) -> float:
 #
 # For band-limited f, g the commutator Λˢ(fg) − fΛˢg is evaluated exactly on a
 # padded 2n grid (products of n/3-band inputs stay below the padded Nyquist),
-# and compared against ‖∇f‖_∞‖Λ^{s−1}g‖₂ + ‖Λˢf‖₂‖g‖_∞.  The bands are copied
-# into a band of the 2n half spectrum, so all of it runs on real transforms.
+# and compared against ‖∇f‖_∞‖Λ^{s−1}g‖₂ + ‖Λˢf‖₂‖g‖_∞.  The bands of the half
+# spectra are copied into a band of the 2n half spectrum, so all of it runs on
+# real transforms.
 
 @dataclass(frozen=True)
 class CommutatorReport:
@@ -199,16 +197,11 @@ class CommutatorReport:
     ratio: float
 
 
-def _l2(half, coeffs):
-    """L² norm on the torus of a half spectrum or band (Parseval, mirror columns counted)."""
-    return float(TAU * np.sqrt(np.sum(half.weight[:, :coeffs.shape[-1]] * np.abs(coeffs) ** 2)))
-
-
-def _require_band_limited(grid, coeffs, what):
+def _require_band_limited(half, coeffs, what):
     scale = float(np.max(np.abs(coeffs)))
     if scale == 0.0:
         return
-    out_of_band = float(np.max(np.abs(coeffs * ~grid.dealias_mask)))
+    out_of_band = float(np.max(np.abs(coeffs * ~half.mask)))
     if out_of_band > 1e-12 * scale:
         raise ValueError(f"{what} carries energy beyond the n/3 dealias band")
 
@@ -230,13 +223,9 @@ def commutator_check(s, f: ScalarField, g: ScalarField) -> CommutatorReport:
     if f.grid != g.grid:
         raise ValueError("commutator operands live on different grids")
     grid = f.grid
-    cf = ensure_spectral(f)
-    cg = ensure_spectral(g)
-    _require_band_limited(grid, cf, "f")
-    _require_band_limited(grid, cg, "g")
-
-    both = np.stack([cf, cg])
-    grid.to_samples(both)                       # rejects spectra of non-real fields
+    both = _halves(f, g)
+    for coeffs, what in zip(both, "fg"):
+        _require_band_limited(grid.half, coeffs, what)
 
     big, lam, lam_b, lam_low = _padded_layer(grid.n, order.s)
     b = grid.dealias_limit

@@ -448,10 +448,12 @@ def test_verify_exact_passes_at_small_amplitude(capsys, f0):
     assert re.search(r"printed fidelity breaks F22 transport +PASS", out)
 
 
-def test_verify_exact_without_amplitude_shows_no_defect(capsys):
-    # f0 = 0 is u = 0, F = I: the printed display has nothing to show
-    assert main(["verify-exact", "--f0", "0"]) == 3
-    assert "FAIL  div u = 0, 2a = 0" in capsys.readouterr().out
+@pytest.mark.parametrize("f0", ["0", "-0.0"])
+def test_verify_exact_without_amplitude_is_a_usage_error(capsys, f0):
+    # f0 = 0 is u = 0, F = I: no check could pass on it, so it is no run
+    assert main(["verify-exact", "--f0", f0]) == 1
+    captured = capsys.readouterr()
+    assert "no amplitude to verify" in captured.err and not captured.out
 
 
 def test_verify_exact_default_times_are_kept(capsys):

@@ -253,12 +253,12 @@ def _calls_of(tree, name):
 
 
 def test_one_owner_of_the_channel_layout():
-    # full spectra are built only by the field and operator layers; every
-    # other module reads half spectra through fields._half_columns, and the
-    # six-channel order has one owner, State.channels
+    # full spectra are built only by the field layer; every other module
+    # reads half spectra through fields._half_columns, and the six-channel
+    # order has one owner, State.channels
     callers = {path.name for path in Path(vspc.__file__).parent.glob("*.py")
                if _calls_of(ast.parse(path.read_text()), "ensure_spectral")}
-    assert callers <= {"fields.py", "operators.py"}, callers
+    assert callers <= {"fields.py"}, callers
     fake = "import vspc\nc = vspc.fields.ensure_spectral(f)[:, :3]\nd = ensure_spectral(g)\n"
     assert len(_calls_of(ast.parse(fake), "ensure_spectral")) == 2
     assert not hasattr(vspc.solver, "_channels")
@@ -286,13 +286,13 @@ def test_one_run_loop():
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 32, 64, 128]),
        banded=st.booleans())
 def test_half_reader_is_ensure_spectral_cut_to_its_width(seed, n, banded):
-    # bit for bit, for sampled and spectral fields mixed in one call
+    # bit for bit, for sampled and spectral fields mixed in one call; a
+    # user's spectrum must describe a real field, as its first read checks
     g = GridSpec(n)
     width = g.half.band if banded else g.half.m
     rng = np.random.default_rng(seed)
     sampled = ScalarField.from_samples(g, rng.standard_normal((n, n)))
-    spectral = ScalarField.from_spectrum(
-        g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    spectral = ScalarField.from_spectrum(g, g.to_coeffs(rng.standard_normal((n, n))))
     fields = [sampled, spectral, to_spectral(sampled)]
     got = _half_columns(fields, width)
     assert got.shape == (3, n, width)
@@ -467,44 +467,93 @@ def test_band_backed_fields_read_their_rows_bit_for_bit(tmp_path_factory, seed, 
     assert path.read_bytes() == header + samples.astype("<f8").tobytes()
 
 
-def _verdict(read, *args):
-    try:
-        read(*args)
-    except ConjugateSymmetryError as exc:
-        return str(exc)
-    return None
+def test_a_user_spectrum_is_checked_once_on_first_read(monkeypatch):
+    # building the field checks nothing; the first read of its half spectrum
+    # runs the tests of GridSpec.to_samples, and later reads reuse the verdict
+    g = GridSpec(16)
+    c = g.to_coeffs(np.random.default_rng(4).standard_normal((16, 16)))
+    checks, inverses = [], []
+    accepted, to_samples = GridSpec._accepted, vspc.fields.HalfSpectrum.to_samples
+    monkeypatch.setattr(GridSpec, "_accepted", lambda self, x: checks.append(1) or accepted(self, x))
+    monkeypatch.setattr(vspc.fields.HalfSpectrum, "to_samples",
+                        lambda self, *a, **k: inverses.append(1) or to_samples(self, *a, **k))
+    f = ScalarField.from_spectrum(g, c)
+    assert not checks
+    w = to_physical(f).data                    # a single inverse transform
+    assert len(checks) == 1 and len(inverses) == 1
+    assert np.array_equal(w, to_samples(g.half, c[:, :g.half.m]))
+    assert np.array_equal(ensure_physical(f), w)
+    assert np.array_equal(_half_columns([f], g.half.m)[0], c[:, :g.half.m])
+    assert len(checks) == 1
 
 
-@settings(max_examples=80)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 32, 64, 128]),
-       banded=st.booleans(), nyquist=st.booleans(),
-       test=st.sampled_from(["mirror", "residue"]), side=st.sampled_from([0.5, 0.99, 1.01, 2.0]))
-def test_band_check_rejects_exactly_what_the_full_lattice_check_rejects(seed, n, banded, nyquist,
-                                                                         test, side):
-    # i·ε on column k₂ = 0 (or k₂ = n/2 of a half spectrum, the other column
-    # that is its own mirror image), with ε on either side of a test's
-    # threshold: one mode against the mirror test, every mode of the column
-    # against the residue test (it passes the mirror test and adds n·ε at x₁ = 0)
-    g = GridSpec(n)
-    rng = np.random.default_rng(seed)
+def test_checked_inverse_transforms_once_where_the_residue_test_reads_samples(monkeypatch):
+    # ½Σ|d| = 1.2e-10 calls for max|w| (= 10), and those samples are returned
+    g = GridSpec(64)
     x1, x2 = g.mesh()
-    a = rng.uniform(0.5, 2.0, size=2)
-    p = rng.uniform(0.0, TAU, size=2)
-    samples = a[0] * np.cos(x1 + p[0]) + a[1] * np.cos(x2 + 2.0 * x1 + p[1])
-    (f, _) = _band_fields(g, np.stack([samples, samples]), banded)
-    row = f.row.copy()
-    col = n // 2 if nyquist and not banded else 0
-    if test == "mirror":
-        k1 = int(rng.integers(n))
-        twice = 2.0 if k1 in (0, n // 2) else 1.0    # a mode that is its own mirror image
-        row[k1, col] += 1j * side * (1e-10 * float(np.max(np.abs(row))) + 1e-14) / twice
-    else:
-        limit = 1e-10 * max(float(np.max(np.abs(g.half.to_samples(row)))), 1.0)
-        row[:, col] += 1j * side * limit / n
-    (f, _) = vspc.solver._vectors(g, np.stack([row, row]))[0].components
-    full = _verdict(g.to_samples, g.half.full(row))
-    assert _verdict(ensure_physical, f) == full
-    if side < 1:
-        assert full is None
-    else:
-        assert full.startswith("conjugate symmetry" if test == "mirror" else "imaginary residue")
+    c = g.to_coeffs(10.0 * np.sin(x1) * np.cos(x2)) + 3e-14j
+    inverses, to_samples = [], vspc.fields.HalfSpectrum.to_samples
+    monkeypatch.setattr(vspc.fields.HalfSpectrum, "to_samples",
+                        lambda self, *a, **k: inverses.append(1) or to_samples(self, *a, **k))
+    w = g.to_samples(c)
+    assert len(inverses) == 1
+    assert np.array_equal(w, to_samples(g.half, c[:, :g.half.m]))
+    # a user field keeps the samples its check took: to_physical of it runs
+    # that one inverse, and later reads run none
+    f = ScalarField.from_spectrum(g, c)
+    inverses.clear()
+    assert np.array_equal(to_physical(f).data, w)
+    assert len(inverses) == 1
+    assert np.array_equal(to_physical(f).data, w) and np.array_equal(ensure_physical(f), w)
+    assert len(inverses) == 1
+
+
+def test_a_non_finite_mirror_only_mode_is_rejected():
+    # k = (3, −4) lies in a column the half spectrum does not keep; NaN
+    # compares False against every threshold, so it must be caught as such
+    g = GridSpec(16)
+    x1, x2 = g.mesh()
+    for bad in (np.nan, np.inf):
+        c = g.to_coeffs(np.sin(x1) * np.cos(2.0 * x2)).copy()
+        c[3, -4] = bad
+        f = ScalarField.from_spectrum(g, c)
+        for read in (to_physical, ensure_physical, lambda f: g.to_samples(f.data)):
+            with pytest.raises(ConjugateSymmetryError, match="non-finite"):
+                read(f)
+
+
+def _isinstance_of(tree, name):
+    """isinstance(…, name) calls in a module, name alone or in a tuple."""
+    found = []
+    for call in _calls_of(tree, "isinstance"):
+        kinds = call.args[1].elts if isinstance(call.args[1], ast.Tuple) else [call.args[1]]
+        found += [k for k in kinds if getattr(k, "id", None) == name]
+    return found
+
+
+def _grid_reads(tree, names):
+    """Attributes among names read from a `grid` or `….grid` in a module."""
+    return [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in names
+            and "grid" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))]
+
+
+def test_one_spectral_representation_inside():
+    # vspc works on half spectra alone: no reader asks which kind of field it
+    # has, the one checked read of a full spectrum is GridSpec's, and the
+    # operators take their multipliers from GridSpec.half
+    package = Path(vspc.__file__).parent
+    probes = [path.name for path in package.glob("*.py")
+              if _isinstance_of(ast.parse(path.read_text()), "_BandField")]
+    assert not probes, probes
+    assert not hasattr(vspc.fields.HalfSpectrum, "_checked_samples")
+    tree = ast.parse((package / "operators.py").read_text())
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names]
+    assert "ensure_spectral" not in imported
+    full_lattice = ("ik1", "ik2", "k_sq", "dealias_mask")
+    assert not _grid_reads(tree, full_lattice)
+    fake = ("isinstance(f, _BandField)\nisinstance(f, (int, _BandField))\n"
+            "a = grid.ik1 * c + f.grid.k_sq\nb = grid.half.ik1 * half.k_sq\n")
+    assert len(_isinstance_of(ast.parse(fake), "_BandField")) == 2
+    assert sorted(_grid_reads(ast.parse(fake), full_lattice)) == ["ik1", "k_sq"]

@@ -1,9 +1,11 @@
 """Differential operators, projection, Sobolev norms, and the commutator check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vspc
 from vspc.fields import GridSpec, ScalarField, VectorField, TensorField, ensure_physical
@@ -285,3 +287,211 @@ def test_velocity_jacobian_entries():
                                np.cos(x1) * np.cos(x2), atol=1e-12)
     np.testing.assert_allclose(ensure_physical(J.entry(1, 0)),
                                np.sin(x1) * np.sin(x2), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the operators read half spectra: against the full-lattice formulas they
+# replaced, bit for bit, for every kind of input field
+
+def _full_lattice_reference(name, grid, c):
+    """Full spectra of each scalar component of an operator's result, from the
+    full spectra c of (u₁, u₂, w₁, w₂, F₁₁, F₂₁, F₁₂, F₂₂), by the formulas on
+    the (n, n) lattice that the operators used before they read half spectra."""
+    ik1, ik2, k_sq, mask = grid.ik1, grid.ik2, grid.k_sq, grid.dealias_mask
+
+    def convection(v, w):
+        vs, ws = v * mask, w * mask
+        P = grid.to_samples(np.concatenate([vs, ik1 * ws, ik2 * ws]))
+        return grid.to_coeffs(P[0] * P[2:4] + P[1] * P[4:6]) * mask
+
+    u, w, col1, col2 = c[0:2], c[2:4], c[4:6], c[6:8]
+    if name == "gradient":
+        return [ik1 * u[0], ik2 * u[0]]
+    if name == "jacobian":
+        return [ik1 * u[0], ik1 * u[1], ik2 * u[0], ik2 * u[1]]
+    if name == "divergence":
+        return [ik1 * u[0] + ik2 * u[1]]
+    if name == "curl":
+        return [ik1 * u[1] - ik2 * u[0]]
+    if name == "laplacian":
+        return [-k_sq * u[0]]
+    if name == "leray_project":
+        return list(grid.project(u[0], u[1]))
+    if name == "lambda_s":
+        return [np.power(k_sq, 0.75, out=np.zeros_like(k_sq), where=k_sq > 0) * u[0]]
+    if name == "lambda_s_inhomogeneous":
+        return [(1.0 + k_sq) ** 1.25 * u[0]]
+    if name == "convective_term":
+        return list(convection(u, w))
+    assert name == "pressure_gradient"
+    n1 = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    n2 = np.zeros_like(n1)
+    for col in (col1, col2):
+        el = convection(col, col)
+        n1 += el[0]
+        n2 += el[1]
+    adv = convection(u, u)
+    n1 -= adv[0]
+    n2 -= adv[1]
+    p1, p2 = grid.project(n1, n2)
+    return [n1 - p1, n2 - p2]
+
+
+_OPERATORS = {
+    "gradient": lambda u, w, F: gradient(u.components[0]),
+    "jacobian": lambda u, w, F: gradient(u),
+    "divergence": lambda u, w, F: divergence(u),
+    "curl": lambda u, w, F: curl(u),
+    "laplacian": lambda u, w, F: laplacian(u.components[0]),
+    "leray_project": lambda u, w, F: leray_project(u),
+    "lambda_s": lambda u, w, F: lambda_s(u.components[0], 1.5),
+    "lambda_s_inhomogeneous": lambda u, w, F: lambda_s(u.components[0], SobolevOrder(2.5, True)),
+    "convective_term": lambda u, w, F: convective_term(u, w),
+    "pressure_gradient": lambda u, w, F: pressure_gradient(u, F),
+}
+
+
+def _inputs(g, samples, kind):
+    """Scalar fields of real samples (k, n, n): as samples, as the band-backed
+    rows (band or half wide) the solver hands out, or as a user's exactly
+    conjugate-symmetric full spectra."""
+    half = g.half
+    if kind == "physical":
+        return [ScalarField.from_samples(g, x) for x in samples]
+    if kind == "user":
+        return [ScalarField.from_spectrum(g, c) for c in g.to_coeffs(samples)]
+    rows = half.to_coeffs(samples)
+    rows = rows[..., :half.band] * half.mask[:, :half.band] if kind == "band" else rows
+    return [f for v in vspc.solver._vectors(g, rows) for f in v.components]
+
+
+def _parent_commutator(s, f, g):
+    """(lhs, rhs) of commutator_check as it read full spectra."""
+    grid = f.grid
+    both = np.stack([f.data if f.is_spectral else grid.to_coeffs(f.data) for f in (f, g)])
+    grid.to_samples(both)
+    big, lam, lam_b, lam_low = vspc.operators._padded_layer(grid.n, s)
+    b = grid.dealias_limit
+    rows = np.r_[0:b + 1, -b:0]
+    pad = np.zeros((2, big.n, b + 1), dtype=np.complex128)
+    pad[:, rows] = both[:, rows, :b + 1]
+    pf, pg = pad
+    fs, gs, lam_gs, d1f, d2f = big.to_samples(
+        np.stack([pf, pg, lam_b * pg, big.ik1 * pf, big.ik2[:, :b + 1] * pf]))
+    prod = big.to_coeffs(np.stack([fs * gs, fs * lam_gs]))
+    l2 = vspc.fields._l2
+    lhs = l2(big, lam * prod[0] - prod[1])
+    rhs = (float(np.max(np.hypot(d1f, d2f))) * l2(big, lam_low * pg)
+           + l2(big, lam_b * pf) * float(np.max(np.abs(gs))))
+    return lhs, rhs
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 32, 64, 128]),
+       kind=st.sampled_from(["physical", "band", "half", "user"]))
+def test_operators_match_the_full_lattice_formulas(seed, n, kind):
+    g = GridSpec(n)
+    samples = np.random.default_rng(seed).standard_normal((8, n, n))
+    fields = _inputs(g, samples, kind)
+    u, w = VectorField(tuple(fields[0:2])), VectorField(tuple(fields[2:4]))
+    F = TensorField.from_columns(VectorField(tuple(fields[4:6])), VectorField(tuple(fields[6:8])))
+    full = [f.data if f.is_spectral else g.to_coeffs(f.data) for f in fields]
+    for name, op in _OPERATORS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConstraintWarning)
+            got = vspc.fields._scalar_parts(op(u, w, F))
+        want = _full_lattice_reference(name, g, np.stack(full))
+        assert len(got) == len(want), name
+        for part, coeffs in zip(got, want):
+            samples_of = g.to_samples(coeffs)
+            if part.is_spectral:
+                assert np.array_equal(part.data, coeffs), name
+            assert part.is_physical == (kind == "physical" and name != "convective_term"), name
+            assert np.array_equal(ensure_physical(part), samples_of), name
+    f = fields[0]
+    for s in (0.0, 1.0, 2.5):
+        want = TAU * np.sqrt(np.sum((1.0 + g.k_sq) ** s * np.abs(full[0]) ** 2))
+        assert math.isclose(sobolev_norm(f, s), want, rel_tol=1e-14)
+    # the commutator check takes band-limited fields
+    banded = _inputs(g, g.to_samples(g.to_coeffs(samples[:2]) * g.dealias_mask), kind)
+    rep = commutator_check(2.0, *banded)
+    assert (rep.lhs, rep.rhs) == _parent_commutator(2.0, *banded)
+
+
+def test_band_backed_fields_build_no_full_spectrum(tmp_path, monkeypatch):
+    # operators, transforms and snapshots read the rows a band-backed field keeps
+    g = GridSpec(32)
+    x = np.random.default_rng(9).standard_normal((8, 32, 32))
+    fields = _inputs(g, g.to_samples(g.to_coeffs(x) * g.dealias_mask), "band")
+    u, w = VectorField(tuple(fields[0:2])), VectorField(tuple(fields[2:4]))
+    F = TensorField.from_columns(VectorField(tuple(fields[4:6])), VectorField(tuple(fields[6:8])))
+    built = []
+    full = vspc.fields.HalfSpectrum.full
+    monkeypatch.setattr(vspc.fields.HalfSpectrum, "full",
+                        lambda self, c: built.append(1) or full(self, c))
+    readers = [*(lambda op=op: op(u, w, F) for op in _OPERATORS.values()),
+               lambda: sobolev_norm(u.components[0], 1.0),
+               lambda: commutator_check(2.0, fields[0], fields[1]),
+               lambda: vspc.to_physical(fields[0]),
+               lambda: ensure_physical(fields[0]),
+               lambda: vspc.dealias(fields[0]),
+               lambda: vspc.write_snapshot(tmp_path / "s.vspc", 0.0, fields)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConstraintWarning)
+        for read in readers:
+            read()
+    assert not built
+
+
+def _real_pair(g):
+    """Spectra of two real fields, the first in band, both exactly conjugate symmetric."""
+    x1, x2 = g.mesh()
+    return g.to_coeffs(np.stack([np.sin(x1) * np.cos(2.0 * x2), np.cos(x1 - x2)]))
+
+
+_READERS = {
+    "gradient": lambda f, ok, path: gradient(f),
+    "divergence": lambda f, ok, path: divergence(VectorField((ok, f))),
+    "curl": lambda f, ok, path: curl(VectorField((ok, f))),
+    "laplacian": lambda f, ok, path: laplacian(f),
+    "leray_project": lambda f, ok, path: leray_project(VectorField((f, ok))),
+    "lambda_s": lambda f, ok, path: lambda_s(f, 1.5),
+    "convective_term": lambda f, ok, path: convective_term(VectorField((ok, ok)),
+                                                           VectorField((ok, f))),
+    "pressure_gradient": lambda f, ok, path: pressure_gradient(
+        VectorField((f, ok)), TensorField.identity(f.grid)),
+    "sobolev_norm": lambda f, ok, path: sobolev_norm(f, 1.0),
+    "commutator_check": lambda f, ok, path: commutator_check(2.0, ok, f),
+    "to_physical": lambda f, ok, path: vspc.to_physical(f),
+    "ensure_physical": lambda f, ok, path: ensure_physical(f),
+    "dealias": lambda f, ok, path: vspc.dealias(f),
+    "l2_norm": lambda f, ok, path: vspc.l2_norm(f),
+    "write_snapshot": lambda f, ok, path: vspc.write_snapshot(path / "s.vspc", 0.0, [ok, f]),
+    "simulate_initial": lambda f, ok, path: vspc.simulate(
+        vspc.SolverConfig(f.grid, nu=0.01, t_end=0.01),
+        vspc.State(0.0, VectorField((f, ok)), TensorField.identity(f.grid))),
+    "simulate_forcing": lambda f, ok, path: vspc.simulate(
+        vspc.SolverConfig(f.grid, nu=0.01, t_end=0.01, forcing=vspc.ForcingSpec(
+            g_u=lambda t: VectorField((f, ok)), g_F=None)),
+        vspc.perturbed_identity_state(f.grid, 0.1)),
+}
+
+
+@pytest.mark.parametrize("mode", [(1, 2), (1, -4)])
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_every_reader_rejects_a_non_real_user_spectrum(tmp_path, reader, mode):
+    # one mode moved off its mirror by 5, in a column of the half spectrum or
+    # in one only the full spectrum has; the field is built unchecked, and its
+    # first read by vspc raises
+    g = GridSpec(16)
+    c, ok = _real_pair(g)
+    c[mode] += 5.0
+    f = ScalarField.from_spectrum(g, c)
+    ok = ScalarField.from_spectrum(g, ok)
+    if reader == "simulate_initial":
+        with pytest.raises(ValueError, match="not a real field: conjugate symmetry"):
+            _READERS[reader](f, ok, tmp_path)
+    else:
+        with pytest.raises(vspc.ConjugateSymmetryError, match="conjugate symmetry"):
+            _READERS[reader](f, ok, tmp_path)
+    assert not list(tmp_path.iterdir())

@@ -196,6 +196,27 @@ def test_simulate_rejects_non_real_spectral_initial_state():
         simulate(SolverConfig(g, nu=0.01, t_end=0.01), bad)
 
 
+@pytest.mark.parametrize("channel", range(6))
+def test_simulate_rejects_a_band_backed_initial_state_with_a_non_finite_row(channel):
+    # rows vspc built are not probed on their own: a NaN in any of the six
+    # channels reaches every sample of its field's divergence
+    g = GridSpec(16)
+    Z = solver._pack(perturbed_identity_state(g, 0.1))
+    Z[channel, 2, 1] = np.nan
+    with pytest.raises(ValueError, match="initial state contains non-finite values"):
+        simulate(SolverConfig(g, nu=0.01, t_end=0.01), solver._unpack(g, 0.0, Z))
+
+
+def test_simulate_rejects_a_physical_initial_state_with_a_non_finite_sample():
+    st = perturbed_identity_state(GridSpec(16), 0.1)
+    F22 = st.F.entry(1, 1).data.copy()
+    F22[4, 5] = np.inf
+    bad = State(0.0, st.u, TensorField.from_columns(
+        st.F.columns[0], VectorField.from_samples(st.grid, st.F.entry(0, 1).data, F22)))
+    with pytest.raises(ValueError, match="initial state contains non-finite values"):
+        simulate(SolverConfig(st.grid, nu=0.01, t_end=0.01), bad)
+
+
 def test_simulate_rejects_initial_state_on_another_grid():
     cfg = SolverConfig(GridSpec(32), nu=0.0, t_end=0.1)
     with pytest.raises(ValueError, match="n=16.*n=32"):
@@ -602,13 +623,24 @@ def test_non_finite_forcing_ends_the_run_with_the_last_good_state(stage):
     # check raises).  Either way the run ends at the state it had at t₁, which
     # it must hand back unchanged: no stage may write into its input.  Powers
     # of two keep the step times exact
+    _check_non_finite_forcing_ends_the_run(stage, VectorField.from_samples, np.float64)
+
+
+@pytest.mark.parametrize("stage", ["second", "last"])
+def test_non_finite_spectral_forcing_ends_the_run_as_non_finite_samples_do(stage):
+    # the check of a user's spectrum rejects a NaN coefficient; in a forcing
+    # that ends the run at the stage that reads it, with the same outcome
+    _check_non_finite_forcing_ends_the_run(stage, VectorField.from_spectra, np.complex128)
+
+
+def _check_non_finite_forcing_ends_the_run(stage, vector, dtype):
     g = GridSpec(16)
     dt, t1 = 2.0 ** -7, 2.0 ** -5
     onset = t1 + (0.5 * dt if stage == "second" else dt)
-    nan = TensorField.from_columns(*(VectorField.from_samples(g, *np.full((2, 16, 16), np.nan))
-                                     for _ in range(2)))
-    zero = TensorField.from_columns(*(VectorField.from_samples(g, *np.zeros((2, 16, 16)))
-                                      for _ in range(2)))
+    values = np.zeros((2, 16, 16), dtype=dtype)
+    zero = TensorField.from_columns(*(vector(g, *values) for _ in range(2)))
+    values[1, 2, 3] = np.nan
+    nan = TensorField.from_columns(vector(g, *values), vector(g, *np.zeros_like(values)))
     forcing = ForcingSpec(g_u=None, g_F=lambda t: nan if t >= onset else zero)
 
     def run(t_end):
@@ -1009,3 +1041,33 @@ def test_band_steps_match_steps_on_full_half_spectra(n, forced):
     got = np.fft.irfft2(Z, s=(n, n), norm="forward")
     want = np.fft.irfft2(ref, s=(n, n), norm="forward")
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _random_divergence_free_state(g, seed, amplitude):
+    """u and F − I the perpendicular gradients of three random stream functions
+    on |k| ≤ 4, scaled to sup-norm `amplitude`: real and divergence-free."""
+    c = g.to_coeffs(np.random.default_rng(seed).standard_normal((3, g.n, g.n)))
+    c *= g.k_sq <= 16.0
+    V = g.to_samples(np.stack([g.ik2 * c, -g.ik1 * c]))      # V[:, j] = ∇⊥ψⱼ
+    V *= amplitude / np.max(np.abs(V), axis=(0, 2, 3), keepdims=True)
+    return state_from_arrays(g, 0.0, V[0, 0], V[1, 0], 1.0 + V[0, 1], V[1, 1],
+                             V[0, 2], 1.0 + V[1, 2])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [32, 64])
+def test_solver_rows_stay_real_on_their_self_mirror_column(n, seed):
+    # the fields the solver hands out are never checked: of the columns a band
+    # keeps, only k₂ = 0 is its own mirror image, and after 100 steps its rows
+    # still satisfy ĉ(−k₁, 0) = conj ĉ(k₁, 0) to roundoff
+    g = GridSpec(n)
+    dt = 2.0 ** -8
+    cfg = SolverConfig(g, nu=0.01, t_end=100 * dt, dt_max=dt)
+    res = simulate(cfg, _random_divergence_free_state(g, seed, 0.3))
+    assert res.termination == "completed" and res.steps == 100
+    mirror = -np.arange(n) % n
+    for f in res.final_state.channels:
+        row = f.row
+        assert row.shape == (n, g.half.band)
+        residual = np.max(np.abs(row[:, 0] - np.conj(row[mirror, 0])))
+        assert residual <= 1e-14 * np.max(np.abs(row))
