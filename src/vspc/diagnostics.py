@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -511,26 +512,30 @@ def write_records_csv(path, records: Sequence[DiagnosticsRecord]):
 
 
 def read_records_csv(path):
+    """Records of a diagnostics CSV; every row, the last included, must end in a
+    line end, as written, so a file cut inside its last row is rejected."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise ValueError("diagnostics CSV is empty" if not text else
+                         "diagnostics CSV is truncated: its last row has no line end")
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise ValueError(f"diagnostics CSV does not parse: {exc}") from None
+    if rows[0] != CSV_FIELDS:
+        raise ValueError("diagnostics CSV header does not match the record schema")
+    records = []
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(CSV_FIELDS):
+            raise ValueError(f"diagnostics CSV row has {len(row)} columns, "
+                             f"expected {len(CSV_FIELDS)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("diagnostics CSV is empty") from None
-        if header != CSV_FIELDS:
-            raise ValueError("diagnostics CSV header does not match the record schema")
-        records = []
-        for row in reader:
-            if len(row) != len(CSV_FIELDS):
-                raise ValueError(f"diagnostics CSV row has {len(row)} columns, "
-                                 f"expected {len(CSV_FIELDS)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise ValueError(f"diagnostics CSV has a non-numeric entry: {exc}") from None
-            bad = [name for name, v in zip(CSV_FIELDS, values) if not math.isfinite(v)]
-            if bad:     # a run's records are finite, and NaN passes every comparison
-                raise ValueError(f"diagnostics CSV has non-finite {', '.join(bad)} "
-                                 f"on line {reader.line_num}")
-            records.append(DiagnosticsRecord(**dict(zip(CSV_FIELDS, values))))
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise ValueError(f"diagnostics CSV has a non-numeric entry: {exc}") from None
+        bad = [name for name, v in zip(CSV_FIELDS, values) if not math.isfinite(v)]
+        if bad:     # a run's records are finite, and NaN passes every comparison
+            raise ValueError(f"diagnostics CSV has non-finite {', '.join(bad)} on line {line}")
+        records.append(DiagnosticsRecord(**dict(zip(CSV_FIELDS, values))))
     return records

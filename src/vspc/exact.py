@@ -32,6 +32,7 @@ import numpy as np
 from .fields import GridSpec, TensorField, TAU
 from . import solver as _solver
 from .diagnostics import DiagnosticsRecord
+from .flowmap import _rk4
 
 __all__ = [
     "ZghParams", "ZghFields", "ZghResidual", "PoleError", "zgh_fields",
@@ -198,21 +199,14 @@ class LinearProfileState:
 
 def ode_reduce_step(state: LinearProfileState, a_of_t: Callable[[float], float],
                     dt: float) -> LinearProfileState:
-    """One RK4 step of dF/dt = A(t) F with A(t) = diag(a(t), −a(t))."""
-    if dt <= 0 or not math.isfinite(dt):
-        raise ValueError(f"step size must be positive and finite, got {dt}")
-
+    """One RK4 step of dF/dt = A(t) F, A(t) = diag(a(t), −a(t)): the flow map's
+    Jacobian equation for u = A(t)x, so it takes the flow map's step."""
     def gen(s):
         a = a_of_t(s)
         return np.diag([a, -a])
 
-    t, F = state.t, state.F
-    k1 = gen(t) @ F
-    k2 = gen(t + 0.5 * dt) @ (F + 0.5 * dt * k1)
-    k3 = gen(t + 0.5 * dt) @ (F + 0.5 * dt * k2)
-    k4 = gen(t + dt) @ (F + dt * k3)
-    F_new = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return LinearProfileState(gen(t + dt), F_new, t + dt)
+    (F,) = _rk4(lambda s, y: (gen(s) @ y[0],), state.t, (state.F,), dt)
+    return LinearProfileState(gen(state.t + dt), F, state.t + dt)
 
 
 def zgh_synthetic_history(p: ZghParams, times: Sequence[float]):

@@ -136,6 +136,20 @@ def test_criterion_report_rejects_bad_tolerances(tmp_path, capsys, flag, value):
     assert main(["criterion-report", csv_path, flag, "0", "--out", str(report)]) == 0
 
 
+def test_criterion_report_of_a_csv_cut_in_its_last_row_is_a_usage_error(tmp_path, capsys):
+    # cut inside the exponent of div_drift_F, `5.27…e-16` read back as 0.527
+    # and was reported as a divergence violation
+    cfg = _write_config(tmp_path / "run.ini")
+    assert main(["run", str(cfg)]) == 0
+    csv_path = tmp_path / "out" / "diagnostics.csv"
+    raw = csv_path.read_bytes()
+    cut = raw.rindex(b"e-", 0, len(raw) - 2)
+    csv_path.write_bytes(raw[:cut])
+    capsys.readouterr()
+    assert main(["criterion-report", str(csv_path)]) == 1
+    assert "no line end" in capsys.readouterr().err
+
+
 def test_required_keys_alone_give_the_solver_defaults(tmp_path):
     ini = tmp_path / "min.ini"
     ini.write_text("[grid]\nn = 16\n[solver]\nnu = 0.01\nt_end = 0.05\n")

@@ -182,6 +182,73 @@ def test_csv_rejects_mangled_input(tmp_path):
         read_records_csv(bad_value)
 
 
+# every finite double: ±0.0, subnormals and the largest magnitudes included
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_record = st.builds(lambda values: DiagnosticsRecord(*values),
+                    st.lists(_finite, min_size=len(CSV_FIELDS), max_size=len(CSV_FIELDS)))
+
+
+def _bits(records):
+    return [np.array([getattr(r, name) for name in CSV_FIELDS]).view(np.uint64).tolist()
+            for r in records]
+
+
+@settings(max_examples=60)
+@given(records=st.lists(_record, max_size=4))
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "examples.csv"
+    write_records_csv(path, records)
+    assert _bits(read_records_csv(path)) == _bits(records)
+
+
+@settings(max_examples=4)
+@given(records=st.lists(_record, min_size=1, max_size=2))
+def test_every_truncated_csv_is_rejected_unless_cut_at_a_row_end(tmp_path_factory, records):
+    # a file cut inside its last field read back with that field shortened
+    # (5.27e-16 became 0.527); only a cut after a row's line end is a whole file
+    path = tmp_path_factory.getbasetemp() / "examples.csv"
+    write_records_csv(path, records)
+    raw = path.read_bytes()
+    ends = [i + 2 for i in range(len(raw)) if raw[i:i + 2] == b"\r\n"]
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        if cut in ends:
+            assert _bits(read_records_csv(path)) == _bits(records[:ends.index(cut)])
+        else:
+            with pytest.raises(ValueError):
+                read_records_csv(path)
+
+
+_HISTORY = vspc.zgh_synthetic_history(vspc.ZghParams(2.0, 1.0, 1.0), [0.0, 0.1])
+
+
+@settings(max_examples=200)
+@given(where=st.integers(0, 10 ** 6), byte=st.integers(0, 255))
+def test_a_corrupted_csv_header_is_rejected_or_read_whole(tmp_path_factory, where, byte):
+    path = tmp_path_factory.getbasetemp() / "examples.csv"
+    write_records_csv(path, _HISTORY)
+    raw = bytearray(path.read_bytes())
+    raw[where % raw.index(b"\r\n")] = byte
+    path.write_bytes(bytes(raw))
+    try:
+        back = read_records_csv(path)
+    except ValueError:
+        return
+    assert _bits(back) == _bits(_HISTORY)
+
+
+def test_a_quote_in_a_large_csv_header_is_a_value_error(tmp_path):
+    # the quoted field runs to the end of the file, past csv's field size limit
+    recs = vspc.zgh_synthetic_history(vspc.ZghParams(2.0, 1.0, 1.0), np.linspace(0.0, 0.3, 400))
+    path = tmp_path / "diag.csv"
+    write_records_csv(path, recs)
+    raw = path.read_bytes()
+    assert len(raw) > 131072
+    path.write_bytes(raw[:2] + b'"' + raw[3:])
+    with pytest.raises(ValueError, match="does not parse"):
+        read_records_csv(path)
+
+
 def test_csv_rejects_non_finite_values(tmp_path):
     recs = vspc.zgh_synthetic_history(vspc.ZghParams(2.0, 1.0, 1.0), [0.0, 0.1, 0.2])
     path = tmp_path / "diag.csv"

@@ -421,6 +421,57 @@ def test_snapshot_rejects_corruption(tmp_path):
         read_snapshot(header_only)
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)   # ±0.0, subnormals, ±1.8e308
+
+
+@settings(max_examples=30)
+@given(n=st.sampled_from([8, 16]), count=st.integers(1, 3), time=_finite,
+       data=st.data())
+def test_snapshot_round_trip_is_bit_exact(tmp_path_factory, n, count, time, data):
+    g = GridSpec(n)
+    values = np.array(data.draw(st.lists(_finite, min_size=count * n * n,
+                                         max_size=count * n * n))).reshape(count, n, n)
+    path = tmp_path_factory.getbasetemp() / "examples.vspc"
+    write_snapshot(path, time, [ScalarField.from_samples(g, v) for v in values])
+    t, grid, arrays = read_snapshot(path)
+    assert np.float64(t).view(np.uint64) == np.float64(time).view(np.uint64)
+    assert grid == g
+    assert np.array(arrays).view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
+
+def _one_snapshot(path):
+    g = GridSpec(8)
+    rng = np.random.default_rng(8)
+    write_snapshot(path, 0.25, [ScalarField.from_samples(g, rng.standard_normal((8, 8)))
+                                for _ in range(2)])
+    return path.read_bytes()
+
+
+def test_every_truncated_snapshot_is_rejected(tmp_path):
+    path = tmp_path / "s.vspc"
+    raw = _one_snapshot(path)
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            read_snapshot(path)
+
+
+def test_a_corrupted_snapshot_header_is_rejected_or_read_whole(tmp_path):
+    # each byte of the 32-byte header set to 0x00 and 0xff, and each of its bits flipped
+    path = tmp_path / "s.vspc"
+    raw = _one_snapshot(path)
+    _, _, want = read_snapshot(path)
+    for where in range(32):
+        for byte in (0x00, 0xff, *(raw[where] ^ (1 << bit) for bit in range(8))):
+            path.write_bytes(raw[:where] + bytes([byte]) + raw[where + 1:])
+            try:
+                t, grid, arrays = read_snapshot(path)
+            except ValueError:
+                continue
+            assert isinstance(t, float) and grid == GridSpec(8)
+            assert np.array_equal(np.array(arrays), np.array(want))
+
+
 def test_snapshot_empty_and_mixed_grids(tmp_path):
     with pytest.raises(ValueError):
         write_snapshot(tmp_path / "e.vspc", 0.0, [])

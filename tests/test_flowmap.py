@@ -1,5 +1,6 @@
 """Particle advection, Jacobian evolution, and velocity samplers."""
 
+import ast
 import csv
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 import vspc
-from vspc.fields import GridSpec, ScalarField, VectorField, TensorField
+from vspc.fields import GridSpec, ScalarField, VectorField, TensorField, _half_columns
 from vspc.flowmap import (
     AnalyticFlow, MissingDataError, ParticleSet, SnapshotSampler,
     advect, compare_with_eulerian, evolve_jacobian, identity_tensor_at,
@@ -354,3 +355,323 @@ def test_bicubic_samplers_import_scipy_on_first_use(tmp_path):
     fresh = np.load(out)
     for name in ("vel", "grad", "F"):
         assert np.array_equal(fresh[name], here[name]), name
+
+
+# ---------------------------------------------------------------------------
+# point checks
+
+_BAD_POINTS = {
+    "nan": [[math.nan, 1.0]], "inf": [[math.inf, 0.0]], "-inf": [[0.5, -math.inf]],
+    "empty list": [], "three columns": np.zeros((1, 3)), "three axes": np.zeros((2, 2, 2)),
+    "three coordinates": [1.0, 2.0, 3.0],
+}
+
+
+@pytest.mark.parametrize("method", ["spectral", "bicubic"])
+@pytest.mark.parametrize("bad", list(_BAD_POINTS))
+def test_samplers_reject_points_that_are_not_a_finite_n_by_2_array(method, bad):
+    # the bicubic sampler read 0 at a non-finite point, the spectral one NaN
+    g = GridSpec(16)
+    sam = SnapshotSampler(g, method=method)
+    sam.add(0.0, vspc.taylor_green_state(g).u)
+    at = tensor_sampler(vspc.perturbed_identity_state(g, 0.1).F, method)
+    for call in (lambda p: sam.sample(0.0, p), lambda p: sam.sample(0.0, p, with_gradient=True),
+                 at, lambda p: ParticleSet.at(p)):
+        with pytest.raises(ValueError, match="finite"):
+            call(_BAD_POINTS[bad])
+
+
+@pytest.mark.parametrize("method", ["spectral", "bicubic"])
+def test_samplers_take_no_points(method):
+    g = GridSpec(16)
+    sam = SnapshotSampler(g, method=method)
+    sam.add(0.0, vspc.taylor_green_state(g).u)
+    sam.add(1.0, vspc.taylor_green_state(g).u)
+    none = np.empty((0, 2))
+    vel, grad = sam.sample(0.0, none, with_gradient=True)
+    assert vel.shape == (0, 2) and grad.shape == (0, 2, 2)
+    assert tensor_sampler(TensorField.identity(g), method)(none).shape == (0, 2, 2)
+    ps = evolve_jacobian(ParticleSet.at(none), sam, 0.1)
+    assert ps.positions.shape == (0, 2) and ps.jacobians.shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_lattice_needs_a_particle(count):
+    with pytest.raises(ValueError, match="at least 1"):
+        ParticleSet.on_lattice(count)
+
+
+# ---------------------------------------------------------------------------
+# the samplers and RK4 steps as they were before one evaluator and one RK4
+# step served them all, kept as references: no result may move by a bit
+
+def _ref_half_band(grid, coeffs):
+    n, b = grid.n, grid.dealias_limit
+    rows = np.r_[0:b + 1, n - b:n]
+    return coeffs[..., rows, :b + 1] * grid.half.weight[:, :b + 1]
+
+
+def _ref_synthesize(block, pts, with_gradient=False):
+    R, A, B = block.shape
+    b = B - 1
+    if with_gradient:
+        k1 = np.r_[0:B, -b:0]
+        block = np.concatenate([block, (1j * k1[:, None]) * block])
+    M = np.ascontiguousarray(block.transpose(1, 0, 2)).reshape(A, -1)
+    ik2 = 1j * np.arange(B)
+    vals = np.empty((len(pts), R))
+    grad = np.empty((len(pts), R, 2)) if with_gradient else None
+    powers = np.empty((min(len(pts), 256), 2, B), dtype=np.complex128)
+    Ex = np.empty((len(powers), A), dtype=np.complex128)
+    for s in range(0, len(pts), 256):
+        x = pts[s:s + 256]
+        c = len(x)
+        P, E = powers[:c], Ex[:c]
+        P[:, :, 0] = 1.0
+        P[:, :, 1:] = np.exp(1j * x)[:, :, None]
+        np.cumprod(P, axis=2, out=P)
+        E[:, :B] = P[:, 0]
+        np.conjugate(P[:, 0, b:0:-1], out=E[:, B:])
+        Ey = P[:, 1]
+        S = (E @ M).reshape(c, -1, B)
+        out = np.einsum("nrk,nk->nr", S, Ey).real
+        vals[s:s + c] = out[:, :R]
+        if with_gradient:
+            grad[s:s + c, :, 0] = out[:, R:]
+            grad[s:s + c, :, 1] = np.einsum("nrk,nk->nr", S[:, :R], Ey * ik2).real
+    return vals, grad
+
+
+def _ref_interpolate(grid, planes, pts):
+    coords = (pts / grid.spacing).T
+    return np.stack([
+        ndimage.map_coordinates(p, coords, order=3, mode="grid-wrap", prefilter=False)
+        for p in planes], axis=1)
+
+
+def _ref_wrap(points):
+    return np.mod(np.atleast_2d(np.asarray(points, dtype=np.float64)), TAU)
+
+
+class _RefSampler(SnapshotSampler):
+    """The per-method add and sample of old; time blending is shared."""
+
+    def add(self, t, u):
+        half = self.grid.half
+        if self.method == "spectral":
+            self._data.append(_ref_half_band(self.grid, _half_columns(u.components, half.band)))
+        else:
+            c = _half_columns(u.components, half.m) * half.mask
+            self._data.append(vspc.flowmap._spline_planes(self.grid, np.stack(
+                [*c, *(d * ci for ci in c for d in (half.ik1, half.ik2))])))
+        self.times.append(float(t))
+
+    def sample(self, t, points, with_gradient=False):
+        pts = _ref_wrap(points)
+        lo, hi, theta = self._blend(float(t))
+        D = self._data[lo] if lo == hi else (
+            (1.0 - theta) * self._data[lo] + theta * self._data[hi])
+        if self.method == "spectral":
+            return _ref_synthesize(D, pts, with_gradient)
+        vals = _ref_interpolate(self.grid, D[:6 if with_gradient else 2], pts)
+        return vals[:, :2], vals[:, 2:].reshape(-1, 2, 2) if with_gradient else None
+
+
+def _ref_tensor_sampler(F, method):
+    grid = F.grid
+    coeffs = _half_columns([F.entry(i, k) for i in range(2) for k in range(2)], grid.half.m)
+    if method == "spectral":
+        block = _ref_half_band(grid, coeffs)
+        evaluate = lambda pts: _ref_synthesize(block, pts)[0]
+    else:
+        planes = vspc.flowmap._spline_planes(grid, coeffs * grid.half.mask)
+        evaluate = lambda pts: _ref_interpolate(grid, planes, pts)
+    return lambda pts: evaluate(_ref_wrap(pts)).reshape(-1, 2, 2)
+
+
+def _ref_advect(particles, sampler, dt):
+    x, t = particles.positions, particles.t
+    k1 = sampler.sample(t, x)[0]
+    k2 = sampler.sample(t + 0.5 * dt, x + 0.5 * dt * k1)[0]
+    k3 = sampler.sample(t + 0.5 * dt, x + 0.5 * dt * k2)[0]
+    k4 = sampler.sample(t + dt, x + dt * k3)[0]
+    x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return ParticleSet(particles.labels, x_new, particles.jacobians.copy(), t + dt)
+
+
+def _ref_evolve_jacobian(particles, sampler, dt):
+    x, J, t = particles.positions, particles.jacobians, particles.t
+
+    def stage(ti, xi, Ji):
+        vel, grad = sampler.sample(ti, xi, with_gradient=True)
+        return vel, grad @ Ji
+
+    kx1, kJ1 = stage(t, x, J)
+    kx2, kJ2 = stage(t + 0.5 * dt, x + 0.5 * dt * kx1, J + 0.5 * dt * kJ1)
+    kx3, kJ3 = stage(t + 0.5 * dt, x + 0.5 * dt * kx2, J + 0.5 * dt * kJ2)
+    kx4, kJ4 = stage(t + dt, x + dt * kx3, J + dt * kJ3)
+    x_new = x + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
+    J_new = J + (dt / 6.0) * (kJ1 + 2.0 * kJ2 + 2.0 * kJ3 + kJ4)
+    return ParticleSet(particles.labels, x_new, J_new, t + dt)
+
+
+def _ref_ode_reduce_step(state, a_of_t, dt):
+    def gen(s):
+        a = a_of_t(s)
+        return np.diag([a, -a])
+
+    t, F = state.t, state.F
+    k1 = gen(t) @ F
+    k2 = gen(t + 0.5 * dt) @ (F + 0.5 * dt * k1)
+    k3 = gen(t + 0.5 * dt) @ (F + 0.5 * dt * k2)
+    k4 = gen(t + dt) @ (F + dt * k3)
+    F_new = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return vspc.exact.LinearProfileState(gen(t + dt), F_new, t + dt)
+
+
+def _same(a, b):
+    assert (a is None) == (b is None)
+    assert a is None or (a.shape == b.shape and np.array_equal(a, b))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("method", ["spectral", "bicubic"])
+def test_samplers_and_particle_steps_match_the_old_code_bit_for_bit(n, method):
+    g = GridSpec(n)
+    rng = np.random.default_rng(n)
+    state = vspc.perturbed_identity_state(g, 0.3)
+    snapshots = [vspc.taylor_green_state(g).u, state.u,
+                 VectorField.from_spectra(g, *_band_limited(g, rng, 2)),
+                 vspc.step(state, 0.01, vspc.SolverConfig(g, nu=0.01, t_end=1.0)).u]
+    new, old = SnapshotSampler(g, method), _RefSampler(g, method)
+    for t, u in zip((0.0, 0.3, 0.5, 1.0), snapshots):
+        new.add(t, u)
+        old.add(t, u)
+    pts = rng.uniform(-TAU, 2 * TAU, size=(600, 2))     # two whole chunks and a part
+    for t in (0.0, 0.2, 0.3, 0.77, 1.0):                # at and between snapshots
+        for with_gradient in (False, True):
+            for got, want in zip(new.sample(t, pts, with_gradient),
+                                 old.sample(t, pts, with_gradient)):
+                _same(got, want)
+        _same(new.sample(t, pts[0])[0], old.sample(t, pts[0])[0])
+    for F in (state.F, TensorField.identity(g)):
+        _same(tensor_sampler(F, method)(pts), _ref_tensor_sampler(F, method)(pts))
+    a = b = c = d = ParticleSet.on_lattice(5)
+    for _ in range(10):
+        a, b = evolve_jacobian(a, new, 0.1), _ref_evolve_jacobian(b, old, 0.1)
+        c, d = advect(c, new, 0.1), _ref_advect(d, old, 0.1)
+    for got, want in ((a, b), (c, d)):
+        _same(got.positions, want.positions)
+        _same(got.jacobians, want.jacobians)
+        assert got.t == want.t
+    F_at = _ref_tensor_sampler(state.F, method)(a.positions)
+    want = float(np.max(np.sqrt(np.sum((F_at - a.jacobians) ** 2, axis=(1, 2)))))
+    assert compare_with_eulerian(a, state.F, identity_tensor_at, method=method) == want
+
+
+def test_ode_reduction_matches_the_old_step_bit_for_bit():
+    amplitude = vspc.zgh_amplitude(vspc.ZghParams(2.0, 1.0, 1.0))
+    new = old = vspc.exact.LinearProfileState(np.diag([1.0, -1.0]), np.eye(2) + 0.1, 0.0)
+    for dt in [1e-3] * 50 + [4e-3] * 50:
+        new = vspc.ode_reduce_step(new, amplitude, dt)
+        old = _ref_ode_reduce_step(old, amplitude, dt)
+        _same(new.A, old.A)
+        _same(new.F, old.F)
+        assert new.t == old.t
+
+
+# ---------------------------------------------------------------------------
+# one integrator and one branch on the sampling method
+
+def _enclosing(tree):
+    """(node, enclosing class, enclosing function) for every node of a module."""
+    found = []
+
+    def visit(node, cls, func):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        found.append((node, cls, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, func)
+
+    visit(tree, None, None)
+    return found
+
+
+def _rk4_sites(source):
+    """Where `dt / 6.0` is taken, step checks raised, and the method compared."""
+    is_dt6 = lambda node: (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                           and getattr(node.left, "id", None) == "dt"
+                           and getattr(node.right, "value", None) == 6.0)
+    named = lambda node, name: name in (getattr(node, "id", None), getattr(node, "attr", None))
+    sites = {"dt6": [], "check": [], "method": []}
+    for node, cls, func in _enclosing(ast.parse(source)):
+        if is_dt6(node):
+            sites["dt6"].append(func)
+        if isinstance(node, ast.Raise) and "step size must be positive and finite" in ast.unparse(node):
+            sites["check"].append(func)
+        if isinstance(node, ast.Compare):
+            parts = [node.left, *node.comparators]
+            constants = {sub.value for part in parts for sub in ast.walk(part)
+                         if isinstance(sub, ast.Constant)}
+            if any(named(p, "method") for p in parts) and constants & {"spectral", "bicubic"}:
+                sites["method"].append((cls, func))
+    return sites
+
+
+def test_one_rk4_step_and_one_branch_on_the_sampling_method():
+    src = Path(vspc.__file__).parent
+    sites = {path.name: _rk4_sites(path.read_text()) for path in src.glob("*.py")}
+    dt6 = {(name, func) for name, s in sites.items() for func in s["dt6"]}
+    assert dt6 == {("flowmap.py", "_rk4"), ("solver.py", "_step_packed")}, dt6
+    checks = sites["flowmap.py"]["check"] + sites["exact.py"]["check"]
+    assert checks == ["_rk4"], checks
+    branches = {site for s in sites.values() for site in s["method"]}
+    assert branches <= {("_Evaluator", f) for f in ("__init__", "prepare", "evaluate")}, branches
+    assert {f for _, f in branches} >= {"prepare", "evaluate"}
+    # the finder sees each form it looks for
+    fake = ("def f(dt):\n    if dt <= 0:\n        raise ValueError(f'step size must be positive"
+            " and finite, got {dt}')\n    return y + (dt / 6.0) * k\n"
+            "class S:\n    def g(self, method):\n        return self.method == 'bicubic' or "
+            "method in ('spectral',)\n")
+    assert _rk4_sites(fake) == {"dt6": ["f"], "check": ["f"],
+                                "method": [("S", "g"), ("S", "g")]}
+
+
+# ---------------------------------------------------------------------------
+# kept synthesis buffers
+
+_FAULTS = """
+import resource
+import numpy as np
+import vspc
+g = vspc.GridSpec(64)
+pts = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(1024, 2))
+samplers = {m: vspc.SnapshotSampler(g, m) for m in ("spectral", "bicubic")}
+for t, u in ((0.0, vspc.taylor_green_state(g).u), (1.0, vspc.perturbed_identity_state(g, 0.3).u)):
+    for sam in samplers.values():
+        sam.add(t, u)
+
+def faults(method, calls):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        samplers[method].sample(0.3, pts, with_gradient=True)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+faults("spectral", 50)
+faults("bicubic", 20)       # loads scipy after the samplers' data
+print(faults("spectral", 100))
+"""
+
+
+def test_spectral_sampling_reuses_its_buffers_after_scipy_loads():
+    # the synthesis allocated its phases and products on every call; once
+    # scipy had loaded, the heap handed them back each time, about 200 minor
+    # page faults per 1024-point call at n = 64
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=str(Path(vspc.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _FAULTS], env=env, check=True, timeout=120,
+                         capture_output=True, text=True)
+    assert float(out.stdout) <= 5.0, out.stdout
