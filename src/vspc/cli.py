@@ -273,9 +273,10 @@ def cmd_verify_exact(args) -> int:
     checks.append(("corrected residual sweep (100 draws, scaled)", worst <= 1e-12,
                    f"max relative residual {worst:.2e}"))
 
-    # both checks run before the pole: t = 0.2 and t* - 0.05 where they fit
+    # both checks run before the pole: t = 0.2 where it fits, and 0.85 t*, a
+    # fixed fraction, so that 1 − t/t* keeps its digits at any amplitude
     t_res = 0.2 if params.t_star > 0.2 else 0.5 * params.t_star
-    t_stop = max(params.t_star - 0.05, 0.5 * params.t_star) if params.blows_up else 1.0
+    t_stop = 0.85 * params.t_star if params.blows_up else 1.0
 
     res0 = exact.zgh_residual(params, t_res, [[1.0, -0.5]])
     worst0 = max(np.abs(res0.momentum).max(), np.abs(res0.deformation).max(),
@@ -300,8 +301,9 @@ def cmd_verify_exact(args) -> int:
     # RK4 on the ODE reduction against the closed form, in steps of
     # min(1e-4, 1e-3 t*); where that takes more than _ODE_STEPS, a far pole, in
     # _ODE_STEPS whose distance to t* shrinks geometrically, as 1/a(t) does,
-    # each step ending on its grid time so that rounding of t does not pile up
-    steps = max(1, round(t_stop / min(1e-4, 1e-3 * params.t_star)))
+    # each step ending on its grid time so that rounding of t does not pile up;
+    # the count is capped before it is rounded, as at f0 = 1e-307 it is inf
+    steps = max(1, round(min(t_stop / min(1e-4, 1e-3 * params.t_star), 2 * _ODE_STEPS)))
     state = exact.LinearProfileState(np.diag([params.f0, -params.f0]), np.eye(2), 0.0)
     amp = exact.zgh_amplitude(params)
     if steps <= _ODE_STEPS or not params.blows_up:

@@ -119,6 +119,12 @@ def _require_finite(name, value, positive):
         raise ValueError(f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value}")
 
 
+def _require_count(name, value, least):
+    """Raise ValueError unless value is an integer >= least (a bool is not one; a float would run)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def _power(half, coeffs):
     """Parseval-weighted power spectrum Σ weight·|ĉ|² of a (…, n, w) stack of half spectra
     or bands, on the whole (n, n//2+1) half: a band's missing columns are zero there, so
@@ -432,10 +438,9 @@ def bkm_report(records: Sequence[DiagnosticsRecord], window: int = 10) -> BkmRep
     The estimate fits a line to 1/‖∇u‖_∞ over the last `window` records and
     returns its root; it is None unless ‖∇u‖_∞ grew strictly monotonically
     there and the fitted line actually crosses zero ahead of the data.
-    A window below 2 cannot fit a line and raises ValueError.
+    A window that is not an integer of at least 2 cannot fit a line and raises ValueError.
     """
-    if window < 2:
-        raise ValueError(f"blowup-time extrapolation needs a window of at least 2, got {window}")
+    _require_count("blowup-time extrapolation window", window, 2)
     if len(records) < 3:
         raise ValueError("blowup-time extrapolation needs at least 3 records")
     w = min(window, len(records))

@@ -62,6 +62,10 @@ class ZghParams:
         for name, v in (("alpha", self.alpha), ("beta", self.beta), ("f0", self.f0)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
+        cf = self.c * self.f0
+        if self.f0 != 0.0 and not (math.isfinite(cf) and cf != 0.0 and math.isfinite(1.0 / cf)):
+            raise ValueError(f"f0 = {self.f0:g} is out of range: c·f0 = {cf:g} and the pole "
+                             f"time 1/(c·f0) must both be finite and non-zero")
 
     @property
     def c(self) -> float:
@@ -172,7 +176,7 @@ def zgh_bkm_integral(p: ZghParams, T: float) -> float:
         return 0.0
     if p.blows_up and T >= p.t_star:
         return math.inf
-    return -math.copysign(1.0, p.f0) / p.c * math.log(1.0 - p.c * p.f0 * T)
+    return -math.copysign(1.0, p.f0) / p.c * math.log1p(-p.c * p.f0 * T)
 
 
 # ---------------------------------------------------------------------------

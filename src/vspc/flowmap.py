@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .diagnostics import _require_count
 from .fields import TAU, GridSpec, TensorField, VectorField, _half_columns
 
 __all__ = [
@@ -90,8 +91,7 @@ class ParticleSet:
     @classmethod
     def on_lattice(cls, count_per_axis: int, t: float = 0.0):
         """count² particles on a uniform lattice offset by half a cell."""
-        if not count_per_axis >= 1:
-            raise ValueError(f"particle count per axis must be at least 1, got {count_per_axis}")
+        _require_count("particle count per axis", count_per_axis, 1)
         h = TAU / count_per_axis
         coords = h * (np.arange(count_per_axis) + 0.5)
         X1, X2 = np.meshgrid(coords, coords, indexing="ij")

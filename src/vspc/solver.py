@@ -178,9 +178,7 @@ class SolverConfig:
         for name in ("dt_max", "gradu_ceiling"):
             _diag._require_finite(name, getattr(self, name), positive=True)
         for name, least in (("diagnostics_interval", 1), ("snapshot_interval", 0)):
-            value = getattr(self, name)     # bool is an int, and a float would run
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _diag._require_count(name, getattr(self, name), least)
 
 
 @dataclass(eq=False)
@@ -298,16 +296,19 @@ class _Workspace:
         return self.forced[t]
 
 
-def _nonlinearity(work: _Workspace, P, out=None):
-    """Nonlinear part of ∂ₜZ from the six channels' samples P (6, n, n).
+def _nonlinearity(work: _Workspace, P, t=0.0, forcing=None, out=None):
+    """∂ₜZ without the viscous term, from the six channels' samples P (6, n, n) at t.
 
     Momentum: the Leray projection of ∇·(FFᵀ − u⊗u); deformation column k:
-    (∂₂a_k, −∂₁a_k) with a_k = u₁F₂ₖ − u₂F₁ₖ.  Writes the dealiased band
-    (6, n, n//3+1) into out, a fresh array when out is None.  The four
-    pointwise products, σ₁₁ − σ₂₂ and σ₁₂ of σ = FFᵀ − u⊗u (its trace part is
-    a gradient, which Leray drops), a₁ and a₂, and their spectra pass through
-    the workspace's Q, R and B.
+    (∂₂a_k, −∂₁a_k) with a_k = u₁F₂ₖ − u₂F₁ₖ; plus the forcing's band at t
+    when there is one.  Writes the dealiased band (6, n, n//3+1) into out, a
+    fresh array when out is None.  The four pointwise products, σ₁₁ − σ₂₂ and
+    σ₁₂ of σ = FFᵀ − u⊗u (its trace part is a gradient, which Leray drops), a₁
+    and a₂, and their spectra pass through the workspace's Q, R and B.
+    Non-finite samples raise BlowupError at t.
     """
+    if not np.all(np.isfinite(P)):
+        raise BlowupError(t, "non-finite field values")
     u1, u2, F11, F21, F12, F22 = P
     N = np.empty_like(work.K) if out is None else out
     Q = work.Q
@@ -321,19 +322,9 @@ def _nonlinearity(work: _Workspace, P, out=None):
     for (ci, cj), a in zip(_COLS, S[2:]):
         np.multiply(work.curl[0], a, out=N[ci])
         np.multiply(work.curl[1], a, out=N[cj])
-    return N
-
-
-def _transport(work, Z, t, forcing, out=None, P=None):
-    """dZ/dt without the viscous term, into out; P, the samples of Z, is reused when given."""
-    if P is None:
-        P = work.samples(Z)
-    if not np.all(np.isfinite(P)):
-        raise BlowupError(t, "non-finite field values")
-    dZ = _nonlinearity(work, P, out)
     if forcing is not None:
-        dZ += work.forcing_at(forcing, t)
-    return dZ
+        N += work.forcing_at(forcing, t)
+    return N
 
 
 def rhs(state: State, cfg: SolverConfig) -> StateDerivative:
@@ -341,7 +332,7 @@ def rhs(state: State, cfg: SolverConfig) -> StateDerivative:
     grid = state.grid
     work = _Workspace(grid)
     Z = _pack(state)
-    dZ = _transport(work, Z, state.t, cfg.forcing)
+    dZ = _nonlinearity(work, work.samples(Z), state.t, cfg.forcing)
     dZ[:2] -= cfg.nu * work.k_sq * Z[:2]
     return StateDerivative(*_fields(grid, dZ))
 
@@ -361,23 +352,23 @@ def _step_packed(work, Z, t, dt, forcing, P=None):
     if dt != work.dt:
         work.dt, work.E = dt, np.exp(-work.nu * work.k_sq * (0.5 * dt))
     E, K, Y, h = work.E, work.K, work.Y, 0.5 * dt
-    _transport(work, Z, t, forcing, K, P)
+    _nonlinearity(work, work.samples(Z) if P is None else P, t, forcing, K)
     Znew = K * (dt / 6.0) + Z
     np.add(Z, np.multiply(K, h, out=Y), out=Y)  # Y = E(Z + h·k₁)
     Y[:2] *= E
-    _transport(work, Y, t + h, forcing, K)
+    _nonlinearity(work, work.samples(Y), t + h, forcing, K)
     Znew[:2] *= E
     Znew += np.multiply(K, dt / 3.0, out=Y)
     np.multiply(K, h, out=Y)                    # Y = E·Z + h·k₂
     Y[:2] += Z[:2] * E
     Y[2:] += Z[2:]
-    _transport(work, Y, t + h, forcing, K)
+    _nonlinearity(work, work.samples(Y), t + h, forcing, K)
     Znew += np.multiply(K, dt / 3.0, out=Y)
     np.multiply(K, dt, out=Y)                   # Y = E(E·Z + dt·k₃)
     Y[:2] += Z[:2] * E
     Y[2:] += Z[2:]
     Y[:2] *= E
-    _transport(work, Y, t + dt, forcing, K)
+    _nonlinearity(work, work.samples(Y), t + dt, forcing, K)
     Znew[:2] *= E
     Znew += np.multiply(K, dt / 6.0, out=Y)
     if not np.all(np.isfinite(Znew)):
@@ -460,6 +451,7 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     Z = _pack(initial)
     t = float(initial.t)
     t_end = t + cfg.t_end
+    elapsed = 0.0           # the sum of the steps, which rounding of t can leave short of t_end
     observing = observer is not None and cfg.snapshot_interval > 0
     engine = _diag.DiagnosticsEngine(nu=cfg.nu)
     records = []
@@ -467,12 +459,11 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     blowup_time = None
     violated = None
     steps = 0
-    P = None                # samples of (t, Z): a record's, then the next step's first stage's
     state = None            # a State only for the observer and the result
     while True:
-        at_end = t >= t_end - 1e-12
+        P = work.samples(Z)     # a record's samples of (t, Z), then the next step's first stage's
+        at_end = t >= t_end - 1e-12 or elapsed >= cfg.t_end - 1e-12
         if steps % cfg.diagnostics_interval == 0 or at_end:
-            P = work.samples(Z)
             record = engine.observe(_diag._Packed(grid, t, Z, P, work.Q))
             records.append(record)
             if record.linf_gradu > cfg.gradu_ceiling:
@@ -493,7 +484,6 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
         if at_end:
             break
         state = None                    # frees the last observed State
-        P = work.samples(Z) if P is None else P
         dt = min(_cfl_dt(grid, P, cfg), t_end - t)    # the samples set the CFL step
         if t + dt == t:
             raise ValueError(f"the clock stalls at t = {t:.17g}: a step of dt = {dt:.3g} "
@@ -504,8 +494,8 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
             termination = "blowup-detected"
             blowup_time = exc.t
             break
-        P = None                        # its bytes were the step's stage buffers
         t += dt
+        elapsed += dt
         steps += 1
 
     return RunResult(

@@ -474,7 +474,7 @@ def test_verify_exact_default_times_are_kept(capsys):
     assert main(["verify-exact"]) == 0
     out = capsys.readouterr().out
     assert "div u = 5, 2a = 5" in out       # the amplitude at t = 0.2
-    assert "at t = 0.2833" in out           # t* - 0.05
+    assert "at t = 0.2833" in out           # 0.85 t*
 
 
 @pytest.mark.parametrize("f0, steps", [("1.0", 2833), ("1e-3", vspc.cli._ODE_STEPS)])
@@ -491,6 +491,23 @@ def test_verify_exact_bounds_the_ode_steps(capsys, monkeypatch, f0, steps):
     main(["verify-exact", "--f0", f0])
     assert len(calls) == steps
     assert re.search(r"ODE reduction matches closed-form F +PASS", capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("f0", ["1e-17", "1e-300", "1e-307", "1e-12", "-1e-17"])
+def test_verify_exact_passes_at_tiny_amplitude(capsys, f0):
+    # the checks stop at 0.85 t*, where 1 − t/t* keeps its digits (t* − 0.05
+    # rounded to t*, or left 1.5e-13 of it), the BKM integral takes log1p, and
+    # the ODE step count, t_stop/1e-4 = inf at 1e-307, is capped before rounding
+    assert main(["verify-exact", f"--f0={f0}"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("f0", ["5e-324", "-5e-324", "1e-310", "1e308", "-1e308"])
+def test_verify_exact_amplitude_out_of_range_is_a_usage_error(capsys, f0):
+    # c·f0 or the pole time 1/(c·f0) is not finite and non-zero
+    assert main(["verify-exact", f"--f0={f0}"]) == 1
+    captured = capsys.readouterr()
+    assert "out of range" in captured.err and not captured.out
 
 
 def test_verify_exact_rejects_equal_parameters(capsys):

@@ -126,8 +126,8 @@ def test_bkm_report_validation_and_extrapolation():
     with pytest.raises(ValueError):
         bkm_report(recs[:2])
     # a line needs two points: window 0 used to fit every record and report 0,
-    # window 1 ran a degenerate fit
-    for window in (-1, 0, 1):
+    # window 1 ran a degenerate fit, and a float window escaped as a TypeError
+    for window in (-1, 0, 1, 10.0, 2.5, True, None):
         with pytest.raises(ValueError, match="window"):
             bkm_report(recs, window=window)
     assert bkm_report(recs, window=2).window == 2

@@ -37,6 +37,24 @@ def test_params_rejects_degenerate_pairs():
         ZghParams(float("nan"), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("f0", [5e-324, -5e-324, 1e-310, 1e308, -1e308])
+def test_params_reject_an_amplitude_whose_pole_is_out_of_range(f0):
+    # c·f0 = ±inf, or 1/(c·f0) = ±inf: t* = inf while blows_up was True
+    with pytest.raises(ValueError, match="out of range"):
+        ZghParams(2.0, 1.0, f0)
+
+
+@pytest.mark.parametrize("f0", [1e-300, 1e-17, 1e-12, -1e-300, -1e-17, -1e-12])
+def test_tiny_amplitudes_keep_their_pole_and_integral(f0):
+    # ∫₀ᵀ|a| = −sign(f0)/c·log(1 − c f0 T), and log(1 − x) rounds to 0 at |x| < 1e-16
+    p = ZghParams(2.0, 1.0, f0)
+    assert math.isfinite(p.t_star) == p.blows_up == (f0 > 0)
+    assert math.isclose(zgh_bkm_integral(p, 1.0), abs(f0), rel_tol=1e-11)
+    if p.blows_up:      # at 0.9 t*, 1 − c f0 T = 0.1
+        assert math.isclose(zgh_bkm_integral(p, 0.9 * p.t_star), math.log(10.0) / p.c,
+                            rel_tol=1e-12)
+
+
 def test_amplitude_and_pole():
     p = ZghParams(2.0, 1.0, 1.0)
     a = zgh_amplitude(p)

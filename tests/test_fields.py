@@ -212,26 +212,34 @@ def test_single_transform_layer():
     assert _fft_uses(ast.parse(fake)) == [("A", "fft2"), ("A", "fft")]
 
 
-def _scipy_imports(tree):
-    """Name of the function around each scipy import in a module, None at module level."""
+def _functions_around(tree, hit):
+    """Name of the function around each node of a module that hit(node) accepts, None at module level."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Import):
-            modules = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""]
-        else:
-            modules = []
-        if any(m.split(".")[0] == "scipy" for m in modules):
+        if hit(node):
             found.append(func)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
     visit(tree, None)
     return found
+
+
+def _scipy_imports(tree):
+    """Name of the function around each scipy import in a module, None at module level."""
+    def hit(node):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        return any(m.split(".")[0] == "scipy" for m in modules)
+
+    return _functions_around(tree, hit)
 
 
 def test_scipy_is_imported_only_where_it_is_called():
@@ -278,8 +286,32 @@ def test_one_run_loop():
     tree = ast.parse(Path(vspc.solver.__file__).read_text())
     simulate = next(node for node in ast.walk(tree)
                     if isinstance(node, ast.FunctionDef) and node.name == "simulate")
-    for name in ("observe", "observer", "_step_packed"):
+    for name in ("samples", "observe", "observer", "_step_packed"):
         assert len(_calls_of(simulate, name)) == 1, name
+
+
+def test_one_right_hand_side_of_samples():
+    # _nonlinearity alone checks a stage's samples, forms the products and
+    # adds the forcing; rhs, the four RK4 stages and manufactured call it
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(vspc.__file__).parent.glob("*.py")}
+    named = lambda node, name: name in (getattr(node, "id", None), getattr(node, "attr", None),
+                                        getattr(node, "name", None))
+    assert not [node for tree in trees.values() for node in ast.walk(tree)
+                if named(node, "_transport")]
+
+    def sites(hit):
+        return sorted((name, func) for name, tree in trees.items()
+                      for func in _functions_around(tree, hit))
+
+    calls = lambda name: lambda node: isinstance(node, ast.Call) and named(node.func, name)
+    samples_checked = lambda node: (calls("isfinite")(node)
+                                    and [ast.unparse(a) for a in node.args] == ["P"])
+    message = lambda node: isinstance(node, ast.Constant) and node.value == "non-finite field values"
+    for hit in (calls("forcing_at"), samples_checked, message):
+        assert sites(hit) == [("solver.py", "_nonlinearity")]
+    assert sites(calls("_nonlinearity")) == [("exact.py", "manufactured")] + [
+        ("solver.py", "_step_packed")] * 4 + [("solver.py", "rhs")]
 
 
 @settings(max_examples=30)

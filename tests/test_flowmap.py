@@ -395,8 +395,10 @@ def test_samplers_take_no_points(method):
     assert ps.positions.shape == (0, 2) and ps.jacobians.shape == (0, 2, 2)
 
 
-@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, True, "3"])
 def test_lattice_needs_a_particle(count):
+    # and an integer count: 2.5 particles per axis spaced 2π/2.5 do not tile
+    # the torus, and True would be 1
     with pytest.raises(ValueError, match="at least 1"):
         ParticleSet.on_lattice(count)
 

@@ -301,6 +301,19 @@ def _bounded_stepper(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("t0, duration, steps", [(1e4, 0.02, 4), (-1e4, 0.02, 4), (1e8, 0.02, 4),
+                                                 (1e4, 1.0, 200), (1e8, 0.2, 40)])
+def test_a_run_from_a_large_time_takes_no_sliver_step(t0, duration, steps):
+    # t0 + 4·0.005 rounds to a few ulps short of t_end; the run ends when its
+    # steps sum to the duration, not after one more step that few ulps long
+    g = GridSpec(16)
+    base = perturbed_identity_state(g, 0.1)
+    res = simulate(SolverConfig(g, nu=0.01, t_end=duration, dt_max=5e-3), State(t0, base.u, base.F))
+    assert res.termination == "completed" and res.steps == steps
+    assert np.min(np.diff([r.t for r in res.records])) > 0.99 * 5e-3
+    assert abs(res.final_state.t - (t0 + duration)) <= steps * abs(np.spacing(t0 + duration))
+
+
 @pytest.mark.parametrize("t0", [math.nan, math.inf, 1e15])
 def test_an_initial_time_the_clock_cannot_leave_is_rejected(monkeypatch, t0):
     # at t = 1e15 a step of dt_max = 0.005 leaves t unchanged
