@@ -408,14 +408,16 @@ def ensure_spectral(f: ScalarField) -> np.ndarray:
     return f.data if f.is_spectral else f.grid.to_coeffs(f.data)
 
 
-def _half_columns(fields, width) -> np.ndarray:
+def _half_columns(fields, width, out=None) -> np.ndarray:
     """The first `width` ≤ n//2 + 1 columns of the half spectra of scalar fields,
-    stacked, each field's columns zero-padded to the width; no full spectrum
-    is built."""
-    out = np.zeros((len(fields), fields[0].grid.n, width), dtype=np.complex128)
+    stacked, each field's columns zero-padded to the width, into `out` if given;
+    no full spectrum is built."""
+    if out is None:
+        out = np.empty((len(fields), fields[0].grid.n, width), dtype=np.complex128)
     for f, plane in zip(fields, out):
         cols = f._columns()[:, :width]
         plane[:, :cols.shape[-1]] = cols
+        plane[:, cols.shape[-1]:] = 0.0
     return out
 
 

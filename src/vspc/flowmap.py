@@ -16,6 +16,8 @@ Velocity samplers evaluate stored spectral snapshots at arbitrary points —
 either by Fourier synthesis on the dealiased band (spectrally exact) or by
 prefiltered bicubic interpolation — with linear interpolation in time between
 snapshots.  `_Evaluator`'s prepare/evaluate pair holds all per-method code.
+Both methods keep a snapshot's half band; the bicubic one builds its spline
+planes on first use and keeps only those of the two snapshots last read.
 The synthesis reads only the k₂ ≥ 0 half of the band: a real field is Re Σ
 over that half with the k₂ > 0 columns doubled.  It factors e^{ik·x} into
 per-axis phases, taken as powers of one e^{ix} per point and axis (negative k₁
@@ -23,8 +25,8 @@ by conjugation), so the values and ∂₁ of every field come from one matrix
 product per chunk of points and ∂₂ from weighting the x₂ phases by ik₂.
 Particles move by one RK4 step, `_rk4`, which `exact.ode_reduce_step` shares.
 
-scipy is imported by `_interpolate` on the first bicubic evaluation, not with
-the module, so `import vspc` loads numpy and the standard library only.
+The bicubic values come from a numpy 4×4 B-spline stencil that gives the
+bits of scipy.ndimage.map_coordinates, so the samplers load no scipy.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
+from itertools import product
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -120,60 +123,91 @@ class AnalyticFlow:
 # point evaluation of spectral fields
 
 def _spline_planes(grid: GridSpec, coeffs):
-    """Cubic-spline coefficients (…, n, n) of the samples of half spectra.
+    """Cubic-spline coefficients (…, n, n) of the samples of half spectra or a band.
 
     On the periodic lattice the cubic B-spline prefilter is diagonal in
     Fourier space: it divides by the symbol b(k₁)b(k₂), b = (2 + cos(2πk/n))/3.
     """
     b = (2.0 + np.cos(grid.spacing * grid.k)) / 3.0
-    return grid.half.to_samples(coeffs / (b[:, None] * b[None, :grid.half.m]))
+    return grid.half.to_samples(coeffs / (b[:, None] * b[None, :coeffs.shape[-1]]))
 
 
 def _interpolate(grid: GridSpec, planes, pts):
-    """Bicubic values (N, R) of R spline-coefficient planes at wrapped points."""
-    from scipy import ndimage
-
-    coords = (pts / grid.spacing).T
-    return np.stack([
-        ndimage.map_coordinates(p, coords, order=3, mode="grid-wrap", prefilter=False)
-        for p in planes], axis=1)
+    """Bicubic values (N, R) of point-major spline planes (n², R) at wrapped points:
+    the periodic cubic B-spline's 4×4 stencil at nodes ⌊c⌋ − 1 … ⌊c⌋ + 2 (mod n),
+    weights and sum in the order of scipy.ndimage.map_coordinates(order=3,
+    mode="grid-wrap", prefilter=False), whose bits it gives."""
+    n, planes = grid.n, np.ascontiguousarray(planes)     # np.take would copy a slice per call
+    c = pts / grid.spacing
+    node = np.floor(c)
+    y, z = c - node, 1.0 - (c - node)
+    w0 = z * z * z / 6.0
+    w1, w2 = ((v * v * (v - 2.0) * 3.0 + 4.0) / 6.0 for v in (y, z))
+    w = (w0, w1, w2, 1.0 - w0 - w1 - w2)
+    nodes = [(node.astype(np.intp) + d) % n for d in (-1, 0, 1, 2)]
+    out = np.zeros((len(pts), planes.shape[1]))
+    for i, j in product(range(4), repeat=2):
+        rows = np.take(planes, nodes[i][:, 0] * n + nodes[j][:, 1], axis=0)
+        out += rows * w[i][:, 0, None] * w[j][:, 1, None]
+    return out
 
 
 class _Evaluator:
     """Point values of real fields by one method: `prepare` turns fields into
-    the method's data, `evaluate` reads it (or a linear blend of it) at wrapped
-    points.  It keeps its synthesis buffers, so one evaluator must not be used
-    from two threads at once.
+    the method's data, `evaluate` reads it (or a linear blend of two) at wrapped
+    points.  It keeps its synthesis buffers and its last spline planes, so one
+    evaluator must not be used from two threads at once.
     """
 
     def __init__(self, grid: GridSpec, method: str, gradient: bool = False):
         if method not in ("spectral", "bicubic"):
             raise ValueError(f"unknown sampling method {method!r}")
         self.grid, self.method, self.gradient = grid, method, gradient
+        n, b = grid.n, grid.dealias_limit
+        self._rows = np.r_[0:b + 1, n - b:n]
         self._buffer = np.empty(0, dtype=np.complex128)
+        self._kept: dict[int, tuple] = {}      # id(data) -> (data, its spline planes)
 
     def prepare(self, fields):
-        """Spectral: (R, 2b+1, b+1) half-band blocks, b = n//3, rows k₁ = 0…b,
-        −b…−1 and columns k₂ = 0…b, the k₂ > 0 ones doubled (`HalfSpectrum.weight`)
-        for their conjugate mirrors, so a field's value is Re Σ block · e^{ik·x}.
-        Bicubic: (R, n, n) spline planes of the fields, then of (∂₁, ∂₂) of each
-        if `gradient` is set."""
-        n, b, half = self.grid.n, self.grid.dealias_limit, self.grid.half
-        if self.method == "spectral":
-            rows = np.r_[0:b + 1, n - b:n]
-            return _half_columns(fields, half.band)[:, rows] * half.weight[:, :b + 1]
-        c = _half_columns(fields, half.m) * half.mask
-        if self.gradient:
-            c = np.stack([*c, *(d * ci for ci in c for d in (half.ik1, half.ik2))])
-        return _spline_planes(self.grid, c)
+        """(R, 2b+1, b+1) half-band blocks, b = n//3: rows k₁ = 0…b, −b…−1 and
+        columns k₂ = 0…b.  Spectral: the k₂ > 0 columns doubled
+        (`HalfSpectrum.weight`) for their conjugate mirrors, so a field's value
+        is Re Σ block · e^{ik·x}.  Bicubic: as they are; `evaluate` builds their
+        spline planes on first use."""
+        half = self.grid.half
+        block = _half_columns(fields, half.band)[:, self._rows]
+        return block * half.weight[:, :half.band] if self.method == "spectral" else block
 
-    def evaluate(self, data, pts, with_gradient=False):
-        """Values (N, R) and, if asked, gradients (N, R, 2), ordered ∂₁, ∂₂."""
+    def evaluate(self, data, pts, with_gradient=False, toward=None, theta=0.0):
+        """Values (N, R) and, if asked, gradients (N, R, 2), ordered ∂₁, ∂₂, of
+        prepared data, or of (1 − θ)·data + θ·toward for a second one."""
+        R, pair = len(data), [d for d in (data, toward) if d is not None]
+        if self.method == "bicubic":
+            pair = [p[:, :3 * R if with_gradient else R] for p in self._splines(pair)]
+        D = pair[0] if len(pair) == 1 else (1.0 - theta) * pair[0] + theta * pair[1]
         if self.method == "spectral":
-            return self._synthesize(data, pts, with_gradient)
-        R = len(data) // 3 if self.gradient else len(data)
-        vals = _interpolate(self.grid, data[:3 * R if with_gradient else R], pts)
+            return self._synthesize(D, pts, with_gradient)
+        vals = _interpolate(self.grid, D, pts)
         return vals[:, :R], vals[:, R:].reshape(-1, R, 2) if with_gradient else None
+
+    def _splines(self, blocks):
+        """Point-major spline planes (n², R, then (∂₁, ∂₂) of each field if
+        `gradient` is set) of bicubic blocks, built on first use.  Only the
+        blocks of the last call keep theirs, and the others are dropped before
+        any is built: a walk forward through snapshots builds each snapshot's
+        planes once and holds at most two snapshots' planes."""
+        half = self.grid.half
+        self._kept = {id(d): self._kept[id(d)] for d in blocks if id(d) in self._kept}
+        for d in blocks:
+            if id(d) not in self._kept:
+                c = np.zeros((len(d), half.n, half.band), dtype=np.complex128)
+                c[:, self._rows] = d
+                if self.gradient:
+                    c = np.stack([*c, *(k * ci for ci in c
+                                        for k in (half.ik1, half.ik2[:, :half.band]))])
+                planes = _spline_planes(self.grid, c).reshape(len(c), -1)
+                self._kept[id(d)] = (d, np.ascontiguousarray(planes.T))
+        return [self._kept[id(d)][1] for d in blocks]
 
     def _synthesize(self, block, pts, with_gradient):
         """`evaluate` of spectral data, through the kept buffers."""
@@ -260,9 +294,8 @@ class SnapshotSampler:
         """Velocity (N, 2) and, if asked, its gradient (N, 2, 2), [i, j] = ∂ⱼuᵢ."""
         pts = _positions(points)
         lo, hi, theta = self._blend(float(t))
-        D = self._data[lo] if lo == hi else (
-            (1.0 - theta) * self._data[lo] + theta * self._data[hi])
-        return self._evaluator.evaluate(D, pts, with_gradient)
+        return self._evaluator.evaluate(self._data[lo], pts, with_gradient,
+                                        None if lo == hi else self._data[hi], theta)
 
 
 def _rk4(f, t, y, dt):

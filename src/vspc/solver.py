@@ -263,6 +263,8 @@ class _Workspace:
     and then R live in the bytes of K and Y.  The four products Q live in B's
     bytes, between its two uses; between steps Q is a diagnostics record's
     scratch, while P holds the samples the record and the next step share.
+    Before the first step, H holds the initial state's half spectra in the
+    bytes of K and Y, so reading them allocates nothing that outlives the read.
     """
 
     def __init__(self, grid: GridSpec, nu: float = 0.0):
@@ -277,6 +279,7 @@ class _Workspace:
         self.K, self.Y = KY = np.empty((2, 6, n, c), dtype=np.complex128)
         self.P = KY.reshape(-1).view(np.float64)[:6 * n * n].reshape(6, n, n)
         self.R = KY.reshape(-1)[:4 * n * half.m].reshape(4, n, half.m)
+        self.H = KY.reshape(-1)[:6 * n * half.m].reshape(6, n, half.m)
         BQ = np.empty(max(12 * n * c, 4 * n * n))
         self.B = BQ[:12 * n * c].view(np.complex128).reshape(6, n, c)
         self.Q = BQ[:4 * n * n].reshape(4, n, n)
@@ -404,11 +407,17 @@ def adaptive_dt(state: State, cfg: SolverConfig) -> float:
 
 def divergence_drift(state: State):
     """Sup-norm divergence of u and the worst F column (constraint monitors)."""
-    sup = _div_max(state.grid, _half_columns(state.channels, state.grid.half.m))
+    return _drift(state.grid, _half_columns(state.channels, state.grid.half.m))
+
+
+def _drift(grid, H):
+    sup = _div_max(grid, H)
     return float(sup[0]), float(np.max(sup[1:]))     # np.max: a NaN column wins
 
 
-def _validate_initial(state: State, cfg: SolverConfig):
+def _validate_initial(state: State, cfg: SolverConfig, work: _Workspace) -> np.ndarray:
+    """Check the initial state; its packed band, from the checks' one read of its
+    half spectra into `work.H`."""
     if state.grid != cfg.grid:
         raise ValueError(f"initial state grid n={state.grid.n} does not match "
                          f"config grid n={cfg.grid.n}")
@@ -418,9 +427,11 @@ def _validate_initial(state: State, cfg: SolverConfig):
     if t + cfg.dt_max == t:         # the clock would never advance
         raise ValueError(f"initial time t = {t:.6g} is too large for a step of "
                          f"dt_max = {cfg.dt_max:.3g} to advance it")
+    half = state.grid.half
     try:
         with np.errstate(invalid="ignore"):     # an inf sample is reported below
-            du, dF = divergence_drift(state)    # the first read of a user's spectra checks them
+            H = _half_columns(state.channels, half.m, work.H)    # a user's spectra are checked here
+            du, dF = _drift(state.grid, H)
     except ConjugateSymmetryError as exc:
         raise ValueError(f"initial state is not a real field: {exc}") from None
     if not np.isfinite(du + dF):    # a non-finite value reaches every divergence sample
@@ -430,6 +441,7 @@ def _validate_initial(state: State, cfg: SolverConfig):
         raise ValueError(
             f"initial state violates the divergence constraints: "
             f"|div u| = {du:.3e}, |div F| = {dF:.3e} > {tol:.1e}")
+    return H[..., :half.band] * half.mask[:, :half.band]
 
 
 def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
@@ -445,10 +457,9 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     diagnostics.certificate_reports, judged against the first record, halts the
     run and names the certificate.
     """
-    _validate_initial(initial, cfg)
     grid = cfg.grid
     work = _Workspace(grid, cfg.nu)
-    Z = _pack(initial)
+    Z = _validate_initial(initial, cfg, work)
     t = float(initial.t)
     t_end = t + cfg.t_end
     elapsed = 0.0           # the sum of the steps, which rounding of t can leave short of t_end

@@ -510,6 +510,38 @@ def test_verify_exact_amplitude_out_of_range_is_a_usage_error(capsys, f0):
     assert "out of range" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("f0", ["1e100", "1e30", "-1e30", "-1e-12"])
+def test_verify_exact_passes_at_extreme_amplitudes(capsys, f0):
+    # at 1e100 the single-point residual, about 1e185, is judged against its
+    # cancelling terms a²·|x| ≈ 1e201, as the sweep's residuals are
+    assert main(["verify-exact", f"--f0={f0}"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("f0, limit", [("1e150", "10^300"), ("1e300", "10^300"),
+                                       ("1e307", "10^300"), ("-1e307", "10^300"),
+                                       ("-1e99", "at most 80")])
+def test_verify_exact_beyond_its_limits_is_a_usage_error(capsys, f0, limit):
+    # a(t)² or the printed display's F22 = |1 − c f0 t|^c would overflow
+    # (nan, or an OverflowError traceback at -1e307), or log|1 − c f0 t| is past
+    # what the ODE cross-check's 10 000 steps resolve
+    assert main(["verify-exact", f"--f0={f0}"]) == 1
+    captured = capsys.readouterr()
+    assert "out of range for verify-exact" in captured.err and limit in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("f0", ["-1e-12", "1e-3", "1.0"])
+def test_verify_exact_ode_check_fails_an_integrator_that_stands_still(capsys, monkeypatch, f0):
+    # the deviation F − I is integrated and judged relative to |F − I|: at
+    # -1e-12 it is about 1e-12 at t = 1, which an absolute 1e-8 bound let pass
+    # with F left at I
+    monkeypatch.setattr(vspc.exact, "ode_reduce_step", lambda state, a_of_t, dt, *rest:
+                        vspc.exact.LinearProfileState(state.A, state.F, state.t + dt))
+    assert main(["verify-exact", f"--f0={f0}"]) == 3
+    assert re.search(r"ODE reduction matches closed-form F +FAIL", capsys.readouterr().out)
+
+
 def test_verify_exact_rejects_equal_parameters(capsys):
     assert main(["verify-exact", "--alpha", "1.0", "--beta", "1.0"]) == 1
 

@@ -244,10 +244,10 @@ def _scipy_imports(tree):
 
 def test_scipy_is_imported_only_where_it_is_called():
     # `import vspc` loads numpy and the standard library only: scipy is taken
-    # by the bicubic sampler and by verify-exact's quadrature when they run
+    # by verify-exact's quadrature when it runs, and by nothing else
     where = {(path.name, func) for path in Path(vspc.__file__).parent.glob("*.py")
              for func in _scipy_imports(ast.parse(path.read_text()))}
-    assert where == {("flowmap.py", "_interpolate"), ("cli.py", "cmd_verify_exact")}, where
+    assert where == {("cli.py", "cmd_verify_exact")}, where
     fake = ("import scipy.fft\nfrom scipy import ndimage\nimport numpy\n"
             "def f():\n    from scipy.integrate import quad\n"
             "class A:\n    def g(self):\n        import scipy as sp\n")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -340,14 +341,38 @@ vel, grad = sam.sample(0.4, pts, with_gradient=True)
 F = vspc.tensor_sampler(vspc.perturbed_identity_state(g, 0.3).F, "bicubic")(pts)
 """
 
+# the flowmap calls of a run: snapshots from simulate's observer into both
+# samplers, Jacobians along paths, and the Eulerian comparison by both methods
+_FLOWMAP_CALLS = """
+g = vspc.GridSpec(16)
+cfg = vspc.SolverConfig(g, nu=0.05, t_end=0.02, dt_max=5e-3, snapshot_interval=1)
+fm = vspc.flowmap
+samplers = [fm.SnapshotSampler(g, m) for m in ("spectral", "bicubic")]
+end = {}
 
-def test_bicubic_samplers_import_scipy_on_first_use(tmp_path):
-    # in a fresh process `import vspc` loads no scipy; the samplers' first
-    # calls import it and give the same bits as here, where it is loaded
+def observe(state):
+    end["F"] = state.F
+    for s in samplers:
+        s.add(state.t, state.u)
+
+result = vspc.simulate(cfg, vspc.perturbed_identity_state(g, 0.1), observe)
+for s in samplers:
+    ps = fm.ParticleSet.on_lattice(4)
+    for _ in range(4):
+        ps = fm.evolve_jacobian(ps, s, 5e-3)
+    for m in ("spectral", "bicubic"):
+        fm.compare_with_eulerian(ps, end["F"], fm.identity_tensor_at, method=m)
+"""
+
+
+def test_bicubic_samplers_load_no_scipy(tmp_path):
+    # a fresh process that has used both bicubic samplers and run the flowmap
+    # calls holds no scipy module; the samplers give the same bits there as
+    # here, where the tests have loaded scipy
     out = tmp_path / "bicubic.npz"
-    script = ("import sys\nimport vspc\n"
-              "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-              + _BICUBIC_CALLS + "np.savez(sys.argv[1], vel=vel, grad=grad, F=F)\n")
+    script = ("import sys\nimport vspc\n" + _BICUBIC_CALLS + _FLOWMAP_CALLS
+              + "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+              + "np.savez(sys.argv[1], vel=vel, grad=grad, F=F)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(vspc.__file__).resolve().parents[1]))
     subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=120)
     here = {}
@@ -571,6 +596,56 @@ def test_samplers_and_particle_steps_match_the_old_code_bit_for_bit(n, method):
     assert compare_with_eulerian(a, state.F, identity_tensor_at, method=method) == want
 
 
+def test_bicubic_samplers_match_map_coordinates_at_edge_points():
+    # wrapped coordinates equal to 2π (np.mod(-1e-17, 2π) is 2π), every lattice
+    # node, and no points at all give the bits of the old ndimage path
+    assert np.mod(-1e-17, TAU) == TAU
+    g = GridSpec(32)
+    state = vspc.perturbed_identity_state(g, 0.3)
+    new, old = SnapshotSampler(g, "bicubic"), _RefSampler(g, "bicubic")
+    for t, u in ((0.0, vspc.taylor_green_state(g).u), (1.0, state.u)):
+        new.add(t, u)
+        old.add(t, u)
+    nodes = np.stack(np.meshgrid(g.x, g.x, indexing="ij"), axis=-1).reshape(-1, 2)
+    edges = np.array([[-1e-17, 1.0], [2.0, -1e-17], [-1e-17, -1e-17], [TAU, TAU]])
+    for pts in (edges, nodes, np.empty((0, 2))):
+        for t in (0.0, 0.4, 1.0):
+            for with_gradient in (False, True):
+                for got, want in zip(new.sample(t, pts, with_gradient),
+                                     old.sample(t, pts, with_gradient)):
+                    _same(got, want)
+        _same(tensor_sampler(state.F, "bicubic")(pts), _ref_tensor_sampler(state.F, "bicubic")(pts))
+
+
+def test_bicubic_sampler_holds_the_planes_of_two_snapshots(monkeypatch):
+    # each snapshot keeps its half band; a forward walk builds each snapshot's
+    # spline planes once and holds those of the two bracketing snapshots only
+    built = []
+    spline = vspc.flowmap._spline_planes
+    monkeypatch.setattr(vspc.flowmap, "_spline_planes", lambda *a: built.append(1) or spline(*a))
+    g = GridSpec(64)
+    u = vspc.taylor_green_state(g).u
+    pts = np.random.default_rng(3).uniform(0.0, TAU, size=(64, 2))
+    warm = SnapshotSampler(g, "bicubic")        # the grid's cached multipliers, untraced
+    warm.add(0.0, u)
+    warm.sample(0.0, pts, with_gradient=True)
+    tracemalloc.start()
+    try:
+        sam = SnapshotSampler(g, "bicubic")
+        for k in range(100):
+            sam.add(0.01 * k, u)
+        for k in range(198):                    # ends between the last two snapshots
+            sam.sample(0.005 * k + 0.001, pts, with_gradient=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    b = g.dealias_limit
+    bands = 100 * 2 * (2 * b + 1) * (b + 1) * 16     # every snapshot's half band of u
+    planes = 6 * g.n ** 2 * 8                       # one snapshot's value and gradient planes
+    assert len(built) == 1 + 100                    # the warm-up's snapshot, then each once
+    assert held - bands <= 2.5 * planes, (held - bands) / planes     # 0.5: array headers
+
+
 def test_ode_reduction_matches_the_old_step_bit_for_bit():
     amplitude = vspc.zgh_amplitude(vspc.ZghParams(2.0, 1.0, 1.0))
     new = old = vspc.exact.LinearProfileState(np.diag([1.0, -1.0]), np.eye(2) + 0.1, 0.0)
@@ -663,15 +738,16 @@ def faults(method, calls):
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 
 faults("spectral", 50)
-faults("bicubic", 20)       # loads scipy after the samplers' data
+faults("bicubic", 20)       # builds spline planes after the samplers' data
 print(faults("spectral", 100))
 """
 
 
-def test_spectral_sampling_reuses_its_buffers_after_scipy_loads():
-    # the synthesis allocated its phases and products on every call; once
-    # scipy had loaded, the heap handed them back each time, about 200 minor
-    # page faults per 1024-point call at n = 64
+def test_spectral_sampling_reuses_its_buffers_after_bicubic_sampling():
+    # the synthesis allocated its phases and products on every call; in one heap
+    # layout (scipy loaded after the samplers' data, as the bicubic sampler did)
+    # the heap handed them back each time, about 200 minor page faults per
+    # 1024-point call at n = 64
     pytest.importorskip("resource")
     env = dict(os.environ, PYTHONPATH=str(Path(vspc.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _FAULTS], env=env, check=True, timeout=120,

@@ -254,6 +254,26 @@ def test_simulate_zero_horizon():
     assert len(res.records) == 1
 
 
+def test_simulate_transforms_a_physical_initial_state_once(monkeypatch):
+    # the divergence check and the packed band share one read of the six half
+    # spectra: a zero-horizon run forward-transforms six planes, not twelve,
+    # and the band is the bits of `_pack` for every kind of field
+    g = GridSpec(16)
+    state = perturbed_identity_state(g, 0.1)
+    cfg = SolverConfig(g, nu=0.0, t_end=0.0)
+    banded = simulate(SolverConfig(g, nu=0.01, t_end=0.05), state).final_state
+    spectral = State(0.0, VectorField.from_spectra(g, *(g.to_coeffs(c.data) for c in state.u.components)),
+                     state.F)
+    for st in (state, banded, spectral):
+        band = solver._validate_initial(st, cfg, solver._Workspace(g))
+        assert np.array_equal(band, solver._pack(st))
+    to_coeffs, planes = HalfSpectrum.to_coeffs, []
+    monkeypatch.setattr(HalfSpectrum, "to_coeffs", lambda self, s, **kw: planes.append(
+        int(np.prod(s.shape[:-2]))) or to_coeffs(self, s, **kw))
+    assert simulate(cfg, state).termination == "completed"
+    assert sum(planes) == 6, planes
+
+
 def test_short_inviscid_energy_conservation():
     g = GridSpec(32)
     cfg = SolverConfig(g, nu=0.0, t_end=0.1, dt_max=5e-3, diagnostics_interval=4)
