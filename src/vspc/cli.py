@@ -222,133 +222,22 @@ def cmd_run(args) -> int:
 
 def _check_table(checks) -> int:
     width = max(len(name) for name, _, _ in checks)
-    ok = True
     for name, passed, detail in checks:
-        status = "PASS" if passed else "FAIL"
-        print(f"  {name:<{width}}  {status}  {detail}")
-        ok = ok and passed
+        print(f"  {name:<{width}}  {'PASS' if passed else 'FAIL'}  {detail}")
+    ok = all(passed for _, passed, _ in checks)
     print("all checks passed" if ok else "some checks FAILED")
     return 0 if ok else 3
 
 
-_ODE_STEPS = 10_000      # the most RK4 steps of verify-exact's ODE cross-check
+_ODE_STEPS = exact._ODE_STEPS      # the most RK4 steps of verify-exact's ODE cross-check
 
 
 def cmd_verify_exact(args) -> int:
-    from scipy.integrate import quad
-
     try:
         params = exact.ZghParams(args.alpha, args.beta, args.f0)
+        checks = exact.zgh_checks(params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if params.f0 == 0.0:
-        raise UsageError("--f0 0 gives u = 0, F = I: the family has no amplitude to verify")
-
-    # both checks run before the pole: t = 0.2 where it fits, and 0.85 t*, a
-    # fixed fraction, so that 1 − t/t* keeps its digits at any amplitude
-    t_res = 0.2 if params.t_star > 0.2 else 0.5 * params.t_star
-    t_stop = 0.85 * params.t_star if params.blows_up else 1.0
-    # the checks form a(t)² and a(t)·F(t), F of either display, at times up to
-    # t_stop, times up to 1 + |c|: log10 of the largest must stay below 300
-    c, cf = params.c, params.c * params.f0
-    lg = np.log10(np.abs(1.0 - cf * np.array([0.0, t_res, t_stop])))      # log10 |g|
-    la = math.log10(abs(params.f0)) - lg                                    # log10 |a|
-    largest = float(np.max([2.0 * la, la + np.abs(lg / c), la + c * lg]))
-    largest += math.log10(1.0 + abs(c))
-    if largest > 300.0:
-        raise UsageError(f"f0 = {params.f0:g} is out of range for verify-exact: its checks would "
-                         f"form a(t)² and a(t)·F(t) near 10^{largest:.1f}, past the limit 10^300")
-    log_g = math.log1p(-cf * t_stop)        # F − I at t_stop is expm1(∓log_g / c)
-    if abs(log_g) > 80.0:       # RK4's error grows as |log_g|⁵ / steps⁴
-        raise UsageError(f"f0 = {params.f0:g} is out of range for verify-exact: log|1 - c·f0·t| "
-                         f"reaches {log_g:.4g} by t = {t_stop:.4g}, and its ODE cross-check "
-                         f"resolves at most 80 in {_ODE_STEPS} steps")
-
-    def residuals(p, t, x):
-        """The largest residual at (t, x), and the largest relative to the size of its
-        cancelling terms: huge |g|^(1/c) factors near the pole, a²·|x| at huge a."""
-        res, F = exact.zgh_residual(p, t, x), exact.zgh_fields(p, t).F
-        a = exact.zgh_amplitude(p)(t)
-        mom, dfm, div = np.abs(res.momentum).max(), np.abs(res.deformation).max(), abs(res.div_u)
-        scale_mom = 1.0 + (1.0 + abs(p.c)) * a ** 2 * float(np.max(np.abs(x)))
-        scale_def = 1.0 + (1.0 + abs(p.c)) * abs(a) * float(np.max(np.abs(F)))
-        return max(mom, dfm, div), max(mom / scale_mom, dfm / scale_def, div / (1.0 + abs(a)))
-
-    rng = np.random.default_rng(20260814)
-    checks = []
-
-    # corrected family annihilates the equations, pointwise, across parameters
-    worst = 0.0
-    for _ in range(100):
-        while True:
-            a, b = rng.uniform(-3.0, 3.0, size=2)
-            if abs(a + b) > 0.2 and abs(a - b) > 0.2:
-                break
-        f0 = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-        p = exact.ZghParams(a, b, f0)
-        horizon = 0.8 * p.t_star if p.blows_up else 1.0
-        t = rng.uniform(0.0, horizon)
-        worst = max(worst, residuals(p, t, rng.uniform(-np.pi, np.pi, size=(5, 2)))[1])
-    checks.append(("corrected residual sweep (100 draws, scaled)", worst <= 1e-12,
-                   f"max relative residual {worst:.2e}"))
-
-    worst0, relative0 = residuals(params, t_res, [[1.0, -0.5]])
-    checks.append((f"corrected residual at alpha={args.alpha}, beta={args.beta}",
-                   relative0 <= 1e-12, f"max residual {worst0:.2e}"))
-
-    # the printed display is *expected* to fail incompressibility: div u = 2a;
-    # both defects are judged against the terms they break, so that they show
-    # at any amplitude: |div u| = 2|a|, and the F22 residual is -(1 + c²)·a·F22
-    a_amp = exact.zgh_amplitude(params)(t_res)
-    res_p = exact.zgh_residual(params, t_res, [[1.0, -0.5]], fidelity="printed")
-    F22 = exact.zgh_fields(params, t_res, fidelity="printed").F[1, 1]
-    printed_defect = (abs(res_p.div_u - 2.0 * a_amp) <= 1e-12
-                      and abs(res_p.div_u) > abs(a_amp))
-    checks.append(("printed fidelity shows div u = 2a (documented defect)",
-                   printed_defect, f"div u = {res_p.div_u:.6g}, 2a = {2 * a_amp:.6g}"))
-    checks.append(("printed fidelity breaks F22 transport",
-                   abs(res_p.deformation[1, 1]) > 0.5 * abs(a_amp * F22),
-                   f"residual {res_p.deformation[1, 1]:.6g}"))
-
-    # RK4 on the deviation D = F − I of the ODE reduction, judged relative to
-    # |F − I| so that tiny amplitudes count, in steps of min(1e-4, 1e-3 tau),
-    # tau = 1/|c f0| (t* if there is a pole); past _ODE_STEPS, in _ODE_STEPS that
-    # end evenly in log|1 − c f0 t|, as a(t) changes, each on its grid time; the
-    # count is capped before it is rounded, as at f0 = 1e-307 it is inf
-    tau = 1.0 / abs(cf)
-    steps = max(1, round(min(t_stop / min(1e-4, 1e-3 * tau), 2 * _ODE_STEPS)))
-    state = exact.LinearProfileState(np.diag([params.f0, -params.f0]), np.zeros((2, 2)), 0.0)
-    amp = exact.zgh_amplitude(params)
-    if steps <= _ODE_STEPS:
-        for _ in range(steps):
-            state = exact.ode_reduce_step(state, amp, t_stop / steps, True)
-    else:
-        ends = -np.expm1(log_g * np.linspace(0.0, 1.0, _ODE_STEPS + 1)[1:]) / cf
-        ends[-1] = t_stop
-        for end in ends:
-            state = exact.ode_reduce_step(state, amp, float(end) - state.t, True)
-    D_exact = np.diag([math.expm1(-log_g / c), math.expm1(log_g / c)])
-    ode_err = float(np.max(np.abs(state.F - D_exact)))
-    checks.append(("ODE reduction matches closed-form F",
-                   ode_err <= 1e-8 * float(np.max(np.abs(D_exact))),
-                   f"sup error {ode_err:.2e} at t = {t_stop:.4g}"))
-
-    # closed-form BKM integral against adaptive quadrature
-    T = 0.9 * t_stop
-    closed = exact.zgh_bkm_integral(params, T)
-    quad_val, _ = quad(lambda s: abs(amp(s)), 0.0, T, limit=200)
-    bkm_err = abs(quad_val - closed) / max(abs(closed), 1e-30)
-    checks.append(("closed-form BKM integral vs quadrature", bkm_err <= 1e-8,
-                   f"relative error {bkm_err:.2e}"))
-
-    # volume conservation of the family
-    worst_det = 0.0
-    for t in np.linspace(0.0, 0.8 * t_stop, 20):
-        F = exact.zgh_fields(params, float(t)).F
-        worst_det = max(worst_det, abs(float(np.linalg.det(F)) - 1.0))
-    checks.append(("det F = 1 along the family", worst_det <= 1e-12,
-                   f"max |det F - 1| = {worst_det:.2e}"))
-
     print(f"exact-solution verification (alpha={args.alpha}, beta={args.beta}, "
           f"f0={args.f0}, c={params.c:.4g}, t*={params.t_star:.4g})")
     return _check_table(checks)

@@ -16,8 +16,8 @@ precision, and the printed variant stays available behind fidelity="printed"
 so the defect itself can be demonstrated.
 
 The module also provides the spatially-linear ODE reduction
-dF/dt = diag(a(t), −a(t)) F stepped with RK4 (used for temporal-order
-measurements), synthetic diagnostics histories of the family, and manufactured
+dF/dt = diag(a(t), −a(t)) F stepped with RK4, synthetic diagnostics histories
+of the family, the checks of `vspc verify-exact` (zgh_checks), and manufactured
 solutions with exact forcing for convergence studies of the full solver.
 """
 
@@ -37,7 +37,8 @@ from .flowmap import _rk4
 __all__ = [
     "ZghParams", "ZghFields", "ZghResidual", "PoleError", "zgh_fields",
     "zgh_residual", "zgh_bkm_integral", "zgh_amplitude", "zgh_synthetic_history",
-    "LinearProfileState", "ode_reduce_step", "Manufactured", "manufactured",
+    "zgh_scaled_residual", "zgh_checks", "LinearProfileState", "ode_reduce_step",
+    "Manufactured", "manufactured",
 ]
 
 
@@ -143,27 +144,14 @@ def zgh_residual(p: ZghParams, t: float, x, fidelity: str = "corrected") -> ZghR
     The corrected fields give machine-zero rows; the printed variant exhibits
     div u = 2a(t) and a nonzero F₂₂ transport residual for t > 0.
     """
-    signs, exps = _signs_and_exponents(p, fidelity)
+    signs, exps = map(np.array, _signs_and_exponents(p, fidelity))
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
     f = zgh_fields(p, t, fidelity)
-    g = _denominator(p, t)
-    a = p.f0 / g
-    a_dot = p.c * a * a
-
-    # momentum: ∂ₜu + (u·∇)u + ∇p  (ν = 0, F·∇F = 0 for constant F)
-    momentum = np.empty_like(pts)
-    for i, s in enumerate(signs):
-        du_dt = s * pts[:, i] * a_dot
-        adv = pts[:, i] * a * a          # u_i ∂_i u_i = (s_i a)² x_i
-        grad_p = 2.0 * f.pressure_coeffs[i] * pts[:, i]
-        momentum[:, i] = du_dt + adv + grad_p
-
-    # deformation: dF/dt − (∇u) F, constant in space
-    deformation = np.zeros((2, 2))
-    for i, (s, e) in enumerate(zip(signs, exps)):
-        dF_dt = -e * p.c * a * f.F[i, i]
-        deformation[i, i] = dF_dt - s * a * f.F[i, i]
-
+    a, F = f.gradu[0, 0], np.diag(f.F)     # a(t): the first sign is +1 in either display
+    # momentum ∂ₜu + (u·∇)u + ∇p (ν = 0, F·∇F = 0 for constant F), with ∂ₜa = c·a² and
+    # u_i ∂_i u_i = (s_i a)² x_i; the deformation residual dF/dt − (∇u) F is constant
+    momentum = signs * pts * (p.c * a * a) + pts * a * a + 2.0 * f.pressure_coeffs * pts
+    deformation = np.diag(-exps * p.c * a * F - signs * a * F)
     div_u = (signs[0] + signs[1]) * a
     return ZghResidual(momentum, deformation, float(div_u))
 
@@ -227,24 +215,16 @@ def zgh_synthetic_history(p: ZghParams, times: Sequence[float]):
     times = list(times)
     if len(times) < 1 or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be strictly increasing and non-empty")
-    records = []
-    bkm = 0.0
-    prev_t = None
-    prev_gradu = None
-    f0_fields = zgh_fields(p, times[0])
-    fro0 = float(np.sqrt(np.sum(f0_fields.F ** 2)))
-    e0 = (TAU * fro0) ** 2
+    records, bkm, prev = [], 0.0, None          # prev: (t, |a|) of the last record
+    e0 = (TAU * float(np.sqrt(np.sum(zgh_fields(p, times[0]).F ** 2)))) ** 2
+    lp = lambda v, pexp: TAU ** (2.0 / pexp) * v
     for t in times:
         f = zgh_fields(p, t)
         a_abs = abs(f.gradu[0, 0])
-        if prev_t is not None:
-            bkm += 0.5 * (t - prev_t) * (prev_gradu + a_abs)
+        if prev is not None:
+            bkm += 0.5 * (t - prev[0]) * (prev[1] + a_abs)
         cols = [abs(f.F[0, 0]), abs(f.F[1, 1])]
         fro = float(np.sqrt(np.sum(f.F ** 2)))
-
-        def lp(v, pexp):
-            return v if pexp == math.inf else TAU ** (2.0 / pexp) * v
-
         records.append(DiagnosticsRecord(
             t=float(t), l2_u=0.0, l2_F=TAU * fro, h1_u=0.0, h1_F=0.0,
             h2_u=0.0, h2_F=0.0, h2s_gradu=0.0,
@@ -258,9 +238,141 @@ def zgh_synthetic_history(p: ZghParams, times: Sequence[float]):
             energy_residual=abs((TAU * fro) ** 2 - e0) / e0,
             div_drift_u=0.0, div_drift_F=0.0,
         ))
-        prev_t = t
-        prev_gradu = a_abs
+        prev = (t, a_abs)
     return records
+
+
+# ---------------------------------------------------------------------------
+# verification of the family (`vspc verify-exact`)
+
+_ODE_STEPS = 10_000      # the most RK4 steps of the ODE cross-check
+
+
+def zgh_scaled_residual(p: ZghParams, t: float, x) -> tuple[float, float]:
+    """The largest corrected residual at (t, x), and the largest relative to the size of
+    its cancelling terms: huge |g|^(1/c) factors near the pole, a²·|x| at huge a."""
+    res, F, a = zgh_residual(p, t, x), zgh_fields(p, t).F, zgh_amplitude(p)(t)
+    mom, dfm, div = np.abs(res.momentum).max(), np.abs(res.deformation).max(), abs(res.div_u)
+    scale_mom = 1.0 + (1.0 + abs(p.c)) * a ** 2 * float(np.max(np.abs(x)))
+    scale_def = 1.0 + (1.0 + abs(p.c)) * abs(a) * float(np.max(np.abs(F)))
+    return max(mom, dfm, div), max(mom / scale_mom, dfm / scale_def, div / (1.0 + abs(a)))
+
+
+def _log_graded(cf: float, log_g: float, end: float, pieces: int) -> np.ndarray:
+    """0 and `pieces` times to `end` (where log|1 − cf·t| = log_g) that lie evenly in
+    log|1 − cf·t|, as a(t) changes; expm1 keeps their digits where cf·t is tiny."""
+    ends = -np.expm1(log_g * np.linspace(0.0, 1.0, pieces + 1)) / cf
+    ends[-1] = end
+    return ends
+
+
+def _bkm_quadrature(p: ZghParams, T: float) -> float:
+    """∫₀ᵀ |a(s)| ds by a 20-node Gauss–Legendre rule on pieces at most 0.5 long in
+    log|1 − c·f₀·s|, on each of which 1/|1 − c·f₀·s| is smooth; no closed form used."""
+    from numpy.polynomial.legendre import leggauss    # here: it would slow `import vspc`
+
+    cf = p.c * p.f0
+    log_g = math.log1p(-cf * T)
+    ends = _log_graded(cf, log_g, T, max(1, math.ceil(abs(log_g) / 0.5)))
+    x, w = leggauss(20)
+    half, mid = 0.5 * np.diff(ends)[:, None], 0.5 * (ends[1:] + ends[:-1])[:, None]
+    return abs(p.f0) * float(np.sum(half * w / np.abs(1.0 - cf * (mid + half * x))))
+
+
+def zgh_checks(p: ZghParams) -> list[tuple[str, bool, str]]:
+    """The checks of `vspc verify-exact` at p, as (name, passed, detail) rows.
+
+    Raises ValueError for an amplitude they cannot check: f₀ = 0, a value they
+    form past 1e300, or a cross-check ODE past what _ODE_STEPS RK4 steps resolve.
+    """
+    if p.f0 == 0.0:
+        raise ValueError("f0 = 0 gives u = 0, F = I: the family has no amplitude to verify")
+    # both checks run before the pole: t = 0.2 where it fits, and 0.85 t*, a
+    # fixed fraction, so that 1 − t/t* keeps its digits at any amplitude
+    t_res = 0.2 if p.t_star > 0.2 else 0.5 * p.t_star
+    t_stop = 0.85 * p.t_star if p.blows_up else 1.0
+    # the checks form a(t)² and a(t)·F(t) at times up to t_stop (the printed F22
+    # only within e^±10), times up to 1 + |c|: log10 of the largest must stay below 300
+    c, cf = p.c, p.c * p.f0
+    lg = np.log10(np.abs(1.0 - cf * np.array([0.0, t_res, t_stop])))      # log10 |g|
+    la = math.log10(abs(p.f0)) - lg                                         # log10 |a|
+    largest = float(np.max([2.0 * la, la + np.abs(lg / c)])) + math.log10(1.0 + abs(c))
+    if largest > 300.0:
+        raise ValueError(f"f0 = {p.f0:g} is out of range for verify-exact: its checks would "
+                         f"form a(t)² and a(t)·F(t) near 10^{largest:.1f}, past the limit 10^300")
+    log_g = math.log1p(-cf * t_stop)        # F − I at t_stop is expm1(∓log_g / c)
+    if abs(log_g) > 80.0:       # RK4's error grows as |log_g|⁵ / steps⁴
+        raise ValueError(f"f0 = {p.f0:g} is out of range for verify-exact: log|1 - c·f0·t| "
+                         f"reaches {log_g:.4g} by t = {t_stop:.4g}, and its ODE cross-check "
+                         f"resolves at most 80 in {_ODE_STEPS} steps")
+
+    rng, checks = np.random.default_rng(20260814), []
+
+    # corrected family annihilates the equations, pointwise, across parameters
+    worst = 0.0
+    for _ in range(100):
+        while True:
+            a, b = rng.uniform(-3.0, 3.0, size=2)
+            if abs(a + b) > 0.2 and abs(a - b) > 0.2:
+                break
+        q = ZghParams(a, b, rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+        t = rng.uniform(0.0, 0.8 * q.t_star if q.blows_up else 1.0)
+        worst = max(worst, zgh_scaled_residual(q, t, rng.uniform(-np.pi, np.pi, size=(5, 2)))[1])
+    checks.append(("corrected residual sweep (100 draws, scaled)", worst <= 1e-12,
+                   f"max relative residual {worst:.2e}"))
+
+    worst0, relative0 = zgh_scaled_residual(p, t_res, [[1.0, -0.5]])
+    checks.append((f"corrected residual at alpha={p.alpha}, beta={p.beta}",
+                   relative0 <= 1e-12, f"max residual {worst0:.2e}"))
+
+    # the printed display is *expected* to fail incompressibility: div u = 2a;
+    # both defects are judged against the terms they break, so that they show
+    # at any amplitude: |div u| = 2|a|, and the F22 residual is -(1 + c²)·a·F22;
+    # at t_res, or earlier where its F22 = |g|^c reaches e^±10, not underflowing
+    log_gr = math.log1p(-cf * t_res)
+    t_def = (t_res if abs(c * log_gr) <= 10.0
+             else -math.expm1(math.copysign(10.0 / abs(c), log_gr)) / cf)
+    a_amp = zgh_amplitude(p)(t_def)
+    res_p = zgh_residual(p, t_def, [[1.0, -0.5]], fidelity="printed")
+    F22 = zgh_fields(p, t_def, fidelity="printed").F[1, 1]
+    checks.append(("printed fidelity shows div u = 2a (documented defect)",
+                   abs(res_p.div_u - 2.0 * a_amp) <= 1e-12 and abs(res_p.div_u) > abs(a_amp),
+                   f"div u = {res_p.div_u:.6g}, 2a = {2 * a_amp:.6g}"))
+    checks.append(("printed fidelity breaks F22 transport",
+                   abs(res_p.deformation[1, 1]) > 0.5 * abs(a_amp * F22),
+                   f"residual {res_p.deformation[1, 1]:.6g}"))
+
+    # RK4 on the deviation D = F − I of the ODE reduction, judged relative to
+    # |F − I| so that tiny amplitudes count, in steps of min(1e-4, 1e-3 tau),
+    # tau = 1/|c f0| (t* if there is a pole); past _ODE_STEPS, in _ODE_STEPS
+    # graded in log|1 − c f0 t|; the count is capped before it is rounded, as
+    # at f0 = 1e-307 it is inf
+    steps = max(1, round(min(t_stop / min(1e-4, 1e-3 * (1.0 / abs(cf))), 2 * _ODE_STEPS)))
+    state = LinearProfileState(np.diag([p.f0, -p.f0]), np.zeros((2, 2)), 0.0)
+    amp = zgh_amplitude(p)
+    if steps <= _ODE_STEPS:
+        for _ in range(steps):
+            state = ode_reduce_step(state, amp, t_stop / steps, True)
+    else:
+        for end in _log_graded(cf, log_g, t_stop, _ODE_STEPS)[1:]:
+            state = ode_reduce_step(state, amp, float(end) - state.t, True)
+    D_exact = np.diag([math.expm1(-log_g / c), math.expm1(log_g / c)])
+    ode_err = float(np.max(np.abs(state.F - D_exact)))
+    checks.append(("ODE reduction matches closed-form F",
+                   ode_err <= 1e-8 * float(np.max(np.abs(D_exact))),
+                   f"sup error {ode_err:.2e} at t = {t_stop:.4g}"))
+
+    T = 0.9 * t_stop
+    closed = zgh_bkm_integral(p, T)
+    bkm_err = abs(_bkm_quadrature(p, T) - closed) / max(abs(closed), 1e-30)
+    checks.append(("closed-form BKM integral vs quadrature", bkm_err <= 1e-8,
+                   f"relative error {bkm_err:.2e}"))
+
+    worst_det = max(abs(float(np.linalg.det(zgh_fields(p, float(t)).F)) - 1.0)
+                    for t in np.linspace(0.0, 0.8 * t_stop, 20))
+    checks.append(("det F = 1 along the family", worst_det <= 1e-12,
+                   f"max |det F - 1| = {worst_det:.2e}"))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +486,7 @@ def manufactured(grid: GridSpec, nu: float, case: str = "broadband") -> Manufact
         ushape, Gshape = _taylor_green_shapes(grid)
         lam_u = lambda t: math.exp(-2.0 * nu * t)
         dlam_u = lambda t: -2.0 * nu * math.exp(-2.0 * nu * t)
-        lam_F = lambda t: 0.0
-        dlam_F = lambda t: 0.0
+        lam_F = dlam_F = lambda t: 0.0
     elif case == "broadband":
         ushape, Gshape = _broadband_shapes(grid)
         lam_u = lambda t: 1.0 + 0.5 * math.sin(1.1 * t)

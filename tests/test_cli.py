@@ -542,6 +542,40 @@ def test_verify_exact_ode_check_fails_an_integrator_that_stands_still(capsys, mo
     assert re.search(r"ODE reduction matches closed-form F +FAIL", capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("f0", ["1", "1e-5", "-1", "-1e-5"])
+def test_verify_exact_passes_at_nearly_equal_exponents(capsys, f0):
+    # c = -20001: the printed display's F22 = |1 - c·f0·t|^c underflows to 0 at
+    # t = 0.2 (f0 > 0), or would pass 10^300 there (f0 < 0), so its defects
+    # are judged earlier, where |c·log|1 - c·f0·t|| = 10
+    assert main(["verify-exact", "--alpha", "1", "--beta", "1.0001", f"--f0={f0}"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and out.count("PASS") == 7 and "all checks passed" in out
+
+
+@pytest.mark.parametrize("argv", [[], ["--alpha", "1", "--beta", "1.0001"], ["--f0=-1e30"]])
+def test_verify_exact_printed_defect_check_fails_a_display_without_the_defect(
+        capsys, monkeypatch, argv):
+    # with the printed display made the corrected one, neither defect shows
+    corrected = vspc.exact._signs_and_exponents
+    monkeypatch.setattr(vspc.exact, "_signs_and_exponents",
+                        lambda p, fidelity: corrected(p, "corrected"))
+    assert main(["verify-exact", *argv]) == 3
+    out = capsys.readouterr().out
+    assert re.search(r"printed fidelity breaks F22 transport +FAIL", out)
+    assert re.search(r"printed fidelity shows div u = 2a \(documented defect\) +FAIL", out)
+
+
+@pytest.mark.parametrize("argv", [[], ["--alpha", "1", "--beta", "1.0001"], ["--f0=-1e-12"]])
+def test_verify_exact_quadrature_check_fails_a_closed_form_off_by_1e6(capsys, monkeypatch, argv):
+    closed = vspc.exact.zgh_bkm_integral
+    monkeypatch.setattr(vspc.exact, "zgh_bkm_integral",
+                        lambda p, T: closed(p, T) * (1.0 + 1e-6))
+    assert main(["verify-exact", *argv]) == 3
+    out = capsys.readouterr().out
+    assert re.search(r"closed-form BKM integral vs quadrature +FAIL  relative error 1\.00e-06", out)
+    assert out.count("FAIL") == 2      # the line and the verdict
+
+
 def test_verify_exact_rejects_equal_parameters(capsys):
     assert main(["verify-exact", "--alpha", "1.0", "--beta", "1.0"]) == 1
 
@@ -556,16 +590,25 @@ def test_convergence_mode_is_required():
     assert main(["convergence", "--mode", "sideways"]) == 1
 
 
-def test_python_m_vspc_run_loads_no_scipy(tmp_path):
-    # -X importtime lists every module a fresh process imports: `vspc.cli` and
-    # a run with a snapshot every step, started by `python -m vspc`, take no scipy
+@pytest.mark.parametrize("command", ["run", "verify-exact"])
+def test_python_m_vspc_run_loads_no_scipy(tmp_path, command):
+    # -X importtime lists every module a fresh process imports: `vspc.cli`, a
+    # run with a snapshot every step and verify-exact's checks, each started by
+    # `python -m vspc`, take no scipy; a run takes no numpy.polynomial either,
+    # which only verify-exact's quadrature imports
     cfg = _write_config(tmp_path / "tiny.ini", output={"snapshot_interval": 1})
+    args = ["run", str(cfg)] if command == "run" else ["verify-exact"]
     env = dict(os.environ, PYTHONPATH=str(Path(vspc.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "vspc", "run", str(cfg)],
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "vspc", *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
                 if line.startswith("import time:")]
-    assert done.stdout.startswith("completed: 10 steps") and "vspc.cli" in imported
+    assert "vspc.cli" in imported
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
-    assert len(list((tmp_path / "out" / "snapshots").iterdir())) == 11
+    if command == "run":
+        assert done.stdout.startswith("completed: 10 steps")
+        assert "numpy.polynomial" not in imported
+        assert len(list((tmp_path / "out" / "snapshots").iterdir())) == 11
+    else:
+        assert done.stdout.endswith("all checks passed\n") and "numpy.polynomial" in imported

@@ -111,6 +111,43 @@ def test_bkm_integral_closed_form():
     assert math.isclose(zgh_bkm_integral(q, 1.0), math.log(4.0) / 3.0, rel_tol=1e-14)
 
 
+_QUADRATURE_CASES = [(2.0, 1.0, f0) for f0 in (1.0, -1.0, 1e-3, 4.0, 1e100, -1e30, -1e-12, 1e-307)]
+_QUADRATURE_CASES.append((1.0, 1.0001, 1.0))
+
+
+def _quadrature_horizon(p):
+    """verify-exact's horizon: 0.9 of 0.85 t*, or of 1 without a pole."""
+    return 0.9 * (0.85 * p.t_star if p.blows_up else 1.0)
+
+
+@pytest.mark.parametrize("alpha, beta, f0", _QUADRATURE_CASES)
+def test_bkm_quadrature_matches_the_closed_form_and_adaptive_quadrature(alpha, beta, f0):
+    # the Gauss–Legendre rule on its log-graded mesh (1 to 141 pieces here)
+    # against the closed form, and against scipy's adaptive quad wherever quad
+    # itself meets 1e-14; at (1, 1.0001) quad is off by 4.1e-12, the rule is not
+    from scipy.integrate import quad
+
+    p = ZghParams(alpha, beta, f0)
+    T = _quadrature_horizon(p)
+    closed = zgh_bkm_integral(p, T)
+    rule = exact._bkm_quadrature(p, T)
+    assert abs(rule - closed) <= 1e-14 * abs(closed)
+    amp = zgh_amplitude(p)
+    reference = quad(lambda s: abs(amp(s)), 0.0, T, limit=200)[0]
+    if abs(reference - closed) <= 1e-14 * abs(closed):
+        assert abs(rule - reference) <= 1e-14 * abs(reference)
+    else:
+        assert abs(rule - closed) < abs(reference - closed)
+
+
+def test_bkm_quadrature_does_not_read_the_closed_form(monkeypatch):
+    p = ZghParams(2.0, 1.0, 1.0)
+    expected = exact._bkm_quadrature(p, _quadrature_horizon(p))
+    monkeypatch.setattr(exact, "zgh_bkm_integral", lambda *args: math.nan)
+    monkeypatch.setattr(exact, "zgh_amplitude", lambda *args: math.nan)
+    assert exact._bkm_quadrature(p, _quadrature_horizon(p)) == expected
+
+
 def test_ode_reduction_matches_family():
     p = ZghParams(2.0, 1.0, 1.0)
     amp = zgh_amplitude(p)

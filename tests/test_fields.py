@@ -243,11 +243,11 @@ def _scipy_imports(tree):
 
 
 def test_scipy_is_imported_only_where_it_is_called():
-    # `import vspc` loads numpy and the standard library only: scipy is taken
-    # by verify-exact's quadrature when it runs, and by nothing else
+    # vspc runs on numpy and the standard library alone: no module imports
+    # scipy, at module level or inside a function
     where = {(path.name, func) for path in Path(vspc.__file__).parent.glob("*.py")
              for func in _scipy_imports(ast.parse(path.read_text()))}
-    assert where == {("cli.py", "cmd_verify_exact")}, where
+    assert where == set(), where
     fake = ("import scipy.fft\nfrom scipy import ndimage\nimport numpy\n"
             "def f():\n    from scipy.integrate import quad\n"
             "class A:\n    def g(self):\n        import scipy as sp\n")
