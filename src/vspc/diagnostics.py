@@ -11,7 +11,8 @@ A record is computed one way, from a spectral block of the six channels and
 their samples: a public State is read as its half spectra, unmasked; the
 solver hands over its dealiased band and the samples its next step reuses,
 so a run builds no State for a record.  The 12 gradient planes are
-transformed and reduced four at a time, into a scratch the caller may lend.
+transformed two and reduced four at a time, in a scratch a run keeps (its
+workspace lends the planes), so a run's records allocate no array.
 
 This module owns certificate policy: which certificates exist and in what
 order (certificate_reports), their default tolerances (*_TOLERANCE) and their
@@ -125,14 +126,43 @@ def _require_count(name, value, least):
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
-def _power(half, coeffs):
-    """Parseval-weighted power spectrum Σ weight·|ĉ|² of a (…, n, w) stack of half spectra
-    or bands, on the whole (n, n//2+1) half: a band's missing columns are zero there, so
-    a norm sums the same terms in the same order for both."""
-    width = coeffs.shape[-1]
-    power = np.zeros((half.n, half.m))
-    power[:, :width] = half.weight[:, :width] * np.sum(coeffs.real ** 2 + coeffs.imag ** 2, axis=0)
-    return power
+def _norms(scratch, coeffs, *weights):
+    """TAU·√Σ power·w for each weight w (None: 1) on the whole (n, n//2+1) half, power the
+    Parseval-weighted power spectrum Σ weight·|ĉ|² of a (…, n, w) stack of half spectra or
+    bands, summed over the stack in its order: a band's missing columns are zero there, so
+    a norm sums the same terms in the same order for both.  In scratch's planes."""
+    (n, m), width = scratch.weight.shape, coeffs.shape[-1]
+    buf = scratch.planes.reshape(-1)
+    power, tmp = buf[:2 * n * m].reshape(2, n, m)
+    acc, sq, im = buf[2 * n * m:n * (2 * m + 3 * width)].reshape(3, n, width)
+    acc[...] = 0.0
+    for c in coeffs:
+        acc += np.add(np.multiply(c.real, c.real, out=sq), np.multiply(c.imag, c.imag, out=im),
+                      out=sq)
+    power[:, :width] = acc
+    power[:, width:] = 0.0
+    power *= scratch.weight
+    return [TAU * math.sqrt(float(np.sum(power if w is None else np.multiply(power, w, out=tmp))))
+            for w in weights]
+
+
+class _Scratch:
+    """What the records of a run overwrite, and the multipliers they take, for spectral
+    blocks of width w on one grid: float planes (4, n, n) and T (2, n, n), which the
+    solver lends from its workspace, and a complex block D (2, n, w); ik₁ and ik₂ on
+    (n, w), and the Parseval weight and the norm weights k², k⁴ and (1 + k²)²k² on the
+    half.  The multipliers are contiguous and of the shapes they meet, as a ufunc
+    that broadcasts fills numpy's iteration buffers."""
+
+    def __init__(self, grid, width, planes=None, T=None):
+        half, n = grid.half, grid.n
+        self.planes = np.empty((4, n, n)) if planes is None else planes
+        self.T = np.empty((2, n, n)) if T is None else T
+        self.D = np.empty((2, n, width), dtype=np.complex128)
+        self.ik1, self.ik2, self.weight = (np.ascontiguousarray(a[:, :w]) for a, w in zip(
+            np.broadcast_arrays(half.ik1, half.ik2, half.weight), (width, width, half.m)))
+        ksq = self.ksq = np.ascontiguousarray(half.k_sq)
+        self.k4, self.kh2s = ksq * ksq, (1.0 + ksq) ** 2 * ksq
 
 
 def _lp_norms(grid, sq, tmp):
@@ -159,15 +189,15 @@ def _square_sum(x, y):
 @dataclass(frozen=True, eq=False)
 class _Packed:
     """A state as record() reads it: at time t, the spectral block Z (6, n, w) of
-    State.channels, the samples P (6, n, n) of the same channels, and a float
-    scratch (4, n, n) that the record overwrites.  The solver hands over its
-    (6, n, n//3+1) band and the samples its next step reuses."""
+    State.channels, the samples P (6, n, n) of the same channels, and the _Scratch
+    of its width.  The solver hands over its (6, n, n//3+1) band, the samples its next
+    step reuses and the scratch of its run."""
 
     grid: GridSpec
     t: float
     Z: np.ndarray
     P: np.ndarray
-    scratch: np.ndarray
+    scratch: _Scratch
 
 
 def _packed(state) -> _Packed:
@@ -176,25 +206,23 @@ def _packed(state) -> _Packed:
         return state
     half = state.grid.half
     Z = _half_columns(state.channels, half.m)
-    return _Packed(state.grid, float(state.t), Z, half.to_samples(Z), np.empty((4, half.n, half.n)))
+    return _Packed(state.grid, float(state.t), Z, half.to_samples(Z), _Scratch(state.grid, half.m))
 
 
 def _gradient_sups(grid, Z, scratch):
     """(linf_gradu, linf_curl_u, div_drift_u, l6_gradF, linf_curl_F, div_drift_F) of a
-    spectral block Z (6, n, w), from its 12 gradient planes, transformed four at a
-    time into scratch (4, n, n): ∇u, then each column of ∇F."""
-    half = grid.half
-    n = half.n
-    D = np.empty((2, 2, n, Z.shape[-1]), dtype=np.complex128)
-    T = np.empty((2, n, n))
+    spectral block Z (6, n, w), from its 12 gradient planes, reduced four at a time
+    in the _Scratch's planes, through its D and T."""
+    half, T, D = grid.half, scratch.T, scratch.D
 
     def gradients(rows):
-        """∂₁r, ∂₂r of each of two spectral rows r, in that order; D holds the
-        multiplied rows and then the transform's k₁ pass."""
-        np.multiply(half.ik1, rows, out=D[:, 0])
-        np.multiply(half.ik2[:, :rows.shape[-1]], rows, out=D[:, 1])
-        flat = D.reshape(4, n, -1)
-        return half.to_samples(flat, out=scratch, tmp=flat)
+        """∂₁r, ∂₂r of each of two spectral rows r, in that order, a row at a time: D
+        holds its two multiplied copies and then their transform's k₁ pass."""
+        for row, planes in zip(rows, (scratch.planes[:2], scratch.planes[2:])):
+            np.multiply(scratch.ik1, row, out=D[0])
+            np.multiply(scratch.ik2, row, out=D[1])
+            half.to_samples(D, out=planes, tmp=D)
+        return scratch.planes
 
     # sup of the Jacobian operator norm.  For [[a, b], [c, d]] = ∇u (∂ⱼuᵢ),
     # σ_max = (|(a+d, c−b)| + |(a−d, b+c)|)/2; unlike the root of
@@ -242,16 +270,13 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
     n, width = half.n, Z.shape[-1]
     hu = Z[:2]
 
-    # Sobolev norms from one power spectrum per block
-    ksq = half.k_sq
-    pu, pF = _power(half, hu), _power(half, Z[2:])
-    norm = lambda power, w: TAU * math.sqrt(float(np.sum(power * w)))
-    l2_u, h1_u, h2_u = (norm(pu, w) for w in (1.0, ksq, ksq * ksq))
-    l2_F, h1_F, h2_F = (norm(pF, w) for w in (1.0, ksq, ksq * ksq))
-    h2s_gradu = norm(pu, (1.0 + ksq) ** 2 * ksq)
+    # Sobolev norms from one power spectrum per block, in the scratch planes
+    ksq, k4 = scratch.ksq, scratch.k4
+    l2_u, h1_u, h2_u, h2s_gradu = _norms(scratch, hu, None, ksq, k4, scratch.kh2s)
+    l2_F, h1_F, h2_F = _norms(scratch, Z[2:], None, ksq, k4)
 
     # Lᵖ norms of F, whole and by column, from its samples F₁₁, F₂₁, F₁₂, F₂₂
-    c1, c2, total, tmp = scratch
+    c1, c2, total, tmp = scratch.planes
     F11, F21, F12, F22 = view.P[2:]
     np.add(np.multiply(F11, F11, out=c1), np.multiply(F21, F21, out=tmp), out=c1)
     np.add(np.multiply(F12, F12, out=c2), np.multiply(F22, F22, out=tmp), out=c2)
@@ -276,11 +301,13 @@ def record(state, prior: Optional[DiagnosticsRecord] = None, dt_since_prior: flo
         if prior_state is not None:
             prior_u = _half_columns(prior_state.u.components, half.m)
         l2_ut = 0.0
-        if prior_u is not None:     # u − prior u; a band's missing columns are zero
-            diff = np.zeros((2, n, half.m), dtype=np.complex128)
-            diff[..., :width] += hu
+        if prior_u is not None:     # u − prior u, in D; a band's missing columns are zero
+            cols = max(width, prior_u.shape[-1])        # wider: a band and half spectra
+            diff = scratch.D if cols == width else np.empty((2, n, cols), dtype=np.complex128)
+            diff[..., :width] = hu
+            diff[..., width:] = 0.0
             diff[..., :prior_u.shape[-1]] -= prior_u
-            l2_ut = norm(_power(half, diff), 1.0) / dt
+            l2_ut = _norms(scratch, diff, None)[0] / dt
 
     energy_now = l2_u ** 2 + l2_F ** 2
     energy_residual = abs(energy_now + visc - e0) / e0 if e0 > 0 else 0.0
@@ -304,7 +331,7 @@ class DiagnosticsEngine:
 
     It keeps the last record and a copy of its u spectra, not its State: the
     half spectra of an observed State, or the (2, n, n//3+1) band of a
-    solver's state.
+    solver's state, in one buffer that later records overwrite.
     """
 
     def __init__(self, nu: float):
@@ -318,7 +345,9 @@ class DiagnosticsEngine:
         rec = record(view, prior=self._prior, dt_since_prior=dt,
                      nu=self.nu, prior_u=self._prior_u)
         self._prior = rec
-        self._prior_u = view.Z[:2].copy()
+        if self._prior_u is None or self._prior_u.shape != view.Z[:2].shape:
+            self._prior_u = np.empty_like(view.Z[:2])
+        self._prior_u[...] = view.Z[:2]
         return rec
 
 

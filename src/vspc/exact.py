@@ -459,9 +459,9 @@ class _Polarized(_solver.ForcingSpec):
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_polarized", band)
 
-    def _band(self, grid, t):
+    def _band(self, grid, t, out=None):
         _solver._same_grid(self._grid, grid)
-        return self._polarized(t)
+        return self._polarized(t, out)
 
 
 def _project_block(grid, block):
@@ -514,11 +514,19 @@ def manufactured(grid: GridSpec, nu: float, case: str = "broadband") -> Manufact
     C_GI = N_GI[:2] - N_G
     G, C_AG, C_AI = (B[2:].copy() for B in (G, N_AG, N_AI))
 
-    def band(t):
+    w, tmp = np.zeros_like(U), np.empty_like(G)    # w: a real factor + 0i, as numpy casts it
+
+    def band(t, out=None):      # term by term into out, a fresh array when None
         lu, lF = lam_u(t), lam_F(t)
-        return np.concatenate([
-            (dlam_u(t) + lu * nu * k_sq) * U - lu * lu * N_A - lF * lF * N_G - lF * C_GI,
-            dlam_F(t) * G - lu * lF * C_AG - lu * C_AI])
+        out = np.empty((6,) + U.shape[1:], dtype=np.complex128) if out is None else out
+        np.add(dlam_u(t), np.multiply(lu * nu, k_sq, out=w[0].real), out=w[0].real)
+        w[1] = w[0]
+        np.multiply(w, U, out=out[:2])
+        np.multiply(dlam_F(t), G, out=out[2:])
+        for rows, scale, term in ((out[:2], lu * lu, N_A), (out[:2], lF * lF, N_G),
+                                  (out[:2], lF, C_GI), (out[2:], lu * lF, C_AG), (out[2:], lu, C_AI)):
+            rows -= np.multiply(scale, term, out=tmp[:len(rows)])
+        return out
 
     def analytic(t):
         return _solver._unpack(grid, float(t), np.concatenate(

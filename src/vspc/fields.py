@@ -503,9 +503,10 @@ def write_snapshot(path, time, fields: Sequence[ScalarField]):
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("snapshot fields live on different grids")
-    spectral = [f for f in fields if f.is_spectral]     # one inverse of their half spectra
+    spectral = [f for f in fields if f.is_spectral]     # one inverse of their half spectra,
     width = max((f._columns().shape[-1] for f in spectral), default=0)
-    samples = iter(grid.half.to_samples(_half_columns(spectral, width)) if spectral else ())
+    block = _half_columns(spectral, width) if spectral else None    # its k₁ pass in place
+    samples = iter(grid.half.to_samples(block, tmp=block) if spectral else ())
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.n, len(fields), float(time)))
         for f in fields:

@@ -38,9 +38,9 @@ Each run owns one private workspace: the momentum multipliers (mask,
 divergence and Leray projection in one map, taking the normal-stress
 difference and the shear stress), the masked curl multipliers, the stage
 buffers, the buffers the transforms write into, and the integrating factor,
-recomputed only when dt changes.
-The transforms normalize themselves (norm="forward"), so no pass rescales,
-masks or projects, and a stage allocates no transform temporaries.
+recomputed only when dt changes.  The transforms normalize themselves
+(norm="forward"), so no pass rescales, masks or projects, and every product and
+RK4 sum is formed in the workspace: a pass no observer sees allocates nothing.
 
 All quadratic terms are formed pointwise in physical space from 2/3-rule
 dealiased inputs; retained modes therefore carry no aliasing error, and the
@@ -50,6 +50,7 @@ integration error alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -137,11 +138,13 @@ class ForcingSpec:
     g_u: Optional[Callable[[float], VectorField]]
     g_F: Optional[Callable[[float], TensorField]]
 
-    def _band(self, grid: GridSpec, t):
-        """The dealiased band forcing (6, n, n//3+1) at t; g_u is Leray projected."""
+    def _band(self, grid: GridSpec, t, out=None):
+        """The dealiased band forcing (6, n, n//3+1) at t, into out if given; g_u is Leray
+        projected."""
         half = grid.half
         mask = half.mask[:, :half.band]
-        g = np.zeros((6,) + mask.shape, dtype=np.complex128)
+        g = np.empty((6,) + mask.shape, dtype=np.complex128) if out is None else out
+        g[...] = 0.0
         for rows, part in ((g[:2], self.g_u), (g[2:], self.g_F)):
             if part is not None:
                 field = part(t)
@@ -260,11 +263,15 @@ class _Workspace:
     inverse's k₁ pass, then the products' band spectra).  Buffers that are
     never live at once share bytes.  Once B holds a stage's k₁ pass, its input
     in Y is spent, and the last slope in K was spent before the stage began: P
-    and then R live in the bytes of K and Y.  The four products Q live in B's
-    bytes, between its two uses; between steps Q is a diagnostics record's
-    scratch, while P holds the samples the record and the next step share.
-    Before the first step, H holds the initial state's half spectra in the
-    bytes of K and Y, so reading them allocates nothing that outlives the read.
+    and then R live in the bytes of K and Y, and W, two planes of partial sums,
+    past P (K and Y hold at least 8n² floats).  The products Q, the checks'
+    verdicts `ok`, E·Z[:2] and a momentum term in B[4] live in B's bytes,
+    between its two uses.  Between steps Q and W are a diagnostics record's
+    planes (in `record_scratch`, with its own multipliers) and W the CFL
+    step's scratch, while P holds the samples the record and the next step
+    share.  Before the first step, H holds the initial state's half spectra in
+    the bytes of K and Y, so reading them allocates nothing that outlives the
+    read.
     """
 
     def __init__(self, grid: GridSpec, nu: float = 0.0):
@@ -272,17 +279,20 @@ class _Workspace:
         n, c = half.n, half.band
         self.grid, self.nu, self.dt = grid, nu, None
         ik1, ik2, mask = half.ik1, half.ik2[:, :c], half.mask[:, :c]
-        self.k_sq = half.k_sq[:, :c]
+        self.k_sq = np.ascontiguousarray(half.k_sq[:, :c])
+        self.E = np.zeros((2, n, c), dtype=np.complex128)     # E + 0i, see _step_packed
         d = np.eye(2)[:, :, None, None]         # d[s, j]: S_s of unit input j
         self.M = np.stack(grid.project(ik1 * d[0] + ik2 * d[1], ik1 * d[1])) * mask
         self.curl = (ik2 * mask, -ik1 * mask)
         self.K, self.Y = KY = np.empty((2, 6, n, c), dtype=np.complex128)
-        self.P = KY.reshape(-1).view(np.float64)[:6 * n * n].reshape(6, n, n)
+        self.P, self.W = np.split(KY.reshape(-1).view(np.float64)[:8 * n * n].reshape(8, n, n), [6])
         self.R = KY.reshape(-1)[:4 * n * half.m].reshape(4, n, half.m)
         self.H = KY.reshape(-1)[:6 * n * half.m].reshape(6, n, half.m)
         BQ = np.empty(max(12 * n * c, 4 * n * n))
         self.B = BQ[:12 * n * c].view(np.complex128).reshape(6, n, c)
         self.Q = BQ[:4 * n * n].reshape(4, n, n)
+        self.ok, self.ok_band = (BQ.view(np.bool_)[:6 * n * w].reshape(6, n, w) for w in (n, c))
+        self.record_scratch = _diag._Scratch(grid, c, self.Q, self.W)
         self.forced = {}
 
     def samples(self, Z):
@@ -290,12 +300,12 @@ class _Workspace:
         return self.half.to_samples(Z, out=self.P, tmp=self.B)
 
     def forcing_at(self, forcing: ForcingSpec, t):
-        """The band of a run's one forcing at t.  The last two t are kept:
-        RK4 asks at t, t + h, t + h and t + dt, which is the next step's t."""
+        """The band of a run's one forcing at t, written into the buffer of the time it
+        drops.  The last two t are kept: RK4 asks at t, t + h, t + h and t + dt,
+        which is the next step's t."""
         if t not in self.forced:
-            if len(self.forced) == 2:
-                del self.forced[next(iter(self.forced))]
-            self.forced[t] = forcing._band(self.grid, t)
+            spent = self.forced.pop(next(iter(self.forced))) if len(self.forced) == 2 else None
+            self.forced[t] = forcing._band(self.grid, t, spent)
         return self.forced[t]
 
 
@@ -307,21 +317,26 @@ def _nonlinearity(work: _Workspace, P, t=0.0, forcing=None, out=None):
     when there is one.  Writes the dealiased band (6, n, n//3+1) into out, a
     fresh array when out is None.  The four pointwise products, σ₁₁ − σ₂₂ and
     σ₁₂ of σ = FFᵀ − u⊗u (its trace part is a gradient, which Leray drops), a₁
-    and a₂, and their spectra pass through the workspace's Q, R and B.
+    and a₂, and their spectra pass through the workspace's Q, W, R and B.
     Non-finite samples raise BlowupError at t.
     """
-    if not np.all(np.isfinite(P)):
+    if not np.isfinite(P, out=work.ok).all():
         raise BlowupError(t, "non-finite field values")
     u1, u2, F11, F21, F12, F22 = P
     N = np.empty_like(work.K) if out is None else out
-    Q = work.Q
-    Q[0] = F11 * F11 + F12 * F12 - u1 * u1 - (F21 * F21 + F22 * F22 - u2 * u2)
-    Q[1] = F11 * F21 + F12 * F22 - u1 * u2
-    Q[2] = u1 * F21 - u2 * F11
-    Q[3] = u1 * F22 - u2 * F12
+    Q, (w, v) = work.Q, work.W      # a·b (+ c·d) − e·f, left to right, then Q[0] −= w
+    for q, a, b, *cd, e, f in ((w, F21, F21, F22, F22, u2, u2), (Q[0], F11, F11, F12, F12, u1, u1),
+                               (Q[1], F11, F21, F12, F22, u1, u2), (Q[2], u1, F21, u2, F11),
+                               (Q[3], u1, F22, u2, F12)):
+        np.multiply(a, b, out=q)
+        if cd:
+            q += np.multiply(*cd, out=v)
+        q -= np.multiply(e, f, out=v)
+    Q[0] -= w
     S = work.half.to_coeffs(Q, out=work.B[:4], tmp=work.R)
     for r, M in zip((_U1, _U2), work.M):
-        N[r] = M[0] * S[0] + M[1] * S[1]
+        np.multiply(M[0], S[0], out=N[r])
+        N[r] += np.multiply(M[1], S[1], out=work.B[4])
     for (ci, cj), a in zip(_COLS, S[2:]):
         np.multiply(work.curl[0], a, out=N[ci])
         np.multiply(work.curl[1], a, out=N[cj])
@@ -343,8 +358,8 @@ def rhs(state: State, cfg: SolverConfig) -> StateDerivative:
 # ---------------------------------------------------------------------------
 # time stepping
 
-def _step_packed(work, Z, t, dt, forcing, P=None):
-    """One integrating-factor RK4 step; returns the new packed state, a fresh array.
+def _step_packed(work, Z, t, dt, forcing, P=None, out=None):
+    """One integrating-factor RK4 step; returns the new packed state, in out (fresh if None).
 
     P, the samples of Z, is reused for the first stage when given; Z is only
     read, so it is intact when a check raises.  Stage outputs are dealiased,
@@ -352,29 +367,32 @@ def _step_packed(work, Z, t, dt, forcing, P=None):
     With E = e^{−ν|k|²dt/2} on the u rows (:2), E(E(Z + dt/6·k₁) + dt/3·(k₂ +
     k₃)) + dt/6·k₄ is summed as the slopes arrive in work.K.
     """
-    if dt != work.dt:
-        work.dt, work.E = dt, np.exp(-work.nu * work.k_sq * (0.5 * dt))
     E, K, Y, h = work.E, work.K, work.Y, 0.5 * dt
+    if dt != work.dt:       # E is a real factor + 0i on both u rows, as numpy casts one
+        work.dt, e = dt, E[0].real
+        np.exp(np.multiply(np.multiply(work.k_sq, -work.nu, out=e), h, out=e), out=e)
+        E[1] = E[0]
     _nonlinearity(work, work.samples(Z) if P is None else P, t, forcing, K)
-    Znew = K * (dt / 6.0) + Z
+    Znew = np.multiply(K, dt / 6.0, out=out)
+    Znew += Z
     np.add(Z, np.multiply(K, h, out=Y), out=Y)  # Y = E(Z + h·k₁)
     Y[:2] *= E
     _nonlinearity(work, work.samples(Y), t + h, forcing, K)
     Znew[:2] *= E
     Znew += np.multiply(K, dt / 3.0, out=Y)
     np.multiply(K, h, out=Y)                    # Y = E·Z + h·k₂
-    Y[:2] += Z[:2] * E
+    Y[:2] += np.multiply(Z[:2], E, out=work.B[:2])
     Y[2:] += Z[2:]
     _nonlinearity(work, work.samples(Y), t + h, forcing, K)
     Znew += np.multiply(K, dt / 3.0, out=Y)
     np.multiply(K, dt, out=Y)                   # Y = E(E·Z + dt·k₃)
-    Y[:2] += Z[:2] * E
+    Y[:2] += np.multiply(Z[:2], E, out=work.B[:2])
     Y[2:] += Z[2:]
     Y[:2] *= E
     _nonlinearity(work, work.samples(Y), t + dt, forcing, K)
     Znew[:2] *= E
     Znew += np.multiply(K, dt / 6.0, out=Y)
-    if not np.all(np.isfinite(Znew)):
+    if not np.isfinite(Znew, out=work.ok_band).all():
         raise BlowupError(t + dt, "non-finite field values after step")
     return Znew
 
@@ -388,21 +406,27 @@ def step(state: State, dt: float, cfg: SolverConfig) -> State:
     return _unpack(grid, state.t + dt, Znew)
 
 
-def _cfl_dt(grid, P, cfg: SolverConfig) -> float:
-    """CFL step from the six channels' samples P (see adaptive_dt)."""
-    u_sup = float(np.max(np.hypot(P[_U1], P[_U2])))
-    fro = P[_F11] ** 2 + P[_F21] ** 2 + P[_F12] ** 2 + P[_F22] ** 2
-    f_sup = float(np.max(np.sqrt(fro)))
-    return float(min(cfg.dt_max, cfg.cfl * grid.spacing / (u_sup + f_sup + 1e-10)))
+def _cfl_dt(grid, P, cfg: SolverConfig, W, t) -> float:
+    """CFL step from the samples P at t (see adaptive_dt), using two planes W; speeds
+    that overflow raise BlowupError at t."""
+    fro = np.square(P[_F11], out=W[0])
+    for r in (_F21, _F12, _F22):
+        fro += np.square(P[r], out=W[1])
+    speed = math.sqrt(float(np.max(fro))) + float(np.max(np.hypot(P[_U1], P[_U2], out=W[0])))
+    if not math.isfinite(speed):
+        raise BlowupError(t, "the transport and elastic-wave speeds overflow")
+    return float(min(cfg.dt_max, cfg.cfl * grid.spacing / (speed + 1e-10)))
 
 
 def adaptive_dt(state: State, cfg: SolverConfig) -> float:
     """CFL step dt = min(dt_max, cfl·Δx/(‖u‖_∞ + ‖F‖_∞ + ε)); ε guards u = F = 0.
 
-    The sup-norms are those of the dealiased state the solver advances.
+    The sup-norms are those of the dealiased state the solver advances; when
+    they overflow, BlowupError is raised.
     """
     grid = state.grid
-    return _cfl_dt(grid, grid.half.to_samples(_pack(state)), cfg)
+    return _cfl_dt(grid, grid.half.to_samples(_pack(state)), cfg, np.empty((2, grid.n, grid.n)),
+                   state.t)
 
 
 def divergence_drift(state: State):
@@ -451,11 +475,13 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     diagnostics_interval steps (and always at step 0 and at the end) and calls
     observer(state) at the same cadence of snapshot_interval when that is
     positive.  A step too small to advance t raises ValueError before it is
-    taken.  Every record, the first included, is judged: blowup (non-finite
-    values or ‖∇u‖_∞ > gradu_ceiling) ends the run early with the last good
-    state, and in strict mode a record that fails a certificate of
-    diagnostics.certificate_reports, judged against the first record, halts the
-    run and names the certificate.
+    taken.  Every record, the first included, is judged: blowup ends the run
+    early, with the last good state on non-finite values in a step, and with
+    the state that shows it on ‖∇u‖_∞ > gradu_ceiling, on a record that
+    overflows (not kept: every record is a finite row; the first raises
+    ValueError) or on speeds that overflow.  In strict mode a record that fails
+    a certificate of diagnostics.certificate_reports, judged against the first
+    record, halts the run and names the certificate.
     """
     grid = cfg.grid
     work = _Workspace(grid, cfg.nu)
@@ -471,13 +497,18 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     violated = None
     steps = 0
     state = None            # a State only for the observer and the result
+    spare = []              # bands no State keeps, for the steps to write into
     while True:
         P = work.samples(Z)     # a record's samples of (t, Z), then the next step's first stage's
         at_end = t >= t_end - 1e-12 or elapsed >= cfg.t_end - 1e-12
         if steps % cfg.diagnostics_interval == 0 or at_end:
-            record = engine.observe(_diag._Packed(grid, t, Z, P, work.Q))
-            records.append(record)
-            if record.linf_gradu > cfg.gradu_ceiling:
+            record = engine.observe(_diag._Packed(grid, t, Z, P, work.record_scratch))
+            overflow = not all(map(math.isfinite, vars(record).values()))
+            if overflow and not records:
+                raise ValueError("the initial state's diagnostics overflow")
+            if not overflow:
+                records.append(record)
+            if overflow or record.linf_gradu > cfg.gradu_ceiling:
                 termination = "blowup-detected"
                 blowup_time = t
                 break
@@ -495,16 +526,19 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
         if at_end:
             break
         state = None                    # frees the last observed State
-        dt = min(_cfl_dt(grid, P, cfg), t_end - t)    # the samples set the CFL step
-        if t + dt == t:
-            raise ValueError(f"the clock stalls at t = {t:.17g}: a step of dt = {dt:.3g} "
-                             f"does not advance it")
         try:
-            Z = _step_packed(work, Z, t, dt, cfg.forcing, P)
+            dt = min(_cfl_dt(grid, P, cfg, work.W, t), t_end - t)    # the samples set the CFL step
+            if t + dt == t:
+                raise ValueError(f"the clock stalls at t = {t:.17g}: a step of dt = {dt:.3g} "
+                                 f"does not advance it")
+            Znew = _step_packed(work, Z, t, dt, cfg.forcing, P, spare.pop() if spare else None)
         except BlowupError as exc:
             termination = "blowup-detected"
             blowup_time = exc.t
             break
+        if Z.flags.writeable:           # _unpack freezes the band a State keeps
+            spare.append(Z)
+        Z = Znew
         t += dt
         elapsed += dt
         steps += 1

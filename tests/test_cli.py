@@ -14,6 +14,7 @@ import pytest
 
 import vspc
 import vspc.cli
+from conftest import overflowing_forcing
 from vspc.cli import main, parse_run_config, UsageError
 from vspc.diagnostics import certificate_bundle, read_records_csv, write_records_csv
 from vspc.fields import GridSpec, ScalarField, write_snapshot
@@ -437,6 +438,34 @@ def test_blowup_exit_code(tmp_path, capsys):
                         certificates={"gradu_ceiling": 0.5})
     assert main(["run", str(cfg)]) == 2
     assert "blowup" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interval", [1, 2])
+def test_a_run_whose_state_overflows_is_a_blowup_with_a_readable_csv(tmp_path, capsys,
+                                                                       monkeypatch, interval):
+    # a forcing drives F to about 1e157 at t = 5/128: finite, but its squares
+    # overflow.  The run ends as a blowup there (exit 2), not as a usage error,
+    # and its diagnostics CSV reads back through criterion-report
+    dt = 2.0 ** -7
+    monkeypatch.setattr(vspc.exact, "manufactured", lambda grid, nu, case="broadband":
+                        vspc.exact.Manufactured(perturbed_identity_state(grid, 0.1),
+                                                overflowing_forcing(grid, 5 * dt), None))
+    cfg = _write_config(tmp_path / "over.ini", initial={"kind": "manufactured"},
+                        solver={"t_end": 0.25, "dt_max": dt},
+                        output={"snapshot_interval": 1, "diagnostics_interval": interval})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(cfg)]) == 2
+    assert "blowup signalled at t = 0.0390625" in capsys.readouterr().err
+    out = tmp_path / "out"
+    meta = json.loads((out / "metadata.json").read_text())["result"]
+    assert meta["termination"] == "blowup-detected" and meta["final_time"] == 5 * dt
+    # a record at that t ends the run before its snapshot, the CFL step after it
+    assert len(list((out / "snapshots").glob("state_*.vspc"))) == (5 if interval == 1 else 6)
+    csv_path = str(out / "diagnostics.csv")
+    assert len(read_records_csv(csv_path)) == (5 if interval == 1 else 3)
+    assert main(["criterion-report", csv_path, "--forced", "--out", str(tmp_path / "r.json")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report == json.loads((out / "certificates.json").read_text())
 
 
 def test_verify_exact_default_passes(capsys):

@@ -384,7 +384,10 @@ def _band(g, rng):
 
 
 def _view(g, t, Z):
-    return vspc.diagnostics._Packed(g, t, Z, g.half.to_samples(Z), np.full((4, g.n, g.n), np.nan))
+    scratch = vspc.diagnostics._Scratch(g, Z.shape[-1])
+    for buffer in (scratch.planes, scratch.T, scratch.D):
+        buffer.fill(np.nan)
+    return vspc.diagnostics._Packed(g, t, Z, g.half.to_samples(Z), scratch)
 
 
 def _assert_same_record(got, want, rel=1e-13):
@@ -445,3 +448,106 @@ def test_curl_report_and_observe_agree_with_the_record_they_wrap():
     assert engine.observe(s0) == first
     assert engine.observe(s1) == vspc.diagnostics.record(
         s1, prior=first, dt_since_prior=s1.t - s0.t, nu=0.05, prior_state=s0)
+
+
+# ---------------------------------------------------------------------------
+# the record as it was, with its temporaries: the reference for the record
+# that takes its scratch from the caller, bit for bit
+
+def _ref_power(half, coeffs):
+    power = np.zeros((half.n, half.m))
+    w = coeffs.shape[-1]
+    power[:, :w] = half.weight[:, :w] * np.sum(coeffs.real ** 2 + coeffs.imag ** 2, axis=0)
+    return power
+
+
+def _ref_gradient_sups(grid, Z):
+    diag, half = vspc.diagnostics, grid.half
+    T = np.empty((2, grid.n, grid.n))
+
+    def gradients(rows):
+        D = np.stack([half.ik1 * rows, half.ik2[:, :rows.shape[-1]] * rows], axis=1)
+        return half.to_samples(D.reshape(4, grid.n, -1))
+
+    a, b, c, d = gradients(Z[:2])
+    div, curl = np.add(a, d, out=T[0]), np.subtract(c, b, out=T[1])
+    div_drift_u, linf_curl_u = diag._sup(div), diag._sup(curl)
+    sigma = np.sqrt(diag._square_sum(div, curl), out=div)
+    sigma += np.sqrt(diag._square_sum(np.subtract(a, d, out=a), np.add(b, c, out=b)), out=a)
+    gradF_sq, curl_F, div_F = np.zeros((grid.n, grid.n)), [], []
+    for rows in (Z[2:4], Z[4:6]):
+        p, q, r, s = gradients(rows)
+        curl_F.append(diag._sup(np.subtract(r, q, out=T[1])))
+        div_F.append(diag._sup(np.add(p, s, out=T[1])))
+        gradF_sq += diag._square_sum(p, q)
+        gradF_sq += diag._square_sum(r, s)
+    return (0.5 * float(np.max(sigma)), linf_curl_u, div_drift_u,
+            diag._lp_norms(grid, gradF_sq, T[1])[2], max(curl_F), max(div_F))
+
+
+def _ref_record(view, prior=None, dt=0.0, nu=0.0, prior_u=None):
+    """record() of a _Packed view as it was: every field but the accumulated ones,
+    which are the same sums of the same fields."""
+    grid, Z, half = view.grid, view.Z, view.grid.half
+    ksq = half.k_sq
+    pu, pF = _ref_power(half, Z[:2]), _ref_power(half, Z[2:])
+    norm = lambda power, w: TAU * math.sqrt(float(np.sum(power * w)))
+    fields = dict(zip(("l2_u", "h1_u", "h2_u"), (norm(pu, w) for w in (1.0, ksq, ksq * ksq))))
+    fields.update(zip(("l2_F", "h1_F", "h2_F"), (norm(pF, w) for w in (1.0, ksq, ksq * ksq))))
+    fields["h2s_gradu"] = norm(pu, (1.0 + ksq) ** 2 * ksq)
+    F11, F21, F12, F22 = view.P[2:]
+    c1, c2, tmp = F11 * F11 + F21 * F21, F12 * F12 + F22 * F22, np.empty_like(F11)
+    lp = [vspc.diagnostics._lp_norms(grid, sq, tmp) for sq in (c1 + c2, c1, c2)]
+    for column, norms in zip(("", "_c1", "_c2"), lp):
+        fields.update((f"lp{p}_F{column}", v) for p, v in zip((2, 4, 6, "inf"), norms))
+    fields.update(zip(("linf_gradu", "linf_curl_u", "div_drift_u", "l6_gradF", "linf_curl_F",
+                       "div_drift_F"), _ref_gradient_sups(grid, Z)))
+    if prior is not None and prior_u is not None:
+        diff = np.zeros((2, grid.n, half.m), dtype=np.complex128)
+        diff[..., :Z.shape[-1]] += Z[:2]
+        diff[..., :prior_u.shape[-1]] -= prior_u
+        fields["l2_ut"] = norm(_ref_power(half, diff), 1.0) / dt
+    return fields
+
+
+def _same_fields(record, fields):
+    for name, value in fields.items():
+        got = getattr(record, name)
+        assert (got, math.copysign(1.0, got)) == (value, math.copysign(1.0, value)), name
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 32, 64]))
+def test_records_match_the_old_record_bit_for_bit(seed, n):
+    # of a State (half spectra) and of the solver's band with its workspace's
+    # scratch, first and with a prior; the band's scratch held other values
+    g = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    work = vspc.solver._Workspace(g)
+    Z0, Z1 = _band(g, rng), _band(g, rng)
+    for buffer in (work.Q, work.W, work.record_scratch.D):
+        buffer.fill(np.nan)
+    views = [vspc.diagnostics._Packed(g, t, Z, g.half.to_samples(Z), work.record_scratch)
+             for t, Z in ((0.0, Z0), (0.25, Z1))]
+    engine = DiagnosticsEngine(nu=0.3)
+    first, second = engine.observe(views[0]), engine.observe(views[1])
+    _same_fields(first, _ref_record(views[0]))
+    _same_fields(second, _ref_record(views[1], first, 0.25, 0.3, Z0[:2]))
+    s0, s1 = (vspc.solver._unpack(g, t, Z.copy()) for t, Z in ((0.0, Z0), (0.25, Z1)))
+    on_states = DiagnosticsEngine(nu=0.3)
+    on_states.observe(s0)
+    half_u0 = vspc.fields._half_columns(s0.u.components, g.half.m)
+    _same_fields(on_states.observe(s1), _ref_record(vspc.diagnostics._packed(s1), first, 0.25,
+                                                    0.3, half_u0))
+
+
+def test_the_engine_keeps_one_buffer_for_the_prior_velocity():
+    g = GridSpec(16)
+    rng = np.random.default_rng(5)
+    engine = DiagnosticsEngine(nu=0.1)
+    engine.observe(_view(g, 0.0, _band(g, rng)))
+    kept = engine._prior_u
+    for t in (0.1, 0.2):
+        Z = _band(g, rng)
+        engine.observe(_view(g, t, Z))
+        assert engine._prior_u is kept and np.array_equal(kept, Z[:2])

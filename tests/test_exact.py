@@ -298,6 +298,55 @@ def test_polarized_forcing_matches_the_nonlinearity_of_the_analytic_state(case, 
         assert np.max(np.abs(got[..., :c] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _ref_manufactured_band(g, nu, case):
+    """manufactured's band(t) as it was, one concatenation of temporaries: the
+    reference for the band formed term by term in kept buffers, bit for bit."""
+    half = g.half
+    shapes = {"taylor-green": exact._taylor_green_shapes, "broadband": exact._broadband_shapes}
+    ushape, Gshape = (x[..., :half.m] for x in shapes[case](g))
+    u_d, G_d = (exact._project_block(g, x * half.mask) for x in (ushape, Gshape))
+    ident = np.zeros((4, g.n, half.m), dtype=np.complex128)
+    ident[0, 0, 0] = ident[3, 0, 0] = 1.0
+    work = solver._Workspace(g)
+    A, G, I = np.zeros((3,) + work.K.shape, dtype=np.complex128)
+    A[:2], G[2:], I[2:] = (x[..., :half.band] for x in (u_d, G_d, ident))
+    N_AI, N_GI, N_AG = (solver._nonlinearity(work, work.samples(Z)) for Z in (A + I, G + I, A + G))
+    U, N_A, k_sq = A[:2].copy(), N_AI[:2].copy(), half.k_sq[:, :half.band]
+    N_G = N_AG[:2] - N_A
+    C_GI = N_GI[:2] - N_G
+    G, C_AG, C_AI = (B[2:].copy() for B in (G, N_AG, N_AI))
+
+    def band(t):
+        lu, dlu, lF, dlF = _MODULATION[case](t, nu)
+        return np.concatenate([(dlu + lu * nu * k_sq) * U - lu * lu * N_A - lF * lF * N_G - lF * C_GI,
+                               dlF * G - lu * lF * C_AG - lu * C_AI])
+
+    return band
+
+
+@pytest.mark.parametrize("case", ["broadband", "taylor-green"])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_manufactured_band_matches_the_old_expression_bit_for_bit(case, n):
+    # into a fresh array, into a buffer of the solver's (which held other
+    # values), and as the public g_u/g_F, which get fresh arrays of their own
+    g, nu = GridSpec(n), 0.02
+    forcing = manufactured(g, nu, case).forcing
+    ref = _ref_manufactured_band(g, nu, case)
+    kept = np.full((6, n, g.half.band), np.nan, dtype=np.complex128)
+    bits = lambda a: (a.shape, a.tobytes())
+    for t in (0.0, 0.05, 1.3, 4.7, 8.9):
+        want = bits(ref(t))
+        assert bits(forcing._band(g, t)) == want
+        assert forcing._band(g, t, kept) is kept and bits(kept) == want
+        u, F = forcing.g_u(t), forcing.g_F(t)
+        rows = np.stack([f.row for f in (*u.components, *F.columns[0].components,
+                                         *F.columns[1].components)])
+        assert bits(rows) == want
+        later = forcing.g_u(t + 1.0).components[0].row
+        assert not any(np.shares_memory(later, f.row) for f in u.components)
+        assert bits(np.stack([f.row for f in u.components])) == bits(rows[:2])
+
+
 def test_manufactured_forcing_needs_no_transform(monkeypatch):
     g = GridSpec(32)
     forcing = manufactured(g, 0.02, "broadband").forcing

@@ -721,7 +721,6 @@ def test_one_rk4_step_and_one_branch_on_the_sampling_method():
 # kept synthesis buffers
 
 _FAULTS = """
-import resource
 import numpy as np
 import vspc
 g = vspc.GridSpec(64)
@@ -731,11 +730,13 @@ for t, u in ((0.0, vspc.taylor_green_state(g).u), (1.0, vspc.perturbed_identity_
     for sam in samplers.values():
         sam.add(t, u)
 
+from conftest import minor_faults
+
 def faults(method, calls):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    before = minor_faults()
     for _ in range(calls):
         samplers[method].sample(0.3, pts, with_gradient=True)
-    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+    return (minor_faults() - before) / calls
 
 faults("spectral", 50)
 faults("bicubic", 20)       # builds spline planes after the samplers' data
@@ -749,7 +750,8 @@ def test_spectral_sampling_reuses_its_buffers_after_bicubic_sampling():
     # the heap handed them back each time, about 200 minor page faults per
     # 1024-point call at n = 64
     pytest.importorskip("resource")
-    env = dict(os.environ, PYTHONPATH=str(Path(vspc.__file__).resolve().parents[1]))
+    paths = (Path(vspc.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))     # vspc, conftest
     out = subprocess.run([sys.executable, "-c", _FAULTS], env=env, check=True, timeout=120,
                          capture_output=True, text=True)
     assert float(out.stdout) <= 5.0, out.stdout
