@@ -488,50 +488,64 @@ def l2_norm(f) -> float:
 # snapshot container
 #
 # Layout: 32-byte header — magic "VSPC", format version u32, grid size u32,
-# field count u32, time f64, 8 reserved bytes — followed by each field's
-# row-major float64 samples.  All integers and floats are little-endian.
+# field count u32, time f64, width u32, 4 reserved bytes — then the payload.
+# All integers and floats are little-endian.
+#   v1, written when any field is physical: each field's row-major float64
+#       samples; width 0.
+#   v2, written when every field is spectral: the fields' (count, n, width)
+#       half-spectrum columns (_half_columns at the widest `_columns()`) as
+#       row-major complex128; 1 ≤ width ≤ n//2 + 1.  A solver state's band
+#       is written as it is.
+# read_snapshot returns samples for both: those of a v2 block are the bytes
+# v1 stores for the same fields.
 
 SNAPSHOT_MAGIC = b"VSPC"
-SNAPSHOT_VERSION = 1
-_HEADER = struct.Struct("<4sIIId8x")
+SNAPSHOT_VERSION = 2        # the newest; read_snapshot reads versions 1 and 2
+_HEADER = struct.Struct("<4sIIIdI4x")
 
 
 def write_snapshot(path, time, fields: Sequence[ScalarField]):
-    """Write physical samples of the given fields with a timestamped header."""
+    """Write the fields with a timestamped header: as v2, their half-spectrum
+    columns as they are, when every field is spectral (no inverse transform);
+    else as v1, their samples, so that a user's samples round-trip bit for
+    bit.  read_snapshot returns samples for both."""
     if not fields:
         raise ValueError("snapshot needs at least one field")
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("snapshot fields live on different grids")
-    spectral = [f for f in fields if f.is_spectral]     # one inverse of their half spectra,
-    width = max((f._columns().shape[-1] for f in spectral), default=0)
-    block = _half_columns(spectral, width) if spectral else None    # its k₁ pass in place
-    samples = iter(grid.half.to_samples(block, tmp=block) if spectral else ())
+    if all(f.is_spectral for f in fields):
+        width = max(f._columns().shape[-1] for f in fields)
+        version, dtype, blocks = 2, "<c16", [_half_columns(fields, width)]
+    else:
+        version, dtype, blocks, width = 1, "<f8", [ensure_physical(f) for f in fields], 0
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.n, len(fields), float(time)))
-        for f in fields:
-            values = f.data if f.is_physical else next(samples)
-            fh.write(np.ascontiguousarray(values, dtype="<f8"))
+        fh.write(_HEADER.pack(SNAPSHOT_MAGIC, version, grid.n, len(fields), float(time), width))
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype=dtype))
 
 
 def read_snapshot(path):
-    """Read a snapshot; returns (time, GridSpec, list of sample arrays)."""
+    """Read a v1 or v2 snapshot; returns (time, GridSpec, list of sample arrays)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise ValueError("snapshot header truncated")
-        magic, version, n, count, time = _HEADER.unpack(header)
+        magic, version, n, count, time, width = _HEADER.unpack(header)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
-        if version != SNAPSHOT_VERSION:
+        if version not in (1, 2):
             raise ValueError(f"unsupported snapshot version {version}")
         grid = GridSpec(n)
         payload = fh.read()
-    expected = count * n * n * 8
-    if len(payload) != expected:
+    if count == 0:
+        raise ValueError("snapshot has no fields")
+    if version == 2 and not 1 <= width <= n // 2 + 1:
+        raise ValueError(f"snapshot band width {width} is not in 1 … {n // 2 + 1}")
+    shape, dtype = ((count, n, n), "<f8") if version == 1 else ((count, n, width), "<c16")
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(payload) != expected:    # checked before anything grid-sized is built
         raise ValueError(f"snapshot payload has {len(payload)} bytes, expected {expected}")
-    fields = []
-    for idx in range(count):
-        chunk = payload[idx * n * n * 8:(idx + 1) * n * n * 8]
-        fields.append(np.frombuffer(chunk, dtype="<f8").reshape(n, n).copy())
-    return float(time), grid, fields
+    values = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    return float(time), grid, [v.copy() for v in values] if version == 1 else list(
+        grid.half.to_samples(values))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import vspc.cli
 from conftest import overflowing_forcing
 from vspc.cli import main, parse_run_config, UsageError
 from vspc.diagnostics import certificate_bundle, read_records_csv, write_records_csv
-from vspc.fields import GridSpec, ScalarField, write_snapshot
+from vspc.fields import GridSpec, ScalarField, read_snapshot, write_snapshot
 from vspc.solver import SolverConfig, perturbed_identity_state
 
 
@@ -361,8 +362,9 @@ def test_run_whose_clock_stalls_is_a_usage_error(tmp_path, capsys):
 
 
 def test_run_snapshots_take_the_pruned_inverse(tmp_path, monkeypatch):
-    # no checked full-lattice inverse and no full spectrum during the run, and
-    # the same bytes as GridSpec.to_samples of each observed state's full spectra
+    # a snapshot is the observed state's band as it is (v2): no full spectrum
+    # during the run and no inverse transform in a snapshot write, and the
+    # file reads back as GridSpec.to_samples of each observed state's full spectra
     cfg = _write_config(tmp_path / "snap.ini", output={"snapshot_interval": 1},
                         certificates={"strict": "true"})
     parsed = parse_run_config(cfg)
@@ -370,36 +372,92 @@ def test_run_snapshots_take_the_pruned_inverse(tmp_path, monkeypatch):
     want = []
 
     def full_lattice_snapshot(state):
+        rows = np.stack([f.row for f in state.channels])
+        header = fields._HEADER.pack(fields.SNAPSHOT_MAGIC, 2, state.grid.n, 6, state.t,
+                                     state.grid.half.band)
         samples = state.grid.to_samples(np.stack([f.data for f in state.channels]))
-        header = fields._HEADER.pack(fields.SNAPSHOT_MAGIC, fields.SNAPSHOT_VERSION,
-                                     state.grid.n, 6, state.t)
-        want.append(header + samples.astype("<f8").tobytes())
+        want.append((header + rows.astype("<c16").tobytes(), samples.tobytes()))
 
     vspc.solver.simulate(parsed.solver, parsed.initial, observer=full_lattice_snapshot)
-    running, calls = [False], []
-    for owner, name in ((GridSpec, "to_samples"), (fields.HalfSpectrum, "full")):
+    phase, calls = [None], []
+    for owner, name in ((GridSpec, "to_samples"), (fields.HalfSpectrum, "full"),
+                        (fields.HalfSpectrum, "to_samples")):
         original = getattr(owner, name)
 
-        def counting(*args, _original=original, _name=name):
-            if running[0]:
+        def counting(*args, _original=original, _name=f"{owner.__name__}.{name}", **kwargs):
+            if phase[0] == "writing" or (phase[0] and _name != "HalfSpectrum.to_samples"):
                 calls.append(_name)
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
-    simulate = vspc.cli.simulate
 
-    def run(*args, **kwargs):
-        running[0] = True
-        try:
-            return simulate(*args, **kwargs)
-        finally:
-            running[0] = False
+    def entering(target, during):
+        def run(*args, **kwargs):
+            before, phase[0] = phase[0], during
+            try:
+                return target(*args, **kwargs)
+            finally:
+                phase[0] = before
+        return run
 
-    monkeypatch.setattr(vspc.cli, "simulate", run)
+    monkeypatch.setattr(vspc.cli, "simulate", entering(vspc.cli.simulate, "running"))
+    monkeypatch.setattr(vspc.cli, "write_snapshot", entering(vspc.cli.write_snapshot, "writing"))
     assert main(["run", str(cfg)]) == 0
     assert calls == []
     written = sorted((tmp_path / "out" / "snapshots").glob("state_*.vspc"))
-    assert len(written) == 11 and [p.read_bytes() for p in written] == want
+    assert len(written) == 11 and [p.read_bytes() for p in written] == [b for b, _ in want]
+    for path, (_, samples) in zip(written, want):
+        assert np.array(read_snapshot(path)[2]).tobytes() == samples
+
+
+@pytest.mark.parametrize("case", ["forced", "sparse", "late"])
+def test_each_run_snapshot_reads_back_the_samples_of_its_state(tmp_path, case):
+    # the bytes that v1 stored for each observed state: GridSpec.to_samples of
+    # its full spectra (a strict run is test_run_snapshots_take_the_pruned_inverse)
+    g = GridSpec(16)
+    late = tmp_path / "late.vspc"
+    write_snapshot(late, 1e3, perturbed_identity_state(g, 0.1).channels)
+    overrides = {
+        "forced": {"initial": {"kind": "manufactured"}},
+        "sparse": {"output": {"snapshot_interval": 3}},
+        "late": {"initial": {"kind": "from-snapshot", "path": str(late)}},
+    }[case]
+    cfg = _write_config(tmp_path / "run.ini", **{"output": {"snapshot_interval": 1}, **overrides})
+    parsed = parse_run_config(cfg)
+    want = []
+    vspc.solver.simulate(parsed.solver, parsed.initial, observer=lambda state: want.append(
+        (state.t, g.to_samples(np.stack([f.data for f in state.channels])).tobytes())))
+    assert main(["run", str(cfg)]) == 0
+    written = sorted((tmp_path / "out" / "snapshots").glob("state_*.vspc"))
+    assert len(written) == len(want) == (5 if case == "sparse" else 11)
+    for path, (t, samples) in zip(written, want):
+        assert path.read_bytes()[4:8] == struct.pack("<I", 2)
+        read_t, grid, arrays = read_snapshot(path)
+        assert (read_t, grid) == (t, g) and np.array(arrays).tobytes() == samples
+
+
+def test_from_snapshot_of_a_v2_file_and_of_a_v1_file_of_its_samples_agree(tmp_path):
+    # a run's v2 snapshot and a v1 file of the same samples, in the layout of
+    # the versions before v2, start runs with identical records and certificates
+    assert main(["run", str(_write_config(tmp_path / "first.ini"))]) == 0
+    v2 = sorted((tmp_path / "out" / "snapshots").iterdir())[-1]
+    t, g, arrays = read_snapshot(v2)
+    v1 = tmp_path / "v1.vspc"
+    v1.write_bytes(struct.pack("<4sIIId8x", b"VSPC", 1, g.n, 6, t)
+                   + np.array(arrays).astype("<f8").tobytes())
+    again = tmp_path / "again.vspc"         # samples are still written as v1
+    write_snapshot(again, t, [ScalarField.from_samples(g, a) for a in arrays])
+    assert again.read_bytes() == v1.read_bytes()
+    runs = []
+    for snap in (v2, v1):
+        out = tmp_path / f"from-{snap.stem}"
+        cfg = _write_config(tmp_path / f"{snap.stem}.ini", output={"dir": str(out)},
+                            initial={"kind": "from-snapshot", "path": str(snap)})
+        assert main(["run", str(cfg)]) == 0
+        snaps = sorted((out / "snapshots").iterdir())
+        runs.append([(out / name).read_bytes() for name in ("diagnostics.csv", "certificates.json")]
+                    + [p.read_bytes() for p in snaps])
+    assert runs[0] == runs[1]
 
 
 def test_run_makes_the_snapshot_dir_once(tmp_path, monkeypatch):

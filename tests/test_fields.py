@@ -471,27 +471,27 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path_factory, n, count, time, data
     assert np.array(arrays).view(np.uint64).tolist() == values.view(np.uint64).tolist()
 
 
-def _one_snapshot(path):
+def _one_snapshot(path, spectral=False):
+    """Two fields at n = 8: samples (v1), or their band and half spectra (v2)."""
     g = GridSpec(8)
-    rng = np.random.default_rng(8)
-    write_snapshot(path, 0.25, [ScalarField.from_samples(g, rng.standard_normal((8, 8)))
-                                for _ in range(2)])
+    fields = [ScalarField.from_samples(g, v)
+              for v in np.random.default_rng(8).standard_normal((2, 8, 8))]
+    if spectral:
+        fields = [dealias(to_spectral(fields[0])), to_spectral(fields[1])]
+    write_snapshot(path, 0.25, fields)
     return path.read_bytes()
 
 
-def test_every_truncated_snapshot_is_rejected(tmp_path):
-    path = tmp_path / "s.vspc"
-    raw = _one_snapshot(path)
+def _each_cut_is_rejected(path, raw):
     for cut in range(len(raw)):
         path.write_bytes(raw[:cut])
         with pytest.raises(ValueError):
             read_snapshot(path)
 
 
-def test_a_corrupted_snapshot_header_is_rejected_or_read_whole(tmp_path):
+def _each_header_corruption_is_rejected_or_read_whole(path, raw):
     # each byte of the 32-byte header set to 0x00 and 0xff, and each of its bits flipped
-    path = tmp_path / "s.vspc"
-    raw = _one_snapshot(path)
+    path.write_bytes(raw)
     _, _, want = read_snapshot(path)
     for where in range(32):
         for byte in (0x00, 0xff, *(raw[where] ^ (1 << bit) for bit in range(8))):
@@ -502,6 +502,73 @@ def test_a_corrupted_snapshot_header_is_rejected_or_read_whole(tmp_path):
                 continue
             assert isinstance(t, float) and grid == GridSpec(8)
             assert np.array_equal(np.array(arrays), np.array(want))
+
+
+def test_every_truncated_snapshot_is_rejected(tmp_path):
+    path = tmp_path / "s.vspc"
+    _each_cut_is_rejected(path, _one_snapshot(path))
+
+
+def test_every_truncated_v2_snapshot_is_rejected(tmp_path):
+    path = tmp_path / "s.vspc"
+    _each_cut_is_rejected(path, _one_snapshot(path, spectral=True))
+
+
+def test_a_corrupted_snapshot_header_is_rejected_or_read_whole(tmp_path):
+    path = tmp_path / "s.vspc"
+    _each_header_corruption_is_rejected_or_read_whole(path, _one_snapshot(path))
+
+
+def test_a_corrupted_v2_snapshot_header_is_rejected_or_read_whole(tmp_path):
+    path = tmp_path / "s.vspc"
+    raw = _one_snapshot(path, spectral=True)
+    assert raw[4:8] == (2).to_bytes(4, "little") and len(raw) == 32 + 2 * 8 * 5 * 16
+    _each_header_corruption_is_rejected_or_read_whole(path, raw)
+
+
+@pytest.mark.parametrize("version, n, count, width, payload", [
+    (2, 2 ** 20, 1, 3, 16),             # would slice a (2²⁰, 2²⁰) |k|² were the payload not checked first
+    (2, 2 ** 20, 1, 2 ** 19 + 1, 16),
+    (1, 2 ** 20, 1, 0, 8),
+    (2, 8, 1, 0, 0),                    # width out of 1 … n//2 + 1, the payload to match
+    (2, 8, 1, 6, 8 * 6 * 16),
+    (2, 8, 1, 2 ** 32 - 1, 16),
+    (2, 8, 0, 3, 0),                    # no fields
+    (1, 8, 0, 0, 0),
+])
+def test_a_bad_snapshot_header_is_rejected_before_the_grid_is_built(tmp_path, monkeypatch,
+                                                                    version, n, count, width,
+                                                                    payload):
+    def building(self, grid):
+        raise AssertionError(f"HalfSpectrum built for n = {grid.n}")
+
+    monkeypatch.setattr(vspc.fields.HalfSpectrum, "__init__", building)
+    path = tmp_path / "bad.vspc"
+    path.write_bytes(vspc.fields._HEADER.pack(b"VSPC", version, n, count, 0.0, width)
+                     + bytes(payload))
+    with pytest.raises(ValueError, match="payload|width|no fields"):
+        read_snapshot(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 16, 32, 64, 128]),
+       banded=st.lists(st.booleans(), min_size=1, max_size=4), time=_finite)
+def test_v2_snapshot_round_trip_is_bit_exact(tmp_path_factory, seed, n, banded, time):
+    # band and half rows, zero-padded to the widest, read back as the samples
+    # of their full spectra, which is what v1 stores for them
+    g = GridSpec(n)
+    fields = [to_spectral(ScalarField.from_samples(g, v))
+              for v in np.random.default_rng(seed).standard_normal((len(banded), n, n))]
+    fields = [dealias(f) if b else f for f, b in zip(fields, banded)]
+    path = tmp_path_factory.getbasetemp() / "examples.vspc"
+    write_snapshot(path, time, fields)
+    width = g.half.band if all(banded) else g.half.m
+    assert len(path.read_bytes()) == 32 + len(fields) * n * width * 16
+    t, grid, arrays = read_snapshot(path)
+    assert np.float64(t).view(np.uint64) == np.float64(time).view(np.uint64)
+    assert grid == g
+    want = g.to_samples(np.stack([f.data for f in fields]))
+    assert np.array(arrays).tobytes() == want.tobytes()
 
 
 def test_snapshot_empty_and_mixed_grids(tmp_path):
@@ -543,11 +610,14 @@ def test_band_backed_fields_read_their_rows_bit_for_bit(tmp_path_factory, seed, 
         want = [ensure_spectral(f)[:, :width] for f in fields]
         assert np.array_equal(_half_columns(fields, width), np.stack(want))
     path = tmp_path_factory.mktemp("band") / "state.vspc"
-    write_snapshot(path, 0.5, fields)
+    write_snapshot(path, 0.5, fields)           # v2: the rows as they are
+    rows = np.stack([f.row for f in fields])
+    header = vspc.fields._HEADER.pack(vspc.fields.SNAPSHOT_MAGIC, 2, n, len(fields), 0.5,
+                                      rows.shape[-1])
+    assert path.read_bytes() == header + rows.astype("<c16").tobytes()
+    t, grid, arrays = read_snapshot(path)
     samples = g.to_samples(np.stack([f.data for f in fields]))
-    header = vspc.fields._HEADER.pack(vspc.fields.SNAPSHOT_MAGIC, vspc.fields.SNAPSHOT_VERSION,
-                                      n, len(fields), 0.5)
-    assert path.read_bytes() == header + samples.astype("<f8").tobytes()
+    assert (t, grid) == (0.5, g) and np.array(arrays).tobytes() == samples.tobytes()
 
 
 def test_a_user_spectrum_is_checked_once_on_first_read(monkeypatch):
