@@ -11,6 +11,7 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -150,6 +151,16 @@ def _check_dir(path: Path):
         raise UsageError(f"output path {path}: {found} exists and is not a directory")
 
 
+def _replace(path: Path, write):
+    """write(tmp) to a temp file beside path, then rename it over path, or remove it."""
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def cmd_run(args) -> int:
     cfg = parse_run_config(args.config)
     out = cfg.out_dir           # created once simulate has accepted the initial state
@@ -182,10 +193,10 @@ def cmd_run(args) -> int:
     elapsed = time.perf_counter() - started
 
     out.mkdir(parents=True, exist_ok=True)
-    write_records_csv(csv_path, result.records)
+    _replace(csv_path, lambda tmp: write_records_csv(tmp, result.records))
     bundle = certificate_bundle(result.records, cfg.solver.forcing is not None,
                                 **{name: getattr(cfg.solver, name) for name in _TOLERANCES})
-    cert_path.write_text(json.dumps(bundle, indent=2) + "\n")
+    _replace(cert_path, lambda tmp: tmp.write_text(json.dumps(bundle, indent=2) + "\n"))
     metadata = {
         "version": __version__,
         "config": cfg.echo,
@@ -203,7 +214,7 @@ def cmd_run(args) -> int:
             "runtime_seconds": elapsed,
         },
     }
-    meta_path.write_text(json.dumps(metadata, indent=2) + "\n")
+    _replace(meta_path, lambda tmp: tmp.write_text(json.dumps(metadata, indent=2) + "\n"))
 
     print(f"{result.termination}: {result.steps} steps to t = {result.final_state.t:.6g}, "
           f"{len(result.records)} records -> {out}")
@@ -227,9 +238,6 @@ def _check_table(checks) -> int:
     ok = all(passed for _, passed, _ in checks)
     print("all checks passed" if ok else "some checks FAILED")
     return 0 if ok else 3
-
-
-_ODE_STEPS = exact._ODE_STEPS      # the most RK4 steps of verify-exact's ODE cross-check
 
 
 def cmd_verify_exact(args) -> int:
@@ -320,7 +328,7 @@ def cmd_criterion_report(args) -> int:
     text = json.dumps(bundle, indent=2)
     if args.out:
         try:
-            Path(args.out).write_text(text + "\n")
+            _replace(Path(args.out), lambda tmp: tmp.write_text(text + "\n"))
         except OSError as exc:
             raise UsageError(f"cannot write report {args.out}: {exc}") from None
     else:

@@ -468,91 +468,91 @@ def _validate_initial(state: State, cfg: SolverConfig, work: _Workspace) -> np.n
     return H[..., :half.band] * half.mask[:, :half.band]
 
 
-def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
-    """March the solution from initial.t for a duration t_end, with CFL-adaptive steps.
+@dataclass(eq=False)
+class _Run:
+    """A run between passes: the band Z at t, t_end = t₀ + duration, the `steps` taken and
+    their sum `elapsed` (which ends a run from a large t₀), the engine, holding the prior
+    record and u band, and the records.  `work` and the `spare` bands are scratch."""
 
-    One loop takes the initial state as step 0: it records diagnostics every
-    diagnostics_interval steps (and always at step 0 and at the end) and calls
-    observer(state) at the same cadence of snapshot_interval when that is
-    positive.  A step too small to advance t raises ValueError before it is
-    taken.  Every record, the first included, is judged: blowup ends the run
-    early, with the last good state on non-finite values in a step, and with
-    the state that shows it on ‖∇u‖_∞ > gradu_ceiling, on a record that
-    overflows (not kept: every record is a finite row; the first raises
-    ValueError) or on speeds that overflow.  In strict mode a record that fails
-    a certificate of diagnostics.certificate_reports, judged against the first
-    record, halts the run and names the certificate.
-    """
-    grid = cfg.grid
-    work = _Workspace(grid, cfg.nu)
-    Z = _validate_initial(initial, cfg, work)
-    t = float(initial.t)
-    t_end = t + cfg.t_end
-    elapsed = 0.0           # the sum of the steps, which rounding of t can leave short of t_end
-    observing = observer is not None and cfg.snapshot_interval > 0
-    engine = _diag.DiagnosticsEngine(nu=cfg.nu)
-    records = []
-    termination = "completed"
-    blowup_time = None
-    violated = None
-    steps = 0
-    state = None            # a State only for the observer and the result
-    spare = []              # bands no State keeps, for the steps to write into
-    while True:
+    Z: np.ndarray
+    t: float
+    t_end: float
+    elapsed: float
+    steps: int
+    engine: _diag.DiagnosticsEngine
+    records: list
+    work: _Workspace
+    spare: list
+
+    def advance(self, cfg: SolverConfig, observer) -> Optional[RunResult]:
+        """One pass: sample (t, Z), record and judge it, observe it, each at its cadence,
+        and step; returns the RunResult once the run ends."""
+        grid, work, Z, t = cfg.grid, self.work, self.Z, self.t
         P = work.samples(Z)     # a record's samples of (t, Z), then the next step's first stage's
-        at_end = t >= t_end - 1e-12 or elapsed >= cfg.t_end - 1e-12
-        if steps % cfg.diagnostics_interval == 0 or at_end:
-            record = engine.observe(_diag._Packed(grid, t, Z, P, work.record_scratch))
+        at_end = t >= self.t_end - 1e-12 or self.elapsed >= cfg.t_end - 1e-12
+        if self.steps % cfg.diagnostics_interval == 0 or at_end:
+            record = self.engine.observe(_diag._Packed(grid, t, Z, P, work.record_scratch))
             overflow = not all(map(math.isfinite, vars(record).values()))
-            if overflow and not records:
+            if overflow and not self.records:
                 raise ValueError("the initial state's diagnostics overflow")
             if not overflow:
-                records.append(record)
+                self.records.append(record)
             if overflow or record.linf_gradu > cfg.gradu_ceiling:
-                termination = "blowup-detected"
-                blowup_time = t
-                break
+                return self._result("blowup-detected", blowup_time=t)
             if cfg.strict:
                 reports = _diag.certificate_reports(
-                    [records[0], record], cfg.forcing is not None, cfg.energy_tolerance,
+                    [self.records[0], record], cfg.forcing is not None, cfg.energy_tolerance,
                     cfg.lp_tolerance, cfg.divergence_tolerance)
                 violated = next((r.name for r in reports if not r.satisfied), None)
                 if violated is not None:
-                    termination = "certificate-violation-halt"
-                    break
-        if observing and (steps % cfg.snapshot_interval == 0 or at_end):
+                    return self._result("certificate-violation-halt", violated=violated)
+        state = None            # a State only for the observer and the result
+        if observer is not None and (self.steps % cfg.snapshot_interval == 0 or at_end):
             state = _unpack(grid, t, Z)
             observer(state)
         if at_end:
-            break
-        state = None                    # frees the last observed State
+            return self._result("completed", state)
         try:
-            dt = min(_cfl_dt(grid, P, cfg, work.W, t), t_end - t)    # the samples set the CFL step
+            dt = min(_cfl_dt(grid, P, cfg, work.W, t), self.t_end - t)    # the samples set the CFL step
             if t + dt == t:
                 raise ValueError(f"the clock stalls at t = {t:.17g}: a step of dt = {dt:.3g} "
                                  f"does not advance it")
-            Znew = _step_packed(work, Z, t, dt, cfg.forcing, P, spare.pop() if spare else None)
+            Znew = _step_packed(work, Z, t, dt, cfg.forcing, P, self.spare.pop() if self.spare else None)
         except BlowupError as exc:
-            termination = "blowup-detected"
-            blowup_time = exc.t
-            break
+            return self._result("blowup-detected", blowup_time=exc.t)
         if Z.flags.writeable:           # _unpack freezes the band a State keeps
-            spare.append(Z)
-        Z = Znew
-        t += dt
-        elapsed += dt
-        steps += 1
+            self.spare.append(Z)
+        self.Z, self.t, self.elapsed, self.steps = Znew, t + dt, self.elapsed + dt, self.steps + 1
 
-    return RunResult(
-        final_state=state if state is not None else _unpack(grid, t, Z),
-        records=records,
-        termination=termination,
-        steps=steps,
-        max_div_drift_u=max(r.div_drift_u for r in records),
-        max_div_drift_F=max(r.div_drift_F for r in records),
-        blowup_time=blowup_time,
-        violated_certificate=violated,
-    )
+    def _result(self, termination, state=None, blowup_time=None, violated=None) -> RunResult:
+        """The run's end at (t, Z), which `state` holds when an observer has seen it."""
+        return RunResult(state or _unpack(self.work.grid, self.t, self.Z), self.records, termination,
+                         self.steps, max(r.div_drift_u for r in self.records),
+                         max(r.div_drift_F for r in self.records), blowup_time, violated)
+
+
+def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
+    """March the solution from initial.t for a duration t_end, with CFL-adaptive steps.
+
+    The passes of one _Run take the initial state as step 0.  They record
+    diagnostics every diagnostics_interval steps and call observer(state) every
+    snapshot_interval steps when that is positive, both also at the end.  A
+    step too small to advance t raises ValueError before it is taken.  Every
+    record, the first included, is judged: blowup ends the run early, with the
+    last good state on non-finite values in a step, and with the state that
+    shows it on ‖∇u‖_∞ > gradu_ceiling, on a record that overflows (not kept:
+    every record is a finite row; the first raises ValueError) or on speeds
+    that overflow.  In strict mode a record that fails a certificate of
+    diagnostics.certificate_reports, judged against the first record, halts
+    the run and names the certificate.
+    """
+    work, t = _Workspace(cfg.grid, cfg.nu), float(initial.t)
+    run = _Run(_validate_initial(initial, cfg, work), t, t + cfg.t_end, 0.0, 0,   # only the run
+               _diag.DiagnosticsEngine(nu=cfg.nu), [], work, [])                # holds the band
+    observer = observer if cfg.snapshot_interval > 0 else None
+    while (result := run.advance(cfg, observer)) is None:
+        pass
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,45 @@ def test_criterion_report_into_an_unwritable_path_is_a_usage_error(tmp_path, cap
     assert capsys.readouterr().err.startswith("error: cannot write report")
 
 
+def _cut_writes(monkeypatch, name):
+    """Make the writes of files whose name holds `name` stop halfway on a full disk."""
+    def cut(write):
+        def writing(path, content, *args, **kwargs):
+            if name not in Path(path).name:
+                return write(path, content, *args, **kwargs)
+            write(path, content[:len(content) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        return writing
+
+    monkeypatch.setattr(Path, "write_text", cut(Path.write_text))
+    monkeypatch.setattr(vspc.cli, "write_records_csv", cut(vspc.cli.write_records_csv))
+
+
+@pytest.mark.parametrize("name", ["diagnostics.csv", "certificates.json", "metadata.json",
+                                  "report.json"])
+def test_an_artifact_whose_write_fails_is_left_as_it_was(tmp_path, monkeypatch, capsys, name):
+    # each artifact goes to a temp file and is renamed over its path: a CSV
+    # cut at a row end would read back as a shorter history, which
+    # criterion-report would certify
+    out = tmp_path / "out"
+    report = ["criterion-report", str(out / "diagnostics.csv"), "--out", str(tmp_path / "report.json")]
+    assert main(["run", str(_write_config(tmp_path / "run.ini"))]) == 0
+    assert main(report) == 0
+    before = {p: p.read_bytes() for p in (*out.iterdir(), tmp_path / "report.json")
+              if p.is_file()}
+    _cut_writes(monkeypatch, name)
+    if name == "report.json":
+        assert main(report + ["--forced"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write report")
+    else:
+        with pytest.raises(OSError, match="No space left"):
+            main(["run", str(_write_config(tmp_path / "run.ini", solver={"t_end": 0.04}))])
+    kept = next(p for p in before if p.name == name)
+    assert kept.read_bytes() == before[kept]
+    assert sorted(tmp_path.rglob("*.tmp")) == []
+    assert {p for p in (*out.iterdir(), tmp_path / "report.json") if p.is_file()} == set(before)
+
+
 def test_criterion_report_rejects_empty_history(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -564,7 +603,7 @@ def test_verify_exact_default_times_are_kept(capsys):
     assert "at t = 0.2833" in out           # 0.85 t*
 
 
-@pytest.mark.parametrize("f0, steps", [("1.0", 2833), ("1e-3", vspc.cli._ODE_STEPS)])
+@pytest.mark.parametrize("f0, steps", [("1.0", 2833), ("1e-3", vspc.exact._ODE_STEPS)])
 def test_verify_exact_bounds_the_ode_steps(capsys, monkeypatch, f0, steps):
     # t* = 1/3 keeps its 2833 steps of 1e-4; t* = 333 would take 3.3 million
     calls = []

@@ -1,5 +1,6 @@
 """Time stepper, CFL control, conservation, and run-control behavior."""
 
+import copy
 import dataclasses
 import gc
 import math
@@ -418,15 +419,17 @@ def test_strict_run_completes_iff_its_bundle_is_satisfied(halts_on):
 
 
 def test_engine_frees_the_observed_states():
-    # records only at the ends: the step-0 State must not outlive the steps after it
+    # records only at the ends: the step-0 State, and the band it keeps, must
+    # not outlive the steps after it
     g = GridSpec(16)
-    refs = []
+    refs, bands = [], []
 
     def observer(state):
         refs.append(weakref.ref(state))
+        bands.append(weakref.ref(state.channels[0].row.base))
         if len(refs) == 3:
             gc.collect()
-            assert refs[0]() is None
+            assert refs[0]() is None and bands[0]() is None
 
     cfg = SolverConfig(g, nu=0.01, t_end=0.02, dt_max=5e-3, snapshot_interval=1,
                        diagnostics_interval=10 ** 9)
@@ -1272,6 +1275,12 @@ def test_runs_match_the_reference_loop_bit_for_bit(n, nu, forced):
                            snapshot_interval=snap, diagnostics_interval=interval)
         res = _assert_run_matches_the_reference(cfg, initial)
         assert res.termination == "completed" and res.steps >= 3
+    # from t₀ = 1e4 four steps of dt_max sum to the duration while t ends a
+    # few ulps short of t_end: the run ends there, with no sliver step
+    cfg = SolverConfig(g, nu=nu, t_end=0.02, dt_max=5e-3, forcing=forcing, snapshot_interval=1)
+    res = _assert_run_matches_the_reference(cfg, State(1e4, initial.u, initial.F))
+    assert res.termination == "completed" and res.steps == 4
+    assert res.final_state.t < 1e4 + 0.02
 
 
 @pytest.mark.parametrize("observed", [False, True])
@@ -1309,6 +1318,78 @@ def test_a_state_whose_squares_overflow_ends_the_run_as_a_blowup(tmp_path, inter
     assert [r.t for r in res.records] == ([k * dt for k in range(5)] if interval == 1 else [0.0])
     write_records_csv(tmp_path / "d.csv", res.records)
     assert read_records_csv(tmp_path / "d.csv") == res.records
+
+
+def _split_cases():
+    """(config, initial state, termination) of each run the split test takes apart."""
+    g = GridSpec(16)
+    base, prob = perturbed_identity_state(g, 0.3), vspc.exact.manufactured(g, 0.02, "broadband")
+    return {
+        "sparse": (SolverConfig(g, nu=0.01, t_end=0.1, cfl=0.1, dt_max=1.0, diagnostics_interval=3,
+                                snapshot_interval=4), base, "completed"),
+        "forced": (SolverConfig(g, nu=0.02, t_end=0.03, dt_max=5e-3, forcing=prob.forcing,
+                                snapshot_interval=2), prob.initial, "completed"),
+        "strict": (SolverConfig(g, nu=0.1, t_end=0.05, dt_max=5e-3, strict=True,
+                                energy_tolerance=1e-8), perturbed_identity_state(g, 0.1),
+                   "certificate-violation-halt"),
+        "ceiling": (SolverConfig(g, nu=0.0, t_end=0.1, cfl=0.1, dt_max=1.0, gradu_ceiling=1.3,
+                                 diagnostics_interval=2), perturbed_identity_state(g, 0.5),
+                    "blowup-detected"),
+        "late": (SolverConfig(g, nu=0.01, t_end=0.02, dt_max=5e-3), State(1e4, base.u, base.F),
+                 "completed"),
+    }
+
+
+class _Split(Exception):
+    """Carries a _Run stopped at the start of a pass."""
+
+
+def _run_split(monkeypatch, cfg, initial, observer, k):
+    """simulate's run stopped before its pass k, then rebuilt from a copy of its state
+    with a fresh workspace and no spare bands, and finished: its RunResult."""
+    Run = solver._Run
+
+    class Stopping(Run):
+        def advance(self, *args):
+            if self.steps == k:
+                raise _Split(self)
+            return super().advance(*args)
+
+    monkeypatch.setattr(solver, "_Run", Stopping)
+    with pytest.raises(_Split) as split:
+        simulate(cfg, initial, observer=observer)
+    monkeypatch.setattr(solver, "_Run", Run)
+    run = split.value.args[0]
+    state = {f.name: copy.deepcopy(getattr(run, f.name)) for f in dataclasses.fields(Run)
+             if f.name not in ("work", "spare")}
+    rebuilt = Run(**state, work=solver._Workspace(cfg.grid, cfg.nu), spare=[])
+    observer = observer if cfg.snapshot_interval > 0 else None
+    while (res := rebuilt.advance(cfg, observer)) is None:
+        pass
+    return res
+
+
+@pytest.mark.parametrize("case", ["sparse", "forced", "strict", "ceiling", "late"])
+def test_a_run_rebuilt_from_its_state_after_any_pass_ends_bit_for_bit(monkeypatch, case):
+    # a _Run's fields but its scratch are the whole state of a run: split it
+    # before any pass, rebuild it from copies of them, and it ends as the
+    # uninterrupted run does, bit for bit
+    cfg, initial, termination = _split_cases()[case]
+    seen = []
+    observer = lambda state: seen.append((state.t, _bits(np.stack([f.row for f in state.channels]))))
+
+    def outcome(res):
+        return (res.steps, res.termination, res.blowup_time, res.violated_certificate,
+                [dataclasses.astuple(r) for r in res.records],
+                [math.copysign(1.0, v) for r in res.records for v in dataclasses.astuple(r)],
+                res.final_state.t, _bits(np.stack([f.row for f in res.final_state.channels])),
+                list(seen))
+
+    whole = outcome(simulate(cfg, initial, observer=observer))
+    assert whole[1] == termination and whole[0] >= 4
+    for k in range(whole[0] + 1):       # a run of s steps takes s + 1 passes
+        seen.clear()
+        assert outcome(_run_split(monkeypatch, cfg, initial, observer, k)) == whole, k
 
 
 def test_an_initial_state_whose_record_overflows_is_rejected():
