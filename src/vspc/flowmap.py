@@ -16,13 +16,14 @@ Velocity samplers evaluate stored spectral snapshots at arbitrary points —
 either by Fourier synthesis on the dealiased band (spectrally exact) or by
 prefiltered bicubic interpolation — with linear interpolation in time between
 snapshots.  `_Evaluator`'s prepare/evaluate pair holds all per-method code.
-Both methods keep a snapshot's half band; the bicubic one builds its spline
-planes on first use and keeps only those of the two snapshots last read.
-The synthesis reads only the k₂ ≥ 0 half of the band: a real field is Re Σ
-over that half with the k₂ > 0 columns doubled.  It factors e^{ik·x} into
-per-axis phases, taken as powers of one e^{ix} per point and axis (negative k₁
-by conjugation), so the values and ∂₁ of every field come from one matrix
-product per chunk of points and ∂₂ from weighting the x₂ phases by ik₂.
+Both methods keep a snapshot's half band and build its spline planes or its
+fold on first use, keeping those of the two snapshots last read.  The synthesis
+reads only the k₂ ≥ 0 half of the band: a real field is Re Σ over that half
+with the k₂ > 0 columns doubled.  As e^{−ik₁x₁} = conj e^{ik₁x₁}, the fold turns
+rows ±k₁ into real cos k₁x₁ and sin k₁x₁ coefficients: values and ∂₁ of every
+field come from one real matrix product per chunk of points (half the
+multiply-adds of a complex one), then values, ∂₁ and ∂₂ from one batched
+product with the x₂ phases, powers of one e^{ix} per point formed by doubling.
 Particles move by one RK4 step, `_rk4`, which `exact.ode_reduce_step` shares.
 
 The bicubic values come from a numpy 4×4 B-spline stencil that gives the
@@ -50,9 +51,9 @@ __all__ = [
 ]
 
 _TIME_EPS = 1e-9
-# Points per synthesis pass: a chunk's phase and product buffers stay in cache;
-# whole-batch ones (about 1.4 MB for 1024 points at n = 64) are no faster.
-_CHUNK = 256
+# Points per synthesis pass: a chunk's buffer (0.31 MB at n = 64) stays in cache;
+# 256-point chunks were no faster and hold twice that, whole-batch ones slower.
+_CHUNK = 128
 
 
 class MissingDataError(LookupError):
@@ -155,8 +156,8 @@ def _interpolate(grid: GridSpec, planes, pts):
 class _Evaluator:
     """Point values of real fields by one method: `prepare` turns fields into
     the method's data, `evaluate` reads it (or a linear blend of two) at wrapped
-    points.  It keeps its synthesis buffers and its last spline planes, so one
-    evaluator must not be used from two threads at once.
+    points.  It keeps its synthesis buffer and its last folds or spline planes,
+    so one evaluator must not be used from two threads at once.
     """
 
     def __init__(self, grid: GridSpec, method: str, gradient: bool = False):
@@ -165,82 +166,101 @@ class _Evaluator:
         self.grid, self.method, self.gradient = grid, method, gradient
         n, b = grid.n, grid.dealias_limit
         self._rows = np.r_[0:b + 1, n - b:n]
-        self._buffer = np.empty(0, dtype=np.complex128)
-        self._kept: dict[int, tuple] = {}      # id(data) -> (data, its spline planes)
+        self._buffer = np.empty(0)
+        self._kept: dict[int, tuple] = {}      # id(data) -> (data, its fold or spline planes)
 
     def prepare(self, fields):
         """(R, 2b+1, b+1) half-band blocks, b = n//3: rows k₁ = 0…b, −b…−1 and
         columns k₂ = 0…b.  Spectral: the k₂ > 0 columns doubled
         (`HalfSpectrum.weight`) for their conjugate mirrors, so a field's value
-        is Re Σ block · e^{ik·x}.  Bicubic: as they are; `evaluate` builds their
-        spline planes on first use."""
+        is Re Σ block · e^{ik·x}; `evaluate` folds them on first use.  Bicubic:
+        as they are; `evaluate` builds their spline planes on first use."""
         half = self.grid.half
         block = _half_columns(fields, half.band)[:, self._rows]
         return block * half.weight[:, :half.band] if self.method == "spectral" else block
 
     def evaluate(self, data, pts, with_gradient=False, toward=None, theta=0.0):
-        """Values (N, R) and, if asked, gradients (N, R, 2), ordered ∂₁, ∂₂, of
-        prepared data, or of (1 − θ)·data + θ·toward for a second one."""
+        """Values (N, R) and, if asked (of an evaluator made with `gradient`),
+        gradients (N, R, 2), ordered ∂₁, ∂₂, of prepared data, or of (1 − θ)·data
+        + θ·toward for a second one: a linear blend, so it blends their forms."""
+        if with_gradient and not self.gradient:
+            raise ValueError("gradients need an evaluator made with gradient=True")
         R, pair = len(data), [d for d in (data, toward) if d is not None]
-        if self.method == "bicubic":
-            pair = [p[:, :3 * R if with_gradient else R] for p in self._splines(pair)]
+        spectral = self.method == "spectral"
+        cols = R * (2 * data.shape[2] * (1 + with_gradient) if spectral else 1 + 2 * with_gradient)
+        pair = [f[:, :cols] for f in self._forms(pair, self._fold if spectral else self._planes)]
         D = pair[0] if len(pair) == 1 else (1.0 - theta) * pair[0] + theta * pair[1]
-        if self.method == "spectral":
-            return self._synthesize(D, pts, with_gradient)
+        if spectral:
+            return self._fourier_sum(D, pts, R, with_gradient)
         vals = _interpolate(self.grid, D, pts)
         return vals[:, :R], vals[:, R:].reshape(-1, R, 2) if with_gradient else None
 
-    def _splines(self, blocks):
-        """Point-major spline planes (n², R, then (∂₁, ∂₂) of each field if
-        `gradient` is set) of bicubic blocks, built on first use.  Only the
-        blocks of the last call keep theirs, and the others are dropped before
-        any is built: a walk forward through snapshots builds each snapshot's
-        planes once and holds at most two snapshots' planes."""
-        half = self.grid.half
+    def _forms(self, blocks, build):
+        """build(block) of each block, made on first use.  Only the last call's
+        blocks keep theirs, the others dropped before any is built, so a forward
+        walk through snapshots builds each snapshot's form once and holds two."""
         self._kept = {id(d): self._kept[id(d)] for d in blocks if id(d) in self._kept}
         for d in blocks:
             if id(d) not in self._kept:
-                c = np.zeros((len(d), half.n, half.band), dtype=np.complex128)
-                c[:, self._rows] = d
-                if self.gradient:
-                    c = np.stack([*c, *(k * ci for ci in c
-                                        for k in (half.ik1, half.ik2[:, :half.band]))])
-                planes = _spline_planes(self.grid, c).reshape(len(c), -1)
-                self._kept[id(d)] = (d, np.ascontiguousarray(planes.T))
+                self._kept[id(d)] = (d, build(d))
         return [self._kept[id(d)][1] for d in blocks]
 
-    def _synthesize(self, block, pts, with_gradient):
-        """`evaluate` of spectral data, through the kept buffers."""
-        R, A, B = block.shape
-        b = B - 1
-        if with_gradient:
-            k1 = np.r_[0:B, -b:0]
-            block = np.concatenate([block, (1j * k1[:, None]) * block])
-        # one GEMM per chunk: phases in k₁ (c, A) against every row's k₁-by-k₂ block
-        M = np.ascontiguousarray(block.transpose(1, 0, 2)).reshape(A, -1)
-        ik2 = 1j * np.arange(B)
+    def _planes(self, block):
+        """Point-major spline planes (n², R, then (∂₁, ∂₂) of each field if
+        `gradient` is set) of a bicubic block."""
+        half = self.grid.half
+        c = np.zeros((len(block), half.n, half.band), dtype=np.complex128)
+        c[:, self._rows] = block
+        if self.gradient:
+            c = np.stack([*c, *(k * ci for ci in c for k in (half.ik1, half.ik2[:, :half.band]))])
+        return np.ascontiguousarray(_spline_planes(self.grid, c).reshape(len(c), -1).T)
+
+    def _fold(self, block):
+        """Real (2b+1, 2·R′·(b+1)) matrix of a spectral block D: rows ±k₁ fold into
+        the coefficients of cos k₁x₁ (rows 0…b), D[k₁] + D[−k₁], and sin k₁x₁ (rows
+        b+1…2b, k₁ ≥ 1), i(D[k₁] − D[−k₁]); columns: float pairs of each field's
+        k₂ = 0…b, then of its ∂₁ (cos ← k₁·sin, sin ← −k₁·cos) if `gradient`."""
+        A, B = block.shape[1:]
+        k1, pos = np.arange(B)[:, None], block[:, :B]
+        neg = np.concatenate([np.zeros_like(pos[:, :1]), block[:, :B - 1:-1]], axis=1)
+        cos, sin = pos + neg, 1j * (pos - neg)                  # sin's row k₁ = 0 is unused
+        parts = [(cos, sin)] + ([(k1 * sin, -k1 * cos)] if self.gradient else [])
+        F = np.concatenate([np.concatenate([c, s[:, 1:]], axis=1) for c, s in parts])
+        return np.ascontiguousarray(F.transpose(1, 0, 2)).view(np.float64).reshape(A, -1)
+
+    def _fourier_sum(self, fold, pts, R, with_gradient):
+        """`evaluate` of a fold in the kept buffer: per chunk, powers e^{ikxⱼ} by
+        doubling, one real GEMM of [cos k₁x₁ | sin k₁x₁] by the fold, one batched
+        matmul by float pairs of conj e^{ik₂x₂} (values, ∂₁) and its −ik₂ multiple (∂₂)."""
+        (A, W), c0 = fold.shape, min(len(pts), _CHUNK)
+        B = (A + 1) // 2
+        need = c0 * (4 * B + max(W, 4 * B) + A)     # x₂ pairs, product (powers till then), cos/sin
+        if len(self._buffer) < need:
+            self._buffer = np.empty(need)
+        pairs, product, trig = np.split(self._buffer[:need], [c0 * 4 * B, need - c0 * A])
         vals = np.empty((len(pts), R))
         grad = np.empty((len(pts), R, 2)) if with_gradient else None
-        c0, W = min(len(pts), _CHUNK), M.shape[1]
-        if len(self._buffer) < c0 * (2 * B + A + W):
-            self._buffer = np.empty(c0 * (2 * B + A + W), dtype=np.complex128)
-        powers, Ex, product = np.split(self._buffer, [c0 * 2 * B, c0 * (2 * B + A)])
         for s in range(0, len(pts), _CHUNK):
-            x = pts[s:s + _CHUNK]
-            c = len(x)
-            P, E = powers[:c * 2 * B].reshape(c, 2, B), Ex[:c * A].reshape(c, A)
-            P[:, :, 0] = 1.0
-            P[:, :, 1:] = np.exp(1j * x)[:, :, None]
-            np.cumprod(P, axis=2, out=P)                       # e^{i k xⱼ}, k = 0…b
-            E[:, :B] = P[:, 0]
-            np.conjugate(P[:, 0, b:0:-1], out=E[:, B:])        # k₁ = −b…−1
-            Ey = P[:, 1]
-            S = np.matmul(E, M, out=product[:c * W].reshape(c, W)).reshape(c, -1, B)
-            out = np.einsum("nrk,nk->nr", S, Ey).real
-            vals[s:s + c] = out[:, :R]
+            c = min(_CHUNK, len(pts) - s)
+            P = product[:4 * B * c].view(np.complex128).reshape(B, 2 * c)    # x₁ then x₂
+            P[0] = 1.0
+            np.exp(1j * pts[s:s + c].T, out=P[1].reshape(2, c))
+            k = 1
+            while k < B - 1:                             # e^{i(k+j)x} = e^{ijx}·e^{ikx}
+                w = min(k, B - 1 - k)
+                np.multiply(P[1:1 + w], P[k], out=P[k + 1:k + 1 + w])
+                k += w
+            E = trig[:A * c].reshape(A, c)
+            E[:B], E[B:] = P[:, :c].real, P[1:, :c].imag
+            Q = pairs[:4 * B * c].view(np.complex128).reshape(c, 2, B)
+            np.conjugate(P[:, c:].T, out=Q[:, 0])
+            np.multiply(Q[:, 0], -1j * np.arange(B), out=Q[:, 1])
+            S = np.matmul(E.T, fold, out=product[:c * W].reshape(c, W))
+            out = np.matmul(S.reshape(c, -1, 2 * B), Q.view(np.float64).transpose(0, 2, 1))
+            vals[s:s + c] = out[:, :R, 0]
             if with_gradient:
-                grad[s:s + c, :, 0] = out[:, R:]
-                grad[s:s + c, :, 1] = np.einsum("nrk,nk->nr", S[:, :R], Ey * ik2).real
+                grad[s:s + c, :, 0] = out[:, R:, 0]
+                grad[s:s + c, :, 1] = out[:, :R, 1]
         return vals, grad
 
 

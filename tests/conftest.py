@@ -13,6 +13,12 @@ settings.register_profile("vspc", deadline=None, derandomize=True, database=None
 settings.load_profile("vspc")
 
 
+def pytest_report_header(config):
+    # pyproject.toml puts this tree's src/ first on sys.path, ahead of
+    # PYTHONPATH: a suite run from another tree's root tests that tree
+    return f"vspc imported from {vspc.__file__}"
+
+
 def _standard_run(n, nu):
     grid = vspc.GridSpec(n)
     cfg = vspc.SolverConfig(grid, nu=nu, t_end=1.0, dt_max=5e-3,
