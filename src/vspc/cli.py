@@ -179,7 +179,7 @@ def cmd_run(args) -> int:
             made.extend(p for p in (snap_dir, *snap_dir.parents) if not p.exists())
             snap_dir.mkdir(parents=True, exist_ok=True)
         written.append(snap_dir / f"state_{len(written):06d}.vspc")
-        write_snapshot(written[-1], state.t, state.channels)
+        _replace(written[-1], lambda tmp: write_snapshot(tmp, state.t, state.channels))
 
     started = time.perf_counter()
     try:

@@ -3,9 +3,9 @@
 Every solver step can be condensed into a DiagnosticsRecord: norms of u and F,
 the accumulated Beale–Kato–Majda integral ∫₀ᵗ ‖∇u‖_∞ ds, the viscous
 dissipation 2ν∫₀ᵗ ‖∇u‖₂² ds, curl monitors, and constraint drifts.  Records
-are plain rows of floats, round-trippable through CSV, and the certificate
-functions below consume only records — so verdicts can be recomputed offline
-from a diagnostics file.
+are plain rows of floats, round-trippable through CSV.  The certificate functions
+below consume records, the forced flag and the tolerances; a diagnostics file holds
+only the records, so offline verdicts need the other two given again.
 
 A record is computed one way, from a spectral block of the six channels and
 their samples: a public State is read as its half spectra, unmasked; the
@@ -524,8 +524,8 @@ def certificate_bundle(records: Sequence[DiagnosticsRecord], forced: bool = Fals
     """certificate_reports(records, forced, **tolerances) plus the BKM report, as one
     JSON-ready dictionary.
 
-    Consumes records only, so re-running it on a diagnostics CSV reproduces the
-    in-run verdicts exactly.
+    Consumes these inputs only, so it reproduces the in-run verdicts exactly from a
+    diagnostics CSV and the run's forced flag and tolerances, which the CSV lacks.
     """
     reports = certificate_reports(records, forced, **tolerances)
     bkm = (bkm_report(records) if len(records) >= 3

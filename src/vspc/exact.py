@@ -189,20 +189,19 @@ class LinearProfileState:
         object.__setattr__(self, "F", F)
 
 
+_SIGNS, _EYE = np.array([[1.0], [-1.0]]), np.eye(2)     # never written; A(t)·Y = (_SIGNS·a)·Y
+
+
 def ode_reduce_step(state: LinearProfileState, a_of_t: Callable[[float], float],
                     dt: float, deviation: bool = False) -> LinearProfileState:
     """One RK4 step of dF/dt = A(t) F, A(t) = diag(a(t), −a(t)): the flow map's
     Jacobian equation for u = A(t)x, so it takes the flow map's step.  With
     `deviation`, state.F holds D = F − I and the step is of dD/dt = A(t)(I + D),
-    which keeps the digits of an F close to I."""
-    def gen(s):
-        a = a_of_t(s)
-        return np.diag([a, -a])
-
-    slope = (lambda s, y: (gen(s) @ (np.eye(2) + y[0]),)) if deviation else (
-        lambda s, y: (gen(s) @ y[0],))
-    (F,) = _rk4(slope, state.t, (state.F,), dt)
-    return LinearProfileState(gen(state.t + dt), F, state.t + dt)
+    which keeps the digits of an F close to I; A(t) scales rows, so no stage builds a matrix."""
+    shift = _EYE if deviation else 0.0
+    (F,) = _rk4(lambda s, y: ((_SIGNS * a_of_t(s)) * (shift + y[0]),), state.t, (state.F,), dt)
+    a = a_of_t(state.t + dt)
+    return LinearProfileState(np.diag([a, -a]), F, state.t + dt)
 
 
 def zgh_synthetic_history(p: ZghParams, times: Sequence[float]):

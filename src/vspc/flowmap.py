@@ -14,8 +14,9 @@ conservation det J = 1 (incompressible flow) is monitored alongside.
 
 Velocity samplers evaluate stored spectral snapshots at arbitrary points —
 either by Fourier synthesis on the dealiased band (spectrally exact) or by
-prefiltered bicubic interpolation — with linear interpolation in time between
-snapshots.  `_Evaluator`'s prepare/evaluate pair holds all per-method code.
+prefiltered bicubic interpolation — blending in time a list of (snapshot, weight)
+pairs: one at a snapshot time, else the two bracketing ones weighted 1 − θ and θ.
+`_Evaluator`'s prepare/evaluate pair holds all per-method code.
 Both methods keep a snapshot's half band and build its spline planes or its
 fold on first use, keeping those of the two snapshots last read.  The synthesis
 reads only the k₂ ≥ 0 half of the band: a real field is Re Σ over that half
@@ -155,7 +156,7 @@ def _interpolate(grid: GridSpec, planes, pts):
 
 class _Evaluator:
     """Point values of real fields by one method: `prepare` turns fields into
-    the method's data, `evaluate` reads it (or a linear blend of two) at wrapped
+    the method's data, `evaluate` reads a weighted sum of such data at wrapped
     points.  It keeps its synthesis buffer and its last folds or spline planes,
     so one evaluator must not be used from two threads at once.
     """
@@ -179,17 +180,18 @@ class _Evaluator:
         block = _half_columns(fields, half.band)[:, self._rows]
         return block * half.weight[:, :half.band] if self.method == "spectral" else block
 
-    def evaluate(self, data, pts, with_gradient=False, toward=None, theta=0.0):
+    def evaluate(self, blend, pts, with_gradient=False):
         """Values (N, R) and, if asked (of an evaluator made with `gradient`),
-        gradients (N, R, 2), ordered ∂₁, ∂₂, of prepared data, or of (1 − θ)·data
-        + θ·toward for a second one: a linear blend, so it blends their forms."""
+        gradients (N, R, 2), ordered ∂₁, ∂₂, of Σ wᵢ·dataᵢ for a list of (prepared data,
+        weight) pairs: forms are linear, so it sums theirs, in list order; one is read as is."""
         if with_gradient and not self.gradient:
             raise ValueError("gradients need an evaluator made with gradient=True")
-        R, pair = len(data), [d for d in (data, toward) if d is not None]
-        spectral = self.method == "spectral"
-        cols = R * (2 * data.shape[2] * (1 + with_gradient) if spectral else 1 + 2 * with_gradient)
-        pair = [f[:, :cols] for f in self._forms(pair, self._fold if spectral else self._planes)]
-        D = pair[0] if len(pair) == 1 else (1.0 - theta) * pair[0] + theta * pair[1]
+        R, spectral = len(blend[0][0]), self.method == "spectral"
+        cols = R * (2 * blend[0][0].shape[2] * (1 + with_gradient) if spectral
+                    else 1 + 2 * with_gradient)
+        forms = self._forms([data for data, _ in blend], self._fold if spectral else self._planes)
+        (D, w), *rest = [(f[:, :cols], w) for f, (_, w) in zip(forms, blend)]
+        D = sum((v * f for f, v in rest), w * D) if rest else D
         if spectral:
             return self._fourier_sum(D, pts, R, with_gradient)
         vals = _interpolate(self.grid, D, pts)
@@ -305,17 +307,15 @@ class SnapshotSampler:
         t = min(max(t, times[0]), times[-1])
         j = bisect_left(times, t)
         if j == 0 or abs(times[j] - t) <= _TIME_EPS:
-            return j, j, 0.0
-        lo = j - 1
-        theta = (t - times[lo]) / (times[j] - times[lo])
-        return lo, j, theta
+            return [(j, 1.0)]
+        theta = (t - times[j - 1]) / (times[j] - times[j - 1])
+        return [(j - 1, 1.0 - theta), (j, theta)]
 
     def sample(self, t, points, with_gradient=False):
         """Velocity (N, 2) and, if asked, its gradient (N, 2, 2), [i, j] = ∂ⱼuᵢ."""
         pts = _positions(points)
-        lo, hi, theta = self._blend(float(t))
-        return self._evaluator.evaluate(self._data[lo], pts, with_gradient,
-                                        None if lo == hi else self._data[hi], theta)
+        blend = [(self._data[j], w) for j, w in self._blend(float(t))]
+        return self._evaluator.evaluate(blend, pts, with_gradient)
 
 
 def _rk4(f, t, y, dt):
@@ -352,8 +352,8 @@ def tensor_sampler(F: TensorField, method: str = "spectral"):
     """Point-evaluator for a tensor field: pts (N,2) → (N,2,2); it keeps
     buffers, so do not call one from two threads at once."""
     evaluator = _Evaluator(F.grid, method)
-    data = evaluator.prepare([F.entry(i, k) for i in range(2) for k in range(2)])
-    return lambda pts: evaluator.evaluate(data, _positions(pts))[0].reshape(-1, 2, 2)
+    blend = [(evaluator.prepare([F.entry(i, k) for i in range(2) for k in range(2)]), 1.0)]
+    return lambda pts: evaluator.evaluate(blend, _positions(pts))[0].reshape(-1, 2, 2)
 
 
 def identity_tensor_at(labels):

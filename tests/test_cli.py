@@ -324,6 +324,57 @@ def test_an_artifact_whose_write_fails_is_left_as_it_was(tmp_path, monkeypatch, 
     assert {p for p in (*out.iterdir(), tmp_path / "report.json") if p.is_file()} == set(before)
 
 
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), ValueError("bad")])
+def test_a_snapshot_whose_write_fails_leaves_no_part_under_its_name(tmp_path, monkeypatch,
+                                                                     capsys, error):
+    # the second snapshot stops halfway and raises: it was written in place and
+    # left cut under its final name, which read_snapshot then rejects.  A
+    # failed write leaves the earlier snapshots whole and no temp file; a
+    # usage error (a ValueError in the run) still removes every snapshot
+    write = vspc.cli.write_snapshot
+
+    def cut_second(path, t, fields):
+        write(path, t, fields)
+        if len(calls) == 1:
+            Path(path).write_bytes(Path(path).read_bytes()[:100])
+            raise error
+        calls.append(path)
+
+    calls = []
+    monkeypatch.setattr(vspc.cli, "write_snapshot", cut_second)
+    cfg = _write_config(tmp_path / "run.ini", output={"snapshot_interval": 1})
+    snap_dir = tmp_path / "out" / "snapshots"
+    if isinstance(error, ValueError):
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: bad\n"
+        assert not (tmp_path / "out").exists()
+    else:
+        with pytest.raises(OSError, match="No space left"):
+            main(["run", str(cfg)])
+        assert [p.name for p in snap_dir.iterdir()] == ["state_000000.vspc"]
+        assert read_snapshot(snap_dir / "state_000000.vspc")[0] == 0.0
+    assert sorted(tmp_path.rglob("*.tmp")) == []
+
+
+def test_criterion_report_with_the_run_inputs_reproduces_a_forced_run(tmp_path):
+    # the CSV holds neither the forced flag nor the tolerances: with them given
+    # again, criterion-report writes the run's certificates.json byte for byte
+    tolerances = {"energy_tolerance": "0.001", "lp_tolerance": "0.002",
+                  "divergence_tolerance": "1e-06"}
+    cfg = _write_config(tmp_path / "run.ini", initial={"kind": "manufactured"},
+                        certificates={"strict": "false", **tolerances})
+    assert main(["run", str(cfg)]) == 0
+    out, report = tmp_path / "out", tmp_path / "report.json"
+    flags = [arg for name, value in tolerances.items()
+             for arg in ("--" + name.replace("_", "-"), value)]
+    assert main(["criterion-report", str(out / "diagnostics.csv"), "--forced", *flags,
+                 "--out", str(report)]) == 0
+    stored = (out / "certificates.json").read_bytes()
+    assert report.read_bytes() == stored
+    defaults = certificate_bundle(read_records_csv(out / "diagnostics.csv"), forced=True)
+    assert json.dumps(defaults, indent=2).encode() + b"\n" != stored     # the tolerances count
+
+
 def test_criterion_report_rejects_empty_history(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

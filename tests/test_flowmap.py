@@ -429,8 +429,8 @@ def test_gradients_need_an_evaluator_made_for_them(method):
     evaluator = vspc.flowmap._Evaluator(g, method)
     data = evaluator.prepare(vspc.taylor_green_state(g).u.components)
     with pytest.raises(ValueError, match="gradient=True"):
-        evaluator.evaluate(data, np.zeros((3, 2)), with_gradient=True)
-    assert evaluator.evaluate(data, np.zeros((3, 2)))[0].shape == (3, 2)
+        evaluator.evaluate([(data, 1.0)], np.zeros((3, 2)), with_gradient=True)
+    assert evaluator.evaluate([(data, 1.0)], np.zeros((3, 2)))[0].shape == (3, 2)
 
 
 @pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, True, "3"])
@@ -495,7 +495,8 @@ def _ref_wrap(points):
 
 
 class _RefSampler(SnapshotSampler):
-    """The per-method add and sample of old; time blending is shared."""
+    """The per-method add and sample of old; the choice of snapshots and θ is
+    shared, the blend of their data is its own."""
 
     def add(self, t, u):
         half = self.grid.half
@@ -509,9 +510,13 @@ class _RefSampler(SnapshotSampler):
 
     def sample(self, t, points, with_gradient=False):
         pts = _ref_wrap(points)
-        lo, hi, theta = self._blend(float(t))
-        D = self._data[lo] if lo == hi else (
-            (1.0 - theta) * self._data[lo] + theta * self._data[hi])
+        blend = self._blend(float(t))
+        if len(blend) == 1:
+            D = self._data[blend[0][0]]
+        else:
+            (lo, w_lo), (hi, theta) = blend
+            assert hi == lo + 1 and w_lo == 1.0 - theta
+            D = (1.0 - theta) * self._data[lo] + theta * self._data[hi]
         if self.method == "spectral":
             return _ref_synthesize(D, pts, with_gradient)
         vals = _ref_interpolate(self.grid, D[:6 if with_gradient else 2], pts)
@@ -556,16 +561,17 @@ def _ref_evolve_jacobian(particles, sampler, dt):
     return ParticleSet(particles.labels, x_new, J_new, t + dt)
 
 
-def _ref_ode_reduce_step(state, a_of_t, dt):
+def _ref_ode_reduce_step(state, a_of_t, dt, deviation=False):
     def gen(s):
         a = a_of_t(s)
         return np.diag([a, -a])
 
+    slope = (lambda s, D: gen(s) @ (np.eye(2) + D)) if deviation else (lambda s, F: gen(s) @ F)
     t, F = state.t, state.F
-    k1 = gen(t) @ F
-    k2 = gen(t + 0.5 * dt) @ (F + 0.5 * dt * k1)
-    k3 = gen(t + 0.5 * dt) @ (F + 0.5 * dt * k2)
-    k4 = gen(t + dt) @ (F + dt * k3)
+    k1 = slope(t, F)
+    k2 = slope(t + 0.5 * dt, F + 0.5 * dt * k1)
+    k3 = slope(t + 0.5 * dt, F + 0.5 * dt * k2)
+    k4 = slope(t + dt, F + dt * k3)
     F_new = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return vspc.exact.LinearProfileState(gen(t + dt), F_new, t + dt)
 
@@ -694,6 +700,21 @@ def test_ode_reduction_matches_the_old_step_bit_for_bit():
         assert new.t == old.t
 
 
+def test_ode_reduction_of_the_deviation_matches_the_old_step_bit_for_bit():
+    # the cross-check's form, dD/dt = A(t)(I + D), toward a pole (t* = 333) at
+    # the cross-check's amplitude, from a D with every entry set
+    amplitude = vspc.zgh_amplitude(vspc.ZghParams(2.0, 1.0, 1e-3))
+    D0 = np.array([[0.1, -0.2], [0.3, 0.05]])
+    new = old = vspc.exact.LinearProfileState(np.diag([1e-3, -1e-3]), D0, 0.0)
+    for dt in [1e-2] * 1000 + [0.3] * 1000:
+        new = vspc.ode_reduce_step(new, amplitude, dt, deviation=True)
+        old = _ref_ode_reduce_step(old, amplitude, dt, deviation=True)
+        _same(new.A, old.A)
+        _same(new.F, old.F)
+        assert new.t == old.t
+    assert abs(new.F[0, 0]) > 1.0                           # it grew toward the pole
+
+
 # ---------------------------------------------------------------------------
 # one integrator and one branch on the sampling method
 
@@ -735,6 +756,13 @@ def _rk4_sites(source):
     return sites
 
 
+def _special_cases(node):
+    """Names toward and theta, and calls of np.diag and np.eye, under an AST node."""
+    names = {getattr(sub, "id", None) or getattr(sub, "arg", None) for sub in ast.walk(node)}
+    calls = {ast.unparse(sub.func) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
+    return (names & {"toward", "theta"}) | (calls & {"np.diag", "np.eye"})
+
+
 def test_one_rk4_step_and_one_branch_on_the_sampling_method():
     src = Path(vspc.__file__).parent
     sites = {path.name: _rk4_sites(path.read_text()) for path in src.glob("*.py")}
@@ -745,6 +773,21 @@ def test_one_rk4_step_and_one_branch_on_the_sampling_method():
     branches = {site for s in sites.values() for site in s["method"]}
     assert branches <= {("_Evaluator", f) for f in ("__init__", "prepare", "evaluate")}, branches
     assert {f for _, f in branches} >= {"prepare", "evaluate"}
+    # one blend of weighted data, and one slope that scales rows: no two-snapshot
+    # special case in evaluate, no generator matrix built at an ODE stage
+    function = lambda path, name: next(
+        node for node in ast.walk(ast.parse((src / path).read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == name)
+    step = function("exact.py", "ode_reduce_step")
+    slopes = [node for node in ast.walk(step) if isinstance(node, ast.Lambda)]
+    assert len(slopes) == 1, ast.unparse(step)
+    assert [node for node in ast.walk(step) if isinstance(node, ast.FunctionDef)] == [step]
+    for node in (function("flowmap.py", "evaluate"), *slopes):
+        assert not _special_cases(node), _special_cases(node)
+    assert _special_cases(ast.parse("lambda s, y: (np.diag([theta, -theta]) @ y,)")) == {
+        "theta", "np.diag"}
+    assert _special_cases(ast.parse("def f(data, toward=None):\n    return np.eye(2)")) == {
+        "toward", "np.eye"}
     # the finder sees each form it looks for
     fake = ("def f(dt):\n    if dt <= 0:\n        raise ValueError(f'step size must be positive"
             " and finite, got {dt}')\n    return y + (dt / 6.0) * k\n"
