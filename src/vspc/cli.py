@@ -168,8 +168,8 @@ def cmd_run(args) -> int:
     _check_dir(snap_dir if cfg.solver.snapshot_interval > 0 else out)
     artifacts = csv_path, cert_path, meta_path = [
         out / name for name in ("diagnostics.csv", "certificates.json", "metadata.json")]
-    snapshots = snap_dir.glob("state_*.vspc") if cfg.solver.snapshot_interval > 0 else ()
-    for path in (*artifacts, *sorted(snapshots)):   # written during and after the run,
+    snapshots = sorted(snap_dir.glob("state_*.vspc")) if cfg.solver.snapshot_interval > 0 else []
+    for path in (*artifacts, *snapshots):           # written during and after the run,
         if path.exists() and not path.is_file():    # so checked before it
             raise UsageError(f"output path {path} exists and is not a regular file")
     written, made = [], []      # snapshots, and the directories made for them
@@ -178,6 +178,8 @@ def cmd_run(args) -> int:
         if not written:
             made.extend(p for p in (snap_dir, *snap_dir.parents) if not p.exists())
             snap_dir.mkdir(parents=True, exist_ok=True)
+            for path in snapshots:      # an earlier run's set, which this run replaces
+                path.unlink(missing_ok=True)
         written.append(snap_dir / f"state_{len(written):06d}.vspc")
         _replace(written[-1], lambda tmp: write_snapshot(tmp, state.t, state.channels))
 

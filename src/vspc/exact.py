@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,21 +69,18 @@ class ZghParams:
             raise ValueError(f"f0 = {self.f0:g} is out of range: c·f0 = {cf:g} and the pole "
                              f"time 1/(c·f0) must both be finite and non-zero")
 
-    @property
+    @cached_property            # derived once: `_denominator` reads them at every amplitude call
     def c(self) -> float:
         return (self.alpha + self.beta) / (self.alpha - self.beta)
 
-    @property
+    @cached_property
     def blows_up(self) -> bool:
         return self.c * self.f0 > 0
 
-    @property
+    @cached_property
     def t_star(self) -> float:
         """Blowup time 1/(c f₀); +inf when the amplitude never diverges."""
-        if self.f0 == 0.0:
-            return math.inf
-        t = 1.0 / (self.c * self.f0)
-        return t if t > 0 else math.inf
+        return 1.0 / (self.c * self.f0) if self.blows_up else math.inf
 
 
 @dataclass(frozen=True)

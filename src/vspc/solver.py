@@ -254,6 +254,15 @@ def state_sup_distance(a: State, b: State) -> float:
 # ---------------------------------------------------------------------------
 # right-hand side
 
+def _aligned(shape, dtype=np.float64, fill=0.0):
+    """An array of shape and dtype, set to fill, whose data starts at a multiple of 64
+    bytes (a cache line) wherever the heap's earlier allocations left off."""
+    raw = np.empty(math.prod(shape) * np.dtype(dtype).itemsize + 64, dtype=np.uint8)
+    out = raw[-raw.ctypes.data % 64:][:len(raw) - 64].view(dtype).reshape(shape)
+    out[...] = fill
+    return out
+
+
 class _Workspace:
     """A run's multipliers and buffers on the (n, n//3+1) band.
 
@@ -279,16 +288,17 @@ class _Workspace:
         n, c = half.n, half.band
         self.grid, self.nu, self.dt = grid, nu, None
         ik1, ik2, mask = half.ik1, half.ik2[:, :c], half.mask[:, :c]
-        self.k_sq = np.ascontiguousarray(half.k_sq[:, :c])
-        self.E = np.zeros((2, n, c), dtype=np.complex128)     # E + 0i, see _step_packed
+        self.k_sq = _aligned((n, c), fill=half.k_sq[:, :c])
+        self.E = _aligned((2, n, c), np.complex128)     # E + 0i, see _step_packed
         d = np.eye(2)[:, :, None, None]         # d[s, j]: S_s of unit input j
-        self.M = np.stack(grid.project(ik1 * d[0] + ik2 * d[1], ik1 * d[1])) * mask
-        self.curl = (ik2 * mask, -ik1 * mask)
-        self.K, self.Y = KY = np.empty((2, 6, n, c), dtype=np.complex128)
+        self.M = _aligned((2, 2, n, c), np.complex128,
+                          np.stack(grid.project(ik1 * d[0] + ik2 * d[1], ik1 * d[1])) * mask)
+        self.curl = tuple(_aligned((n, c), np.complex128, a) for a in (ik2 * mask, -ik1 * mask))
+        self.K, self.Y = KY = _aligned((2, 6, n, c), np.complex128)
         self.P, self.W = np.split(KY.reshape(-1).view(np.float64)[:8 * n * n].reshape(8, n, n), [6])
         self.R = KY.reshape(-1)[:4 * n * half.m].reshape(4, n, half.m)
         self.H = KY.reshape(-1)[:6 * n * half.m].reshape(6, n, half.m)
-        BQ = np.empty(max(12 * n * c, 4 * n * n))
+        BQ = _aligned((max(12 * n * c, 4 * n * n),))
         self.B = BQ[:12 * n * c].view(np.complex128).reshape(6, n, c)
         self.Q = BQ[:4 * n * n].reshape(4, n, n)
         self.ok, self.ok_band = (BQ.view(np.bool_)[:6 * n * w].reshape(6, n, w) for w in (n, c))

@@ -264,6 +264,42 @@ def test_existing_snapshot_files_do_not_block_a_run(tmp_path):
     assert (snaps / "state_000001.vspc").stat().st_size > 5    # overwritten
 
 
+def test_a_rerun_leaves_its_own_snapshots_only(tmp_path):
+    # a shorter rerun into the same dir wrote state_000000 and state_000001
+    # over the first run's and left its state_000002 beside them
+    snaps = tmp_path / "out" / "snapshots"
+    assert main(["run", str(_write_config(tmp_path / "run.ini"))]) == 0    # steps 0, 5, 10
+    assert len(list(snaps.iterdir())) == 3
+    (snaps / "state_000007.vspc").write_bytes(b"older still")
+    assert main(["run", str(_write_config(tmp_path / "run.ini", solver={"t_end": 0.02}))]) == 0
+    assert sorted(p.name for p in snaps.iterdir()) == ["state_000000.vspc", "state_000001.vspc"]
+    assert [read_snapshot(p)[0] for p in sorted(snaps.iterdir())] == pytest.approx([0.0, 0.02])
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["result"]["snapshots_written"] == 2
+
+
+def test_a_refused_run_leaves_the_earlier_snapshots_untouched(tmp_path, capsys):
+    # refused before it starts: by the output check, or by simulate rejecting
+    # the initial state (a snapshot of u = (sin x₁, 0) breaks div u = 0)
+    snaps = tmp_path / "out" / "snapshots"
+    assert main(["run", str(_write_config(tmp_path / "run.ini"))]) == 0
+    before = {p.name: p.read_bytes() for p in snaps.iterdir()}
+    g = GridSpec(16)
+    x1, _ = g.mesh()
+    zero, one = np.zeros_like(x1), np.ones_like(x1)
+    bad = tmp_path / "divergent.vspc"
+    write_snapshot(bad, 0.0, [ScalarField.from_samples(g, a)
+                              for a in (np.sin(x1), zero, one, zero, zero, one)])
+    (tmp_path / "out" / "metadata.json").unlink()
+    (tmp_path / "out" / "metadata.json").mkdir()
+    assert main(["run", str(_write_config(tmp_path / "run.ini"))]) == 1
+    (tmp_path / "out" / "metadata.json").rmdir()
+    cfg = _write_config(tmp_path / "bad.ini", initial={"kind": "from-snapshot", "path": str(bad)})
+    assert main(["run", str(cfg)]) == 1
+    assert "divergence" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in snaps.iterdir()} == before
+
+
 def test_snapshot_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

@@ -660,6 +660,51 @@ def test_bicubic_samplers_match_map_coordinates_at_edge_points():
         _same(tensor_sampler(state.F, "bicubic")(pts), _ref_tensor_sampler(state.F, "bicubic")(pts))
 
 
+_WRAPPED = {"node": lambda g, rng, size: g.spacing * rng.integers(0, g.n, size=size),
+            "edge": lambda g, rng, size: rng.choice([np.nextafter(TAU, 0.0), TAU - 1e-12, TAU],
+                                                    size=size),
+            "uniform": lambda g, rng, size: rng.uniform(0.0, TAU, size=size)}
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([16, 32, 64]),
+       rows=st.sampled_from([2, 4, 6]), count=st.sampled_from([0, 1, 2, 3, 17, 1025]),
+       kinds=st.sets(st.sampled_from(sorted(_WRAPPED)), min_size=1))
+def test_the_stencil_gives_the_bytes_of_map_coordinates(seed, n, rows, count, kinds):
+    # wrapped points (np.mod gives 2π for a tiny negative coordinate) on lattice
+    # nodes, just below and at 2π, and anywhere, mixed coordinate by coordinate
+    g = GridSpec(n)
+    rng = np.random.default_rng(seed)
+    planes = rng.standard_normal((rows, n * n))
+    pools = np.stack([_WRAPPED[kind](g, rng, (count, 2)) for kind in sorted(kinds)])
+    pts = np.take_along_axis(pools, rng.integers(0, len(pools), size=(1, count, 2)), axis=0)[0]
+    got = vspc.flowmap._interpolate(g, planes, pts)
+    want = _ref_interpolate(g, planes.reshape(rows, n, n), pts)
+    assert got.shape == want.shape == (count, rows)
+    assert got.tobytes() == want.tobytes()          # signs of zero included
+
+
+def test_the_stencil_gathers_once_per_call(monkeypatch):
+    # one np.take reads all 16 nodes, whatever the point count and the blend
+    g = GridSpec(32)
+    sam = SnapshotSampler(g, "bicubic")
+    for t, u in ((0.0, vspc.taylor_green_state(g).u), (1.0, vspc.perturbed_identity_state(g, 0.3).u)):
+        sam.add(t, u)
+    at = tensor_sampler(vspc.perturbed_identity_state(g, 0.3).F, "bicubic")
+    pts = np.random.default_rng(7).uniform(0.0, TAU, size=(1025, 2))
+    sam.sample(0.5, pts, with_gradient=True)        # the spline planes, built before counting
+    at(pts)
+    taken, take = [], np.take
+    monkeypatch.setattr(np, "take", lambda *a, **k: taken.append(1) or take(*a, **k))
+    for count in (0, 1, 17, 1025):
+        for call in (lambda: sam.sample(0.0, pts[:count]),
+                     lambda: sam.sample(0.5, pts[:count], with_gradient=True),
+                     lambda: at(pts[:count])):
+            taken.clear()
+            call()
+            assert len(taken) == 1, (count, len(taken))
+
+
 def test_bicubic_sampler_holds_the_planes_of_two_snapshots(monkeypatch):
     # each snapshot keeps its half band; a forward walk builds each snapshot's
     # spline planes once and holds those of the two bracketing snapshots only
@@ -831,18 +876,23 @@ print(json.dumps({"blended, gradient": faults(spectral(0.3, True), 100),
 """
 
 
+def _faults_per_call(script):
+    """The JSON a script prints, run in a fresh process that can import vspc and conftest."""
+    pytest.importorskip("resource")
+    paths = (Path(vspc.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))     # vspc, conftest
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120,
+                         capture_output=True, text=True)
+    return json.loads(out.stdout)
+
+
 def test_spectral_sampling_reuses_its_buffers_after_bicubic_sampling():
     # the synthesis allocated its phases and products on every call; in one heap
     # layout (scipy loaded after the samplers' data, as the bicubic sampler did)
     # the heap handed them back each time, about 200 minor page faults per
     # 1024-point call at n = 64.  Each spectral path reuses its buffers: with
     # and without gradients, at and between snapshots, and tensor_sampler's
-    pytest.importorskip("resource")
-    paths = (Path(vspc.__file__).resolve().parents[1], Path(__file__).resolve().parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))     # vspc, conftest
-    out = subprocess.run([sys.executable, "-c", _FAULTS], env=env, check=True, timeout=120,
-                         capture_output=True, text=True)
-    per_call = json.loads(out.stdout)
+    per_call = _faults_per_call(_FAULTS)
     assert len(per_call) == 4 and max(per_call.values()) <= 5.0, per_call
 
 
@@ -875,3 +925,27 @@ def test_spectral_sampler_holds_no_more_than_the_old_synthesis_buffer(monkeypatc
     bands = 100 * 2 * (2 * b + 1) * (b + 1) * 16     # every snapshot's half band of u
     assert len(folded) == 1 + 100                   # the warm-up's snapshot, then each once
     assert held - bands <= 256 * (2 * 22 + 43 + 88) * 16, held - bands
+
+
+def test_blended_bicubic_sampling_faults_no_pages():
+    # a blended 1024-point call with gradients at n = 64 took 112 minor page
+    # faults when the stencil made 16 gathers and products, in this process's
+    # heap layout (no pytest or hypothesis loaded); its one gather takes under one
+    script = """
+import resource
+import numpy as np
+import vspc
+g = vspc.GridSpec(64)
+pts = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(1024, 2))
+sam = vspc.SnapshotSampler(g, "bicubic")
+for t, u in ((0.0, vspc.taylor_green_state(g).u), (1.0, vspc.perturbed_identity_state(g, 0.3).u)):
+    sam.add(t, u)
+faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    sam.sample(0.3, pts, with_gradient=True)
+before = faults()
+for _ in range(100):
+    sam.sample(0.3, pts, with_gradient=True)
+print((faults() - before) / 100)
+"""
+    assert _faults_per_call(script) <= 5.0
