@@ -12,6 +12,7 @@ import configparser
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass
@@ -173,26 +174,33 @@ def cmd_run(args) -> int:
         if path.exists() and not path.is_file():    # so checked before it
             raise UsageError(f"output path {path} exists and is not a regular file")
     written, made = [], []      # snapshots, and the directories made for them
+    held = snap_dir / f".replaced-{os.getpid()}"    # an earlier run's set, while this run lasts
 
     def observer(state):
-        if not written:
+        if not written:     # an earlier set moves aside, so each snapshot takes an absent name
             made.extend(p for p in (snap_dir, *snap_dir.parents) if not p.exists())
-            snap_dir.mkdir(parents=True, exist_ok=True)
-            for path in snapshots:      # an earlier run's set, which this run replaces
-                path.unlink(missing_ok=True)
+            (held if snapshots else snap_dir).mkdir(parents=True, exist_ok=True)
+            for path in snapshots:
+                path.rename(held / path.name)
         written.append(snap_dir / f"state_{len(written):06d}.vspc")
         _replace(written[-1], lambda tmp: write_snapshot(tmp, state.t, state.channels))
 
     started = time.perf_counter()
     try:
         result = simulate(cfg.solver, cfg.initial, observer=observer)
-    except ValueError as exc:   # a usage error leaves nothing behind
+    except ValueError as exc:   # a usage error leaves out/ as it found it
         for path in written:
             path.unlink(missing_ok=True)
+        if written and snapshots:       # the earlier set goes back to its names
+            for path in snapshots:
+                (held / path.name).rename(path)
+            shutil.rmtree(held)
         for path in made:       # deepest first
             path.rmdir()
         raise UsageError(str(exc)) from None
     elapsed = time.perf_counter() - started
+    if written and snapshots:   # this run's set replaces the earlier one
+        shutil.rmtree(held)
 
     out.mkdir(parents=True, exist_ok=True)
     _replace(csv_path, lambda tmp: write_records_csv(tmp, result.records))

@@ -340,19 +340,15 @@ def zgh_checks(p: ZghParams) -> list[tuple[str, bool, str]]:
                    f"residual {res_p.deformation[1, 1]:.6g}"))
 
     # RK4 on the deviation D = F − I of the ODE reduction, judged relative to
-    # |F − I| so that tiny amplitudes count, in steps of min(1e-4, 1e-3 tau),
-    # tau = 1/|c f0| (t* if there is a pole); past _ODE_STEPS, in _ODE_STEPS
-    # graded in log|1 − c f0 t|; the count is capped before it is rounded, as
-    # at f0 = 1e-307 it is inf
-    steps = max(1, round(min(t_stop / min(1e-4, 1e-3 * (1.0 / abs(cf))), 2 * _ODE_STEPS)))
+    # |F − I| so that tiny amplitudes count, in as many steps as min(1e-4,
+    # 1e-3 tau) takes, tau = 1/|c f0| (t* if there is a pole), at most
+    # _ODE_STEPS, graded evenly in log|1 − c f0 t| as a(t) changes; the count is
+    # capped before it is rounded, as at f0 = 1e-307 it is inf
+    steps = max(1, round(min(t_stop / min(1e-4, 1e-3 * (1.0 / abs(cf))), _ODE_STEPS)))
     state = LinearProfileState(np.diag([p.f0, -p.f0]), np.zeros((2, 2)), 0.0)
     amp = zgh_amplitude(p)
-    if steps <= _ODE_STEPS:
-        for _ in range(steps):
-            state = ode_reduce_step(state, amp, t_stop / steps, True)
-    else:
-        for end in _log_graded(cf, log_g, t_stop, _ODE_STEPS)[1:]:
-            state = ode_reduce_step(state, amp, float(end) - state.t, True)
+    for end in _log_graded(cf, log_g, t_stop, steps)[1:]:
+        state = ode_reduce_step(state, amp, float(end) - state.t, True)
     D_exact = np.diag([math.expm1(-log_g / c), math.expm1(log_g / c)])
     ode_err = float(np.max(np.abs(state.F - D_exact)))
     checks.append(("ODE reduction matches closed-form F",

@@ -416,27 +416,23 @@ def step(state: State, dt: float, cfg: SolverConfig) -> State:
     return _unpack(grid, state.t + dt, Znew)
 
 
-def _cfl_dt(grid, P, cfg: SolverConfig, W, t) -> float:
-    """CFL step from the samples P at t (see adaptive_dt), using two planes W; speeds
-    that overflow raise BlowupError at t."""
+def adaptive_dt(state: State | _diag._Packed, cfg: SolverConfig) -> float:
+    """CFL step dt = min(dt_max, cfl·Δx/(‖u‖_∞ + ‖F‖_∞ + ε)); ε guards u = F = 0.
+
+    The sup-norms are those of the dealiased state the solver advances; when
+    they overflow, BlowupError is raised at its t.  state is a State, or a run's
+    per-pass diagnostics._Packed view, whose samples P it reads, with scratch.T as planes.
+    """
+    grid = state.grid
+    P, W = ((state.P, state.scratch.T) if isinstance(state, _diag._Packed) else
+            (grid.half.to_samples(_pack(state)), np.empty((2, grid.n, grid.n))))
     fro = np.square(P[_F11], out=W[0])
     for r in (_F21, _F12, _F22):
         fro += np.square(P[r], out=W[1])
     speed = math.sqrt(float(np.max(fro))) + float(np.max(np.hypot(P[_U1], P[_U2], out=W[0])))
     if not math.isfinite(speed):
-        raise BlowupError(t, "the transport and elastic-wave speeds overflow")
+        raise BlowupError(state.t, "the transport and elastic-wave speeds overflow")
     return float(min(cfg.dt_max, cfg.cfl * grid.spacing / (speed + 1e-10)))
-
-
-def adaptive_dt(state: State, cfg: SolverConfig) -> float:
-    """CFL step dt = min(dt_max, cfl·Δx/(‖u‖_∞ + ‖F‖_∞ + ε)); ε guards u = F = 0.
-
-    The sup-norms are those of the dealiased state the solver advances; when
-    they overflow, BlowupError is raised.
-    """
-    grid = state.grid
-    return _cfl_dt(grid, grid.half.to_samples(_pack(state)), cfg, np.empty((2, grid.n, grid.n)),
-                   state.t)
 
 
 def divergence_drift(state: State):
@@ -482,7 +478,7 @@ def _validate_initial(state: State, cfg: SolverConfig, work: _Workspace) -> np.n
 class _Run:
     """A run between passes: the band Z at t, t_end = t₀ + duration, the `steps` taken and
     their sum `elapsed` (which ends a run from a large t₀), the engine, holding the prior
-    record and u band, and the records.  `work` and the `spare` bands are scratch."""
+    record and u band, and the records.  `work` and `spare`, the band a step writes, are scratch."""
 
     Z: np.ndarray
     t: float
@@ -492,16 +488,16 @@ class _Run:
     engine: _diag.DiagnosticsEngine
     records: list
     work: _Workspace
-    spare: list
+    spare: Optional[np.ndarray]
 
     def advance(self, cfg: SolverConfig, observer) -> Optional[RunResult]:
         """One pass: sample (t, Z), record and judge it, observe it, each at its cadence,
         and step; returns the RunResult once the run ends."""
         grid, work, Z, t = cfg.grid, self.work, self.Z, self.t
-        P = work.samples(Z)     # a record's samples of (t, Z), then the next step's first stage's
+        view = _diag._Packed(grid, t, Z, work.samples(Z), work.record_scratch)  # record, dt, stage 1
         at_end = t >= self.t_end - 1e-12 or self.elapsed >= cfg.t_end - 1e-12
         if self.steps % cfg.diagnostics_interval == 0 or at_end:
-            record = self.engine.observe(_diag._Packed(grid, t, Z, P, work.record_scratch))
+            record = self.engine.observe(view)
             overflow = not all(map(math.isfinite, vars(record).values()))
             if overflow and not self.records:
                 raise ValueError("the initial state's diagnostics overflow")
@@ -523,15 +519,14 @@ class _Run:
         if at_end:
             return self._result("completed", state)
         try:
-            dt = min(_cfl_dt(grid, P, cfg, work.W, t), self.t_end - t)    # the samples set the CFL step
+            dt = min(adaptive_dt(view, cfg), self.t_end - t)
             if t + dt == t:
                 raise ValueError(f"the clock stalls at t = {t:.17g}: a step of dt = {dt:.3g} "
                                  f"does not advance it")
-            Znew = _step_packed(work, Z, t, dt, cfg.forcing, P, self.spare.pop() if self.spare else None)
+            Znew = _step_packed(work, Z, t, dt, cfg.forcing, view.P, self.spare)
         except BlowupError as exc:
             return self._result("blowup-detected", blowup_time=exc.t)
-        if Z.flags.writeable:           # _unpack freezes the band a State keeps
-            self.spare.append(Z)
+        self.spare = Z if state is None else None       # a State keeps the band it was handed
         self.Z, self.t, self.elapsed, self.steps = Znew, t + dt, self.elapsed + dt, self.steps + 1
 
     def _result(self, termination, state=None, blowup_time=None, violated=None) -> RunResult:
@@ -558,7 +553,7 @@ def simulate(cfg: SolverConfig, initial: State, observer=None) -> RunResult:
     """
     work, t = _Workspace(cfg.grid, cfg.nu), float(initial.t)
     run = _Run(_validate_initial(initial, cfg, work), t, t + cfg.t_end, 0.0, 0,   # only the run
-               _diag.DiagnosticsEngine(nu=cfg.nu), [], work, [])                # holds the band
+               _diag.DiagnosticsEngine(nu=cfg.nu), [], work, None)              # holds the band
     observer = observer if cfg.snapshot_interval > 0 else None
     while (result := run.advance(cfg, observer)) is None:
         pass

@@ -273,9 +273,31 @@ def test_a_rerun_leaves_its_own_snapshots_only(tmp_path):
     (snaps / "state_000007.vspc").write_bytes(b"older still")
     assert main(["run", str(_write_config(tmp_path / "run.ini", solver={"t_end": 0.02}))]) == 0
     assert sorted(p.name for p in snaps.iterdir()) == ["state_000000.vspc", "state_000001.vspc"]
+    assert not list(snaps.glob(".replaced-*"))      # the set it held aside is gone
     assert [read_snapshot(p)[0] for p in sorted(snaps.iterdir())] == pytest.approx([0.0, 0.02])
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert meta["result"]["snapshots_written"] == 2
+
+
+def test_a_usage_error_mid_run_leaves_the_earlier_run_as_it_was(tmp_path, capsys):
+    # the clock stalls after the step-0 snapshot, by when the earlier run's set
+    # had been removed beside its CSV and JSON artifacts: it was held aside, and
+    # goes back under its names, byte for byte, with no hidden directory left
+    out = tmp_path / "out"
+    assert main(["run", str(_write_config(tmp_path / "run.ini",
+                                          output={"snapshot_interval": 1}))]) == 0
+    before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert len([p for p in before if p.parent.name == "snapshots"]) == 11
+    snap = tmp_path / "late.vspc"
+    write_snapshot(snap, 1e10, perturbed_identity_state(GridSpec(16), 0.1).channels)
+    cfg = _write_config(tmp_path / "late.ini", solver={"cfl": 1e-6},
+                        initial={"kind": "from-snapshot", "path": str(snap)},
+                        output={"snapshot_interval": 1})
+    assert main(["run", str(cfg)]) == 1
+    assert "error: the clock stalls" in capsys.readouterr().err
+    assert {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == [    # no empty directory
+        f"state_{k:06d}.vspc" for k in range(11)]
 
 
 def test_a_refused_run_leaves_the_earlier_snapshots_untouched(tmp_path, capsys):
@@ -796,6 +818,39 @@ def test_verify_exact_rejects_equal_parameters(capsys):
 def test_temporal_convergence_passes(capsys):
     assert main(["convergence", "--mode", "temporal"]) == 0
     assert "order" in capsys.readouterr().out
+
+
+def test_spatial_convergence_passes(capsys):
+    assert main(["convergence", "--mode", "spatial"]) == 0
+    assert "error drop 32 -> 64 is at least 1e2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("initial, message", [
+    ({"kind": "from-snapshot"}, "needs [initial] path"),
+    ({"kind": "from-snapshot", "path": "{tmp}"}, "cannot load snapshot"),
+    ({"kind": "from-snapshot", "path": "{tmp}/garbage.vspc"}, "cannot load snapshot"),
+    ({"kind": "from-snapshot", "path": "{tmp}/five.vspc"}, "needs 6 fields"),
+    ({"kind": "manufactured", "case": "vortex-sheet"}, "unknown manufactured case"),
+], ids=["no-path", "a-directory", "unreadable", "five-fields", "unknown-case"])
+def test_a_bad_initial_state_is_a_usage_error_that_writes_nothing(tmp_path, capsys, initial,
+                                                                     message):
+    (tmp_path / "garbage.vspc").write_bytes(b"not a snapshot")
+    write_snapshot(tmp_path / "five.vspc", 0.0, perturbed_identity_state(GridSpec(16), 0.1).channels[:5])
+    initial = {k: v.format(tmp=tmp_path) for k, v in initial.items()}
+    listing = sorted(tmp_path.iterdir())
+    assert main(["run", str(_write_config(tmp_path / "run.ini", initial=initial))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert sorted(tmp_path.iterdir()) == sorted(listing + [tmp_path / "run.ini"])
+
+
+def test_a_steady_identity_run_completes_at_rest(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "rest.ini", initial={"kind": "steady-identity"})
+    assert main(["run", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("completed: 10 steps to t = 0.05")
+    records = read_records_csv(tmp_path / "out" / "diagnostics.csv")
+    assert [r.l2_u for r in records] == [0.0] * 6 and records[-1].linf_gradu == 0.0
+    assert len(list((tmp_path / "out" / "snapshots").iterdir())) == 3
 
 
 def test_convergence_mode_is_required():

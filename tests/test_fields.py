@@ -281,17 +281,19 @@ def test_one_owner_of_certificate_verdicts():
 
 
 def test_one_run_loop():
-    # a run's one pass, _Run.advance, records, observes and steps at one site
-    # each, so the first record is judged like every other; simulate builds
-    # one _Run and only loops over its passes
+    # a run's one pass, _Run.advance, records, observes, sizes and steps at one
+    # site each, so the first record is judged like every other, and every
+    # step is sized by the public adaptive_dt; simulate builds one _Run and
+    # only loops over its passes
     tree = ast.parse(Path(vspc.solver.__file__).read_text())
     function = lambda name: next(node for node in ast.walk(tree)
                                  if isinstance(node, ast.FunctionDef) and node.name == name)
     advance, simulate = function("advance"), function("simulate")
-    for name in ("samples", "observe", "observer", "_step_packed"):
+    for name in ("samples", "observe", "observer", "adaptive_dt", "_step_packed"):
         assert len(_calls_of(advance, name)) == 1, name
         assert not _calls_of(simulate, name), name
     assert len(_calls_of(simulate, "_Run")) == 1
+    assert not hasattr(vspc.solver, "_cfl_dt")
 
 
 def test_one_right_hand_side_of_samples():

@@ -989,6 +989,16 @@ def test_an_observed_pass_allocates_the_band_its_state_keeps(monkeypatch):
                        snapshot_interval=1)
     peaks, _ = _pass_costs(monkeypatch, cfg, perturbed_identity_state(g, 0.1), lambda s: None)
     assert max(peaks[2:]) <= 1.1 * band, [p / band for p in peaks]
+    # observed every third pass, a State keeps the band of passes 3 and 6, so
+    # the step of the pass after each (4, 7) writes a new one; every other
+    # pass, the observed ones too, steps into the run's spare band
+    monkeypatch.undo()
+    cfg = dataclasses.replace(cfg, t_end=9 * 2.5e-3, snapshot_interval=3)
+    peaks, _ = _pass_costs(monkeypatch, cfg, perturbed_identity_state(g, 0.1), lambda s: None)
+    assert len(peaks) == 9 and max(peaks[2:]) <= 1.1 * band, [p / band for p in peaks]
+    fresh = [j for j in range(2, 9) if peaks[j] > 0.5 * band]
+    assert fresh == [4, 7], [p / band for p in peaks]
+    assert max(peaks[j] for j in range(2, 9) if j not in fresh) <= 0.1 * band
 
 
 def test_a_warm_unobserved_run_takes_under_a_minor_fault_per_step(monkeypatch):
@@ -1330,6 +1340,34 @@ def test_a_state_whose_squares_overflow_ends_the_run_as_a_blowup(tmp_path, inter
     assert read_records_csv(tmp_path / "d.csv") == res.records
 
 
+@pytest.mark.parametrize("case", ["unobserved", "sparse", "forced", "strict", "ceiling", "overflow"])
+def test_every_step_a_run_takes_is_sized_by_adaptive_dt(monkeypatch, case):
+    # the run's CFL step is the public adaptive_dt, looked up when it is called:
+    # a wrapper set on the module, as a tracer sets one, sees one call a step.
+    # A run that the CFL step itself ends (speeds that overflow) makes one more
+    cases = _split_cases()
+    g = GridSpec(16)
+    cfg, initial, termination = {
+        "unobserved": (dataclasses.replace(cases["sparse"][0], snapshot_interval=0),
+                       *cases["sparse"][1:]),
+        "overflow": (SolverConfig(g, nu=0.01, t_end=0.25, dt_max=2.0 ** -7,
+                                  diagnostics_interval=10 ** 9,
+                                  forcing=overflowing_forcing(g, 2.0 ** -5 + 2.0 ** -7)),
+                     perturbed_identity_state(g, 0.1), "blowup-detected"),
+    }.get(case) or cases[case]
+    sized = []
+    adaptive = solver.adaptive_dt
+    monkeypatch.setattr(solver, "adaptive_dt",
+                        lambda state, cfg: sized.append(state.t) or adaptive(state, cfg))
+    with np.errstate(over="ignore"):
+        res = simulate(cfg, initial, observer=lambda state: None)
+    assert res.termination == termination and res.steps >= 4
+    assert len(sized) == res.steps + (case == "overflow")
+    assert sized == sorted(set(sized))      # once a step, at the t it starts from
+    if case == "overflow":      # sized at the state that ends the run, and never taken
+        assert sized[-1] == res.blowup_time == res.final_state.t
+
+
 def _split_cases():
     """(config, initial state, termination) of each run the split test takes apart."""
     g = GridSpec(16)
@@ -1356,7 +1394,7 @@ class _Split(Exception):
 
 def _run_split(monkeypatch, cfg, initial, observer, k):
     """simulate's run stopped before its pass k, then rebuilt from a copy of its state
-    with a fresh workspace and no spare bands, and finished: its RunResult."""
+    with a fresh workspace and no spare band, and finished: its RunResult."""
     Run = solver._Run
 
     class Stopping(Run):
@@ -1372,7 +1410,7 @@ def _run_split(monkeypatch, cfg, initial, observer, k):
     run = split.value.args[0]
     state = {f.name: copy.deepcopy(getattr(run, f.name)) for f in dataclasses.fields(Run)
              if f.name not in ("work", "spare")}
-    rebuilt = Run(**state, work=solver._Workspace(cfg.grid, cfg.nu), spare=[])
+    rebuilt = Run(**state, work=solver._Workspace(cfg.grid, cfg.nu), spare=None)
     observer = observer if cfg.snapshot_interval > 0 else None
     while (res := rebuilt.advance(cfg, observer)) is None:
         pass
