@@ -199,8 +199,10 @@ def cmd_run(args) -> int:
             path.rmdir()
         raise UsageError(str(exc)) from None
     elapsed = time.perf_counter() - started
-    if written and snapshots:   # this run's set replaces the earlier one
-        shutil.rmtree(held)
+    for path in [] if written else snapshots:   # this run's set replaces the earlier one:
+        path.unlink()                           # under its names if no snapshot moved it,
+    for path in snap_dir.glob(".replaced-*"):   # or held aside, by this run or a killed one
+        shutil.rmtree(path)
 
     out.mkdir(parents=True, exist_ok=True)
     _replace(csv_path, lambda tmp: write_records_csv(tmp, result.records))

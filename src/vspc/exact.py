@@ -255,9 +255,10 @@ def zgh_scaled_residual(p: ZghParams, t: float, x) -> tuple[float, float]:
     return max(mom, dfm, div), max(mom / scale_mom, dfm / scale_def, div / (1.0 + abs(a)))
 
 
-def _log_graded(cf: float, log_g: float, end: float, pieces: int) -> np.ndarray:
-    """0 and `pieces` times to `end` (where log|1 − cf·t| = log_g) that lie evenly in
-    log|1 − cf·t|, as a(t) changes; expm1 keeps their digits where cf·t is tiny."""
+def _log_graded(cf: float, log_g: float, end: float, per_unit: float) -> np.ndarray:
+    """0 and max(1, ⌈per_unit·|log_g|⌉) times to `end` (where log|1 − cf·t| = log_g) that
+    lie evenly in log|1 − cf·t|, as a(t) changes; expm1 keeps their digits where cf·t is tiny."""
+    pieces = max(1, math.ceil(per_unit * abs(log_g)))
     ends = -np.expm1(log_g * np.linspace(0.0, 1.0, pieces + 1)) / cf
     ends[-1] = end
     return ends
@@ -270,7 +271,7 @@ def _bkm_quadrature(p: ZghParams, T: float) -> float:
 
     cf = p.c * p.f0
     log_g = math.log1p(-cf * T)
-    ends = _log_graded(cf, log_g, T, max(1, math.ceil(abs(log_g) / 0.5)))
+    ends = _log_graded(cf, log_g, T, 2.0)
     x, w = leggauss(20)
     half, mid = 0.5 * np.diff(ends)[:, None], 0.5 * (ends[1:] + ends[:-1])[:, None]
     return abs(p.f0) * float(np.sum(half * w / np.abs(1.0 - cf * (mid + half * x))))
@@ -340,14 +341,11 @@ def zgh_checks(p: ZghParams) -> list[tuple[str, bool, str]]:
                    f"residual {res_p.deformation[1, 1]:.6g}"))
 
     # RK4 on the deviation D = F − I of the ODE reduction, judged relative to
-    # |F − I| so that tiny amplitudes count, in as many steps as min(1e-4,
-    # 1e-3 tau) takes, tau = 1/|c f0| (t* if there is a pole), at most
-    # _ODE_STEPS, graded evenly in log|1 − c f0 t| as a(t) changes; the count is
-    # capped before it is rounded, as at f0 = 1e-307 it is inf
-    steps = max(1, round(min(t_stop / min(1e-4, 1e-3 * (1.0 / abs(cf))), _ODE_STEPS)))
+    # |F − I| so that tiny amplitudes count, in steps graded evenly in
+    # log|1 − c f0 t| as a(t) changes, at the range guard's 80 in _ODE_STEPS
     state = LinearProfileState(np.diag([p.f0, -p.f0]), np.zeros((2, 2)), 0.0)
     amp = zgh_amplitude(p)
-    for end in _log_graded(cf, log_g, t_stop, steps)[1:]:
+    for end in _log_graded(cf, log_g, t_stop, _ODE_STEPS / 80)[1:]:
         state = ode_reduce_step(state, amp, float(end) - state.t, True)
     D_exact = np.diag([math.expm1(-log_g / c), math.expm1(log_g / c)])
     ode_err = float(np.max(np.abs(state.F - D_exact)))

@@ -279,6 +279,31 @@ def test_a_rerun_leaves_its_own_snapshots_only(tmp_path):
     assert meta["result"]["snapshots_written"] == 2
 
 
+def test_a_run_that_ends_before_its_first_snapshot_removes_the_earlier_set(tmp_path, capsys):
+    # a ceiling below the initial ‖∇u‖_∞ ends the rerun at its first record,
+    # before the observer is called: the earlier set stayed beside its artifacts
+    out = tmp_path / "out"
+    assert main(["run", str(_write_config(tmp_path / "run.ini"))]) == 0
+    assert len(list((out / "snapshots").iterdir())) == 3
+    cfg = _write_config(tmp_path / "ceil.ini", certificates={"gradu_ceiling": 1e-3})
+    assert main(["run", str(cfg)]) == 2
+    assert "blowup signalled at t = 0" in capsys.readouterr().err
+    meta = json.loads((out / "metadata.json").read_text())["result"]
+    assert meta["termination"] == "blowup-detected" and meta["snapshots_written"] == 0
+    assert not list((out / "snapshots").iterdir())
+
+
+def test_a_completed_run_removes_the_sets_killed_runs_held_aside(tmp_path):
+    # a run killed after its first snapshot leaves the earlier set hidden
+    # under its pid; the next run that completes removes every such set
+    snaps = tmp_path / "out" / "snapshots"
+    for name in (".replaced-99999", ".replaced-1"):
+        (snaps / name).mkdir(parents=True)
+        (snaps / name / "state_000000.vspc").write_bytes(b"held by a killed run")
+    assert main(["run", str(_write_config(tmp_path / "run.ini"))]) == 0
+    assert sorted(p.name for p in snaps.iterdir()) == [f"state_{k:06d}.vspc" for k in range(3)]
+
+
 def test_a_usage_error_mid_run_leaves_the_earlier_run_as_it_was(tmp_path, capsys):
     # the clock stalls after the step-0 snapshot, by when the earlier run's set
     # had been removed beside its CSV and JSON artifacts: it was held aside, and
@@ -683,7 +708,7 @@ def test_verify_exact_default_passes(capsys):
 @pytest.mark.parametrize("f0", ["4", "10", "1e6"])
 def test_verify_exact_checks_an_early_pole_before_it(capsys, f0):
     # t* = 1/12, 1/30 and 3.3e-7 lie before the default residual time t = 0.2;
-    # at 3.3e-7 the ODE cross-check needs steps of t*/1000, not one step
+    # the ODE cross-check's steps shrink towards each pole as a(t) grows
     assert main(["verify-exact", "--f0", f0]) == 0
     assert "all checks passed" in capsys.readouterr().out
 
@@ -712,9 +737,10 @@ def test_verify_exact_default_times_are_kept(capsys):
     assert "at t = 0.2833" in out           # 0.85 t*
 
 
-@pytest.mark.parametrize("f0, steps", [("1.0", 2833), ("1e-3", vspc.exact._ODE_STEPS)])
+@pytest.mark.parametrize("f0, steps", [("1.0", 238), ("1e-3", 238), ("-1", 174), ("-1e30", 8773)])
 def test_verify_exact_bounds_the_ode_steps(capsys, monkeypatch, f0, steps):
-    # t* = 1/3 keeps its 2833 steps of 1e-4; t* = 333 would take 3.3 million
+    # 125 steps per unit of |log|1 − c·f0·t||, whatever the amplitude: every
+    # pole is met at log 0.15, and -1e30 reaches log|g| = 70.2, near the 80 limit
     calls = []
     stepper = vspc.exact.ode_reduce_step
 
@@ -723,7 +749,7 @@ def test_verify_exact_bounds_the_ode_steps(capsys, monkeypatch, f0, steps):
         return stepper(*args)
 
     monkeypatch.setattr(vspc.exact, "ode_reduce_step", counting)
-    main(["verify-exact", "--f0", f0])
+    main(["verify-exact", f"--f0={f0}"])
     assert len(calls) == steps
     assert re.search(r"ODE reduction matches closed-form F +PASS", capsys.readouterr().out)
 
@@ -732,7 +758,7 @@ def test_verify_exact_bounds_the_ode_steps(capsys, monkeypatch, f0, steps):
 def test_verify_exact_passes_at_tiny_amplitude(capsys, f0):
     # the checks stop at 0.85 t*, where 1 − t/t* keeps its digits (t* − 0.05
     # rounded to t*, or left 1.5e-13 of it), the BKM integral takes log1p, and
-    # the ODE step count, t_stop/1e-4 = inf at 1e-307, is capped before rounding
+    # the ODE cross-check's steps keep their digits through expm1
     assert main(["verify-exact", f"--f0={f0}"]) == 0
     assert "all checks passed" in capsys.readouterr().out
 
@@ -775,6 +801,32 @@ def test_verify_exact_ode_check_fails_an_integrator_that_stands_still(capsys, mo
                         vspc.exact.LinearProfileState(state.A, state.F, state.t + dt))
     assert main(["verify-exact", f"--f0={f0}"]) == 3
     assert re.search(r"ODE reduction matches closed-form F +FAIL", capsys.readouterr().out)
+
+
+def _low_order_step(order):
+    """Explicit Euler (order 1) or the midpoint rule (order 2) in ode_reduce_step's place."""
+    def rate(a_of_t, t, F, deviation):      # A(t)(I + D) for a deviation D, else A(t)F
+        return np.array([[1.0], [-1.0]]) * a_of_t(t) * ((np.eye(2) if deviation else 0.0) + F)
+
+    def step(state, a_of_t, dt, deviation=False):
+        k = rate(a_of_t, state.t, state.F, deviation)
+        if order == 2:
+            k = rate(a_of_t, state.t + 0.5 * dt, state.F + 0.5 * dt * k, deviation)
+        a = a_of_t(state.t + dt)
+        return vspc.exact.LinearProfileState(np.diag([a, -a]), state.F + dt * k, state.t + dt)
+    return step
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("f0", ["1", "1e-3"])
+def test_verify_exact_ode_check_fails_a_low_order_integrator(capsys, monkeypatch, f0, order):
+    # the graded grid is coarse enough to be cheap, yet a first- or second-order
+    # step errs by about 6e-3 or 1e-5 on it, far past the 1e-8 relative bound
+    monkeypatch.setattr(vspc.exact, "ode_reduce_step", _low_order_step(order))
+    assert main(["verify-exact", f"--f0={f0}"]) == 3
+    out = capsys.readouterr().out
+    assert re.search(r"ODE reduction matches closed-form F +FAIL", out)
+    assert out.count("FAIL") == 2       # the row, and "some checks FAILED"
 
 
 @pytest.mark.parametrize("f0", ["1", "1e-5", "-1", "-1e-5"])
