@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import inspect
 import json
 import math
 import os
 import shutil
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,33 +44,68 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # run
 
-_INITIAL_KINDS = ("taylor-green", "steady-identity", "perturbed-identity",
-                  "manufactured", "from-snapshot")
+_MAX_N = 4096       # the largest grid a run takes; README gives its memory
+# config holds every key the run used, by section, defaults included
+RunConfig = NamedTuple("RunConfig", [("solver", SolverConfig), ("initial", State), ("config", dict)])
 
 
-@dataclass
-class RunConfig:
-    solver: SolverConfig
-    initial: State
-    out_dir: Path
-    initial_kind: str
-    echo: dict
+def _grid(text) -> GridSpec:      # ConfigParser.getgrid
+    if (n := int(text)) > _MAX_N:       # before anything of its size is built
+        raise ValueError(f"grid size must be at most {_MAX_N}, got {n}")
+    return GridSpec(n)
 
 
-def _state_from_snapshot(path) -> State:
-    t, grid, arrays = read_snapshot(path)
-    if len(arrays) != 6:
-        raise ValueError(f"run snapshot needs 6 fields (u1, u2, F11, F21, F12, F22), "
-                         f"got {len(arrays)}")
-    return state_from_arrays(grid, t, *arrays)
+def _from_snapshot(grid, nu, path=None):
+    if path is None:
+        raise UsageError("initial kind from-snapshot needs [initial] path")
+    try:
+        t, snap_grid, arrays = read_snapshot(path)
+        if len(arrays) != 6:
+            raise ValueError(f"run snapshot needs 6 fields (u1, u2, F11, F21, F12, F22), got {len(arrays)}")
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot load snapshot {path}: {exc}") from None
+    if snap_grid != grid:
+        raise UsageError(f"snapshot grid n={snap_grid.n} does not match config n={grid.n}")
+    return state_from_arrays(grid, t, *arrays), None
+
+
+# Each section's keys with their ConfigParser getters.  [grid] n, [solver] nu and t_end
+# are required; any other key left out takes the default of its owner.
+_RUN_KEYS = {
+    "grid": {"n": "getgrid"},
+    "solver": dict.fromkeys(("nu", "t_end", "cfl", "dt_max"), "getfloat"),
+    "initial": {"kind": "get"},
+    "output": {"dir": "get", "snapshot_interval": "getint", "diagnostics_interval": "getint"},
+    "certificates": {"strict": "getboolean", **dict.fromkeys(
+        ("energy_tolerance", "lp_tolerance", "divergence_tolerance", "gradu_ceiling"), "getfloat")},
+}
+_KINDS = {      # kind: (its own keys, the owner of their defaults, build(grid, nu, **keys))
+    "taylor-green": ({}, None, lambda grid, nu: (taylor_green_state(grid), None)),
+    "steady-identity": ({}, None, lambda grid, nu: (steady_identity_state(grid), None)),
+    "perturbed-identity": ({"amplitude": "getfloat"}, perturbed_identity_state,
+                           lambda grid, nu, **keys: (perturbed_identity_state(grid, **keys), None)),
+    "manufactured": ({"case": "get"}, exact.manufactured, lambda grid, nu, **keys:
+                     ((made := exact.manufactured(grid, nu, **keys)).initial, made.forcing)),
+    "from-snapshot": ({"path": "get"}, _from_snapshot, _from_snapshot),
+}
+_HOMES = {key: f"[{section}] {key}" for section, keys in _RUN_KEYS.items() for key in keys} | {
+    key: f"[initial] {key} (kind {kind})" for kind, (keys, _, _) in _KINDS.items() for key in keys}
+
+
+def _near(name, known) -> str:     # known: {name: as a message shows it}
+    from difflib import get_close_matches       # on this error path only
+    near = get_close_matches(name.lower(), known, n=1)
+    return f"; did you mean {known[near[0]]}?" if near else f"; choose from {', '.join(known.values())}"
 
 
 def parse_run_config(path) -> RunConfig:
     """Read an INI run configuration; raises UsageError on any defect.
 
-    Values are taken literally: a % in a path is a %, not an interpolation.
+    Every section and key must be one that _RUN_KEYS or the kind's row of _KINDS
+    declares.  Values are taken literally: a % in a path is a %, not an interpolation.
     """
-    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"),
+                                   default_section="", converters={"grid": _grid})
     try:
         loaded = cp.read(path)
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -76,73 +113,37 @@ def parse_run_config(path) -> RunConfig:
     if not loaded:
         raise UsageError(f"cannot read config file {path}")
 
-    def value(section, key, getter="get"):
-        try:
-            return getattr(cp, getter)(section, key)
-        except ValueError as exc:
-            raise UsageError(f"bad value for [{section}] {key}: {exc}") from None
-
-    def need(section, key, getter="get"):
-        if not cp.has_option(section, key):
-            raise UsageError(f"config is missing [{section}] {key}")
-        return value(section, key, getter)
-
-    def given(section, getter, *keys):
-        """{key: value} of the keys the INI sets, so that unset keys keep their owner's default."""
-        return {key: value(section, key, getter) for key in keys if cp.has_option(section, key)}
-
-    try:
-        grid = GridSpec(need("grid", "n", "getint"))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-    nu = need("solver", "nu", "getfloat")
-    t_end = need("solver", "t_end", "getfloat")
-
     kind = cp.get("initial", "kind", fallback="taylor-green")
-    if kind not in _INITIAL_KINDS:
-        raise UsageError(f"unknown initial kind {kind!r}; choose from {_INITIAL_KINDS}")
-    forcing = None
-    if kind == "taylor-green":
-        initial = taylor_green_state(grid)
-    elif kind == "steady-identity":
-        initial = steady_identity_state(grid)
-    elif kind == "perturbed-identity":
-        initial = perturbed_identity_state(grid, **given("initial", "getfloat", "amplitude"))
-    elif kind == "manufactured":
-        try:
-            problem = exact.manufactured(grid, nu, **given("initial", "get", "case"))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        initial = problem.initial
-        forcing = problem.forcing
-    else:
-        snap = cp.get("initial", "path", fallback=None)
-        if snap is None:
-            raise UsageError("initial kind from-snapshot needs [initial] path")
-        try:
-            initial = _state_from_snapshot(snap)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot load snapshot {snap}: {exc}") from None
-        if initial.grid != grid:
-            raise UsageError(f"snapshot grid n={initial.grid.n} does not match "
-                             f"config n={grid.n}")
+    if kind not in _KINDS:
+        raise UsageError(f"unknown initial kind {kind!r}" + _near(kind, {k: k for k in _KINDS}))
+    own, owner, build = _KINDS[kind]
+    schema = _RUN_KEYS | {"initial": _RUN_KEYS["initial"] | own}      # this run's keys
+    read = {}
+    for section in cp.sections():
+        if section not in schema and section != "DEFAULT":     # [DEFAULT] declares no key
+            raise UsageError(f"unknown section [{section}]" + _near(section, {s: f"[{s}]" for s in schema}))
+        for key in cp.options(section):
+            if key not in schema.get(section, {}):
+                where = f" for kind {kind}" if section == "initial" else ""
+                raise UsageError(f"unknown key [{section}] {key}{where}" + _near(key, _HOMES))
+            try:
+                read[key] = getattr(cp, schema[section][key])(section, key)
+            except ValueError as exc:
+                raise UsageError(f"bad value for [{section}] {key}: {exc}") from None
+    for section, key in (("grid", "n"), ("solver", "nu"), ("solver", "t_end")):
+        if key not in read:
+            raise UsageError(f"config is missing [{section}] {key}")
 
-    try:
-        solver_cfg = SolverConfig(
-            grid=grid, nu=nu, t_end=t_end, forcing=forcing,
-            **given("solver", "getfloat", "cfl", "dt_max"),
-            **given("output", "getint", "snapshot_interval", "diagnostics_interval"),
-            **given("certificates", "getfloat", "gradu_ceiling", "energy_tolerance",
-                    "lp_tolerance", "divergence_tolerance"),
-            **given("certificates", "getboolean", "strict"),
-        )
+    used = {"n": read["n"].n, "kind": kind, "dir": str(Path(read.get("dir", "vspc-run"))),
+            **{key: read.get(key, inspect.signature(owner).parameters[key].default) for key in own}}
+    try:    # the solver's keys are checked before the initial state is built
+        solver = SolverConfig(read["n"], **{key: value for key, value in read.items() if key not in used})
+        initial, forcing = build(solver.grid, solver.nu, **{key: used[key] for key in own})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-    out_dir = Path(cp.get("output", "dir", fallback="vspc-run"))
-    echo = {section: dict(cp.items(section)) for section in cp.sections()}
-    return RunConfig(solver_cfg, initial, out_dir, kind, echo)
+    config = {section: {key: used[key] if key in used else getattr(solver, key) for key in keys}
+              for section, keys in schema.items()}
+    return RunConfig(dataclasses.replace(solver, forcing=forcing), initial, config)
 
 
 def _check_dir(path: Path):
@@ -164,7 +165,7 @@ def _replace(path: Path, write):
 
 def cmd_run(args) -> int:
     cfg = parse_run_config(args.config)
-    out = cfg.out_dir           # created once simulate has accepted the initial state
+    out = Path(cfg.config["output"]["dir"])     # made once simulate has accepted the initial state
     snap_dir = out / "snapshots"
     _check_dir(snap_dir if cfg.solver.snapshot_interval > 0 else out)
     artifacts = csv_path, cert_path, meta_path = [
@@ -211,8 +212,7 @@ def cmd_run(args) -> int:
     _replace(cert_path, lambda tmp: tmp.write_text(json.dumps(bundle, indent=2) + "\n"))
     metadata = {
         "version": __version__,
-        "config": cfg.echo,
-        "initial_kind": cfg.initial_kind,
+        "config": cfg.config,
         "result": {
             "termination": result.termination,
             "steps": result.steps,

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vspc
 import vspc.cli
@@ -32,6 +33,8 @@ def _write_config(path, **overrides):
         "certificates": {"strict": "false"},
     }
     for section, vals in overrides.items():
+        if section == "initial" and "kind" in vals:     # amplitude is perturbed-identity's own
+            base[section] = {}
         base.setdefault(section, {}).update(vals)
     lines = []
     for section, vals in base.items():
@@ -91,7 +94,7 @@ def test_run_produces_artifacts(tmp_path, capsys):
     assert len(snaps) == 3   # t = 0, t = 0.025, final
 
     meta = json.loads((out / "metadata.json").read_text())
-    assert meta["config"]["grid"]["n"] == "16"
+    assert meta["config"]["grid"]["n"] == 16
     assert meta["result"]["termination"] == "completed"
     assert meta["result"]["snapshots_written"] == 3
     assert "max_projection_correction" not in meta["result"]
@@ -161,6 +164,160 @@ def test_required_keys_alone_give_the_solver_defaults(tmp_path):
         assert getattr(parsed, field.name) == getattr(default, field.name), field.name
 
 
+@pytest.mark.parametrize("overrides, named, nearest", [
+    ({"solver": {"dtmax": 1e-9}}, "[solver] dtmax", "[solver] dt_max"),
+    ({"certificates": {"stict": "true"}}, "[certificates] stict", "[certificates] strict"),
+    ({"output": {"diagnostics_intervall": 1000}}, "[output] diagnostics_intervall",
+     "[output] diagnostics_interval"),
+    ({"DEFAULT": {"strict": "true"}}, "[DEFAULT] strict", "[certificates] strict"),
+    ({"Solver": {"cfl": 0.3}}, "[Solver]", "[solver]"),
+    ({"initial": {"kind": "Perturbed-Identity"}}, "'Perturbed-Identity'", "perturbed-identity"),
+], ids=["dtmax", "stict", "diagnostics_intervall", "DEFAULT", "Solver", "Kind"])
+def test_an_undeclared_name_is_a_usage_error_naming_the_nearest(tmp_path, capsys, overrides,
+                                                                named, nearest):
+    # each of these ran as if it were absent, and metadata.json echoed it
+    cfg = _write_config(tmp_path / "run.ini", **overrides)
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ") and named in err and f"did you mean {nearest}?" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
+_KIND_KEYS = {"amplitude": "perturbed-identity", "case": "manufactured", "path": "from-snapshot"}
+
+
+@pytest.mark.parametrize("key, kind", [(key, kind) for key, home in _KIND_KEYS.items()
+                                       for kind in vspc.cli._KINDS if kind != home])
+def test_a_key_of_another_kind_is_a_usage_error(tmp_path, capsys, key, kind):
+    initial = {"kind": kind, key: "0.1"}
+    if kind == "from-snapshot":
+        initial["path"] = str(tmp_path / "state.vspc")
+    assert main(["run", str(_write_config(tmp_path / "run.ini", initial=initial))]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown key [initial] {key} for kind {kind}" in err
+    assert f"did you mean [initial] {key} (kind {_KIND_KEYS[key]})?" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
+def test_a_grid_past_the_cap_is_refused_before_anything_is_built(tmp_path, capsys, monkeypatch):
+    # a band at n = 2**20 would be about 35 TB; the cap is checked without one
+    def refuse(*args, **kwargs):
+        raise AssertionError("an initial state was built")
+    monkeypatch.setattr(vspc.cli, "_KINDS", {kind: (own, owner, refuse) for kind, (own, owner, _)
+                                             in vspc.cli._KINDS.items()})
+    cap = vspc.cli._MAX_N
+    for n in (cap + 1, 2 * cap, 2 ** 20):
+        cfg = _write_config(tmp_path / "big.ini", grid={"n": n})
+        assert main(["run", str(cfg)]) == 1
+        assert f"bad value for [grid] n: grid size must be at most {cap}, got {n}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.ini"]
+    with pytest.raises(AssertionError, match="state was built"):    # the cap itself passes
+        parse_run_config(_write_config(tmp_path / "big.ini", grid={"n": cap}))
+
+
+def _ini_of(config):
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for section, keys in config.items())
+
+
+@pytest.mark.parametrize("initial, certificates", [
+    ({"kind": "perturbed-identity", "amplitude": 0.05}, {"strict": "true"}),
+    ({"kind": "manufactured"}, {"energy_tolerance": 1e-3}),
+], ids=["perturbed-identity", "manufactured"])
+def test_a_rerun_from_the_effective_config_reproduces_the_run(tmp_path, initial, certificates):
+    cfg = _write_config(tmp_path / "run.ini", initial=initial, certificates=certificates)
+    assert main(["run", str(cfg)]) == 0
+    config = json.loads((tmp_path / "out" / "metadata.json").read_text())["config"]
+    declared = {**vspc.cli._RUN_KEYS, "initial": {"kind": None, **vspc.cli._KINDS[initial["kind"]][0]}}
+    assert {s: list(keys) for s, keys in config.items()} == {s: list(k) for s, k in declared.items()}
+    default = SolverConfig(GridSpec(16), 0.01, 0.05)
+    assert config["grid"]["n"] == 16 and config["solver"]["cfl"] == default.cfl
+    assert config["certificates"]["strict"] is (initial["kind"] != "manufactured")
+    if initial["kind"] == "manufactured":     # with nu, what rebuilds the forcing
+        assert config["initial"]["case"] == "broadband" and config["solver"]["nu"] == 0.01
+    config["output"]["dir"] = str(tmp_path / "again")
+    (tmp_path / "again.ini").write_text(_ini_of(config))
+    assert main(["run", str(tmp_path / "again.ini")]) == 0
+    for name in ("certificates.json", "diagnostics.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+    again = json.loads((tmp_path / "again" / "metadata.json").read_text())["config"]
+    assert again == config
+
+
+_ODD = ["nan", "inf", "-inf", "-0", "1e300", "", "0x10", "1_0", "Perturbed-Identity"]
+_NEAR_MISSES = [("solver", "dtmax"), ("certificates", "stict"), ("output", "diagnostics_intervall"),
+                ("initial", "amplitud"), ("grid", "n_"), ("Solver", "cfl"), ("DEFAULT", "strict"),
+                ("grids", "n")]
+
+
+@pytest.mark.parametrize("kind", list(vspc.cli._KINDS))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_any_ini_of_declared_and_near_miss_keys_parses_or_is_a_usage_error(tmp_path_factory,
+                                                                           kind, data):
+    # an INI fuzz of odd values and near-miss names, parsed only: every file gives a
+    # RunConfig or raises UsageError, and nothing else
+    root = tmp_path_factory.getbasetemp() / "ini-fuzz"
+    if not root.exists():
+        root.mkdir()
+        for n in (8, 16):
+            write_snapshot(root / f"n{n}.vspc", 0.0, perturbed_identity_state(GridSpec(n), 0.1).channels)
+        (root / "garbage.vspc").write_bytes(b"not a snapshot")
+    plausible = {"n": ["8", "16"], "kind": [kind], "case": ["broadband", "taylor-green"],
+                 "strict": ["true", "off"], "snapshot_interval": ["0", "3"],
+                 "diagnostics_interval": ["1", "2"],
+                 "path": [str(root / name) for name in ("n8.vspc", "n16.vspc", "garbage.vspc", "")]}
+
+    def value(key):
+        if key == "dir":            # parsed, never made
+            return str(root / "out")
+        odd = [str(root / v) for v in _ODD] if key == "path" else _ODD     # snapshots only from root
+        return data.draw(st.sampled_from(odd if data.draw(st.integers(0, 7)) == 7
+                                         else plausible.get(key, ["0.01", "0.5"])))
+
+    kind = value("kind")
+    ini = {}
+    for section, keys in vspc.cli._RUN_KEYS.items():
+        if data.draw(st.integers(0, 19)) < 19:      # a section is left out one time in 20
+            ini[section] = [f"{key} = {kind if key == 'kind' else value(key)}" for key in keys
+                            if key in ("n", "nu", "t_end", "kind") or data.draw(st.booleans())]
+    for own, _, _ in vspc.cli._KINDS.values():  # a kind's own keys, under any kind now and then
+        for key in own:
+            if key in vspc.cli._KINDS.get(kind, ({},))[0] or data.draw(st.integers(0, 7)) == 7:
+                ini.setdefault("initial", []).append(f"{key} = {value(key)}")
+    if data.draw(st.booleans()):
+        section, key = data.draw(st.sampled_from(_NEAR_MISSES))
+        ini.setdefault(section, []).append(f"{key} = {value(key)}")
+    path = root / "fuzz.ini"
+    path.write_text("".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+                            for section, lines in ini.items()))
+    try:
+        with np.errstate(all="ignore"):
+            parsed = parse_run_config(path)
+    except UsageError:
+        return
+    assert isinstance(parsed, vspc.cli.RunConfig) and parsed.config["grid"]["n"] in (8, 16)
+
+
+def test_the_readme_run_configuration_declares_every_key_and_parses(tmp_path):
+    # README's block holds each key once; a kind's own keys other than the
+    # block's kind are alternatives, written as comments
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Run configuration\n\n```ini\n", 1)[1].split("```", 1)[0]
+    shown, section = {}, None
+    for line in block.splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = shown.setdefault(m[1], [])
+        elif m := re.match(r"#?\s*(\w+) = ", line):
+            section.append(m[1])
+    kinds = [key for own, _, _ in vspc.cli._KINDS.values() for key in own]
+    declared = {**vspc.cli._RUN_KEYS, "initial": [*vspc.cli._RUN_KEYS["initial"], *kinds]}
+    assert shown == {s: list(keys) for s, keys in declared.items()}
+    (tmp_path / "readme.ini").write_text(block)
+    config = parse_run_config(tmp_path / "readme.ini").config
+    assert config["initial"] == {"kind": "perturbed-identity", "amplitude": 0.1}
+
+
 def test_criterion_report_defaults_are_the_bundle_defaults(tmp_path, capsys):
     # tolerances set in the run's INI must not leak into the offline defaults
     cfg = _write_config(tmp_path / "run.ini", certificates={"energy_tolerance": 1e-3})
@@ -223,7 +380,7 @@ def test_percent_in_a_config_value_is_taken_literally(tmp_path, capsys):
     # no interpolation: "%y" was an InterpolationSyntaxError traceback
     out = tmp_path / "out%y"
     cfg = _write_config(tmp_path / "run.ini", output={"dir": str(out), "snapshot_interval": 0})
-    assert parse_run_config(cfg).out_dir == out
+    assert parse_run_config(cfg).config["output"]["dir"] == str(out)
     assert main(["run", str(cfg)]) == 0
     assert (out / "diagnostics.csv").is_file()
 
@@ -914,8 +1071,9 @@ def test_convergence_mode_is_required():
 def test_python_m_vspc_run_loads_no_scipy(tmp_path, command):
     # -X importtime lists every module a fresh process imports: `vspc.cli`, a
     # run with a snapshot every step and verify-exact's checks, each started by
-    # `python -m vspc`, take no scipy; a run takes no numpy.polynomial either,
-    # which only verify-exact's quadrature imports
+    # `python -m vspc`, take no scipy, nor difflib, which only a config error
+    # imports; a run takes no numpy.polynomial either, which only
+    # verify-exact's quadrature imports
     cfg = _write_config(tmp_path / "tiny.ini", output={"snapshot_interval": 1})
     args = ["run", str(cfg)] if command == "run" else ["verify-exact"]
     env = dict(os.environ, PYTHONPATH=str(Path(vspc.__file__).resolve().parents[1]))
@@ -925,7 +1083,7 @@ def test_python_m_vspc_run_loads_no_scipy(tmp_path, command):
     imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "vspc.cli" in imported
-    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+    assert not [m for m in imported if m.split(".")[0] in ("scipy", "difflib")]
     if command == "run":
         assert done.stdout.startswith("completed: 10 steps")
         assert "numpy.polynomial" not in imported
